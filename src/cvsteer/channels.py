@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .states import ModeLabel, TwoModeGaussianState
+from .errors import DegenerateInputError, InvalidArgumentError
+from .states import ModeLabel, TwoModeGaussianState, _validate_cms
 
 __all__ = [
     "ChannelSide",
@@ -30,6 +30,9 @@ __all__ = [
     "v_infinity",
     "apply_phase_sensitive",
 ]
+
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 class ChannelSide(enum.Enum):
@@ -70,15 +73,21 @@ class LaserChannelParams:
 
     @property
     def survival(self) -> float:
-        return float(np.exp(-2.0 * (self.kappa - self.g) * self.t))
+        return float(_laser_factors(self.g, self.kappa, self.t)[0])
 
     @property
     def noise(self) -> float:
-        x = 2.0 * (self.kappa - self.g) * self.t
-        if x == 0.0:
-            return 2.0 * (self.kappa + self.g) * self.t
-        # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g.
-        return float(2.0 * (self.kappa + self.g) * self.t * (-np.expm1(-x)) / x)
+        return float(_laser_factors(self.g, self.kappa, self.t)[1])
+
+
+def _laser_factors(g: float, kappa: float, t):
+    """Survival R and added noise A of the laser channel, elementwise in t."""
+    x = 2.0 * (kappa - g) * t
+    rate_t = 2.0 * (kappa + g) * t
+    # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
+    # where x = 0 it keeps its limit 2 (kappa + g) t.
+    noise = np.divide(rate_t * (-np.expm1(-x)), x, out=np.array(rate_t, dtype=float), where=x != 0.0)
+    return np.exp(-x), noise[()]
 
 
 def laser_coefficients(g: float, kappa: float, t: float) -> LaserChannelParams:
@@ -116,18 +125,41 @@ def apply_laser(
     and the mean scales by sqrt(survival); each correlation to a decohered mode
     scales by sqrt(survival).
     """
-    a = params.noise
-    s = params.survival
-    sq = np.sqrt(s)
-    cm = state.cm.copy()
+    return _apply_channel(state, *_laser_terms(params.g, params.kappa, params.t), side)
+
+
+def _laser_terms(g: float, kappa: float, t):
+    """The laser channel's (keep, added) arguments of ``_channel_map``."""
+    survival, noise = _laser_factors(g, kappa, t)
+    return survival, noise * _EYE2
+
+
+def _apply_channel(state: TwoModeGaussianState, keep: float, added: np.ndarray, side: ChannelSide):
+    """One state through ``_channel_map``; the mean of each decohered mode
+    scales by sqrt(keep)."""
+    sq = np.sqrt(keep)
     mean = state.mean.copy()
     for mode in side.modes:
+        mean[mode.block] *= sq
+    return TwoModeGaussianState(mean, _channel_map(state, sq, keep, added, side))
+
+
+def _channel_map(state: TwoModeGaussianState, sq, keep, added: np.ndarray, side: ChannelSide) -> np.ndarray:
+    """The Gaussian channel V -> X V X^T + Y on the covariance matrix.
+
+    X scales each decohered mode by sq = sqrt(keep) and Y adds ``added`` to
+    its diagonal block, which becomes added + keep * block.  ``keep`` is a
+    float, giving one 4x4 matrix, or an (N, 1, 1) stack with ``added``
+    (N, 2, 2), giving the (N, 4, 4) stack.  The result is unvalidated.
+    """
+    cm = np.empty(np.shape(keep)[:-2] + (4, 4))
+    cm[...] = state.cm
+    for mode in side.modes:
         blk = mode.block
-        cm[blk, :] *= sq
-        cm[:, blk] *= sq
-        cm[blk, blk] = a * np.eye(2) + s * state.block(mode)
-        mean[blk] *= sq
-    return TwoModeGaussianState(mean, cm)
+        cm[..., blk, :] *= sq
+        cm[..., :, blk] *= sq
+        cm[..., blk, blk] = added + keep * state.block(mode)
+    return cm
 
 
 @dataclass(frozen=True)
@@ -163,11 +195,17 @@ class PhaseSensitiveParams:
 
     @property
     def mixing(self) -> float:
-        return float(-np.expm1(-2.0 * self.kappa * self.t))
+        return float(_bath_factors(self.kappa, self.t)[1])
 
     @property
     def transmission(self) -> float:
-        return float(np.exp(-2.0 * self.kappa * self.t))
+        return float(_bath_factors(self.kappa, self.t)[0])
+
+
+def _bath_factors(kappa: float, t):
+    """Transmission T = exp(-2 kappa t) and mixing R = 1 - T, elementwise in t."""
+    x = -2.0 * kappa * t
+    return np.exp(x), -np.expm1(x)
 
 
 def v_infinity(params: PhaseSensitiveParams) -> np.ndarray:
@@ -188,19 +226,13 @@ def apply_phase_sensitive(
     scales by sqrt(transmission), correlations to the mode by sqrt(transmission).
     With m = 0 this is exactly the thermal laser channel.
     """
-    v_inf = v_infinity(params)
-    r_mix = params.mixing
-    t_keep = params.transmission
-    sq = np.sqrt(t_keep)
-    cm = state.cm.copy()
-    mean = state.mean.copy()
-    for mode in side.modes:
-        blk = mode.block
-        cm[blk, :] *= sq
-        cm[:, blk] *= sq
-        cm[blk, blk] = r_mix * v_inf + t_keep * state.block(mode)
-        mean[blk] *= sq
-    return TwoModeGaussianState(mean, cm)
+    return _apply_channel(state, *_bath_terms(params, params.t), side)
+
+
+def _bath_terms(params: PhaseSensitiveParams, t):
+    """The phase-sensitive channel's (keep, added) arguments of ``_channel_map``."""
+    transmission, mixing = _bath_factors(params.kappa, t)
+    return transmission, mixing * v_infinity(params)
 
 
 _CHANNEL_KINDS = ("identity", "loss", "gain", "thermal", "laser", "phase-sensitive")
@@ -250,6 +282,34 @@ class ChannelSpec:
             params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=t)
             return apply_phase_sensitive(state, params, self.side)
         return apply_laser(state, self.laser_params(t), self.side)
+
+    def evolve_cms(self, state: TwoModeGaussianState, t) -> np.ndarray:
+        """Covariance matrices after each duration in t, as one stack.
+
+        The stacked form of ``evolve``: for an array of N durations it returns
+        the (N, 4, 4) covariance matrices, built by one channel map and
+        validated once with the constructor's checks.  Entries equal those of
+        ``evolve(state, t).cm`` bit for bit.
+        """
+        t = np.asarray(t, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
+            raise InvalidArgumentError("durations must be finite and >= 0")
+        if self.kind == "identity":
+            return np.broadcast_to(state.cm, t.shape + (4, 4))
+        t = t[..., None, None]
+        # Strong gain overflows exp at long durations; such members are
+        # rejected below, so the batch raises instead of warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind == "phase-sensitive":
+                params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=0.0)
+                keep, added = _bath_terms(params, t)
+            else:
+                rates = self.laser_params(0.0)
+                keep, added = _laser_terms(rates.g, rates.kappa, t)
+            cms = _channel_map(state, np.sqrt(keep), keep, added, self.side)
+        if not np.all(np.isfinite(cms)):
+            raise DegenerateInputError("covariance matrix overflows float range at these durations")
+        return _validate_cms(cms)
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""

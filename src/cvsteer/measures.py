@@ -17,9 +17,17 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channels import ChannelSide, ChannelSpec
-from .criteria import SteeringDirection, reid_product
+from .criteria import SteeringDirection, entropic_sum, reid_product
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
-from .states import ModeLabel, TwoModeGaussianState, make_tmsv, partial_transpose, symplectic_eigenvalues
+from .states import (
+    ModeLabel,
+    TwoModeGaussianState,
+    _any,
+    _det2,
+    _partial_transpose_cms,
+    _symplectic_spectra,
+    make_tmsv,
+)
 
 __all__ = [
     "SteeringReport",
@@ -52,28 +60,44 @@ _RATE_DEGENERACY_TOL = 1e-12
 # error of order eps to sqrt(eps) ~ 1e-8 when the eigenvalue sits near 1.
 _SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N": 1e-7}
 
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_ADJUGATE_SIGNS.setflags(write=False)
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+def _log(x):
+    # math.log element by element: np.log differs from it in the last bit for
+    # a fraction of inputs, and a stack must equal its one-state views.
+    if isinstance(x, float):
+        return math.log(x)
+    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
-def _conditional_block(state: TwoModeGaussianState, direction: SteeringDirection) -> np.ndarray:
-    """Schur complement of the steering party's block: the steered party's
-    covariance conditioned on the steerer's optimal Gaussian measurement."""
-    a = state.block(ModeLabel.A)
-    b = state.block(ModeLabel.B)
-    c = state.cross_block
+def _steerability_exponents(cms: np.ndarray, direction: SteeringDirection):
+    """``steerability_exponent`` of a (..., 4, 4) stack, or a float for one matrix.
+
+    The steered party's block conditioned on the steerer's optimal Gaussian
+    measurement is a Schur complement; its 2x2 determinant comes in closed
+    form for precision near the boundary.
+    """
     if direction is SteeringDirection.A_TO_B:
-        det_a = _det2(a)
-        if det_a <= 0.0:
-            raise DegenerateInputError("steering party block is singular")
-        a_inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det_a
-        return b - c.T @ a_inv @ c
-    det_b = _det2(b)
-    if det_b <= 0.0:
+        steerer, steered, cross = cms[..., 0:2, 0:2], cms[..., 2:4, 2:4], cms[..., 0:2, 2:4]
+    else:
+        steerer, steered, cross = cms[..., 2:4, 2:4], cms[..., 0:2, 0:2], cms[..., 0:2, 2:4].mT
+    det_s = _det2(steerer)
+    if _any(~(det_s > 0.0)):
         raise DegenerateInputError("steering party block is singular")
-    b_inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]]) / det_b
-    return a - c @ b_inv @ c.T
+    # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: both axes reversed, transposed, signed.
+    inverse = steerer[..., ::-1, ::-1].mT * _ADJUGATE_SIGNS / det_s[..., None, None]
+    det_cond = _det2(steered - cross.mT @ inverse @ cross)
+    if _any(~(det_cond > 0.0)):
+        raise DegenerateInputError("conditional covariance is singular")
+    return -0.5 * _log(det_cond)
+
+
+def _log_negativity_exponents(cms: np.ndarray):
+    """``log_negativity_exponent`` of a (..., 4, 4) stack, or a float for one matrix."""
+    _, nu_s = _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B))
+    return -_log(nu_s)
 
 
 def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -84,10 +108,7 @@ def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirect
     2x2 conditional block, using closed-form 2x2 determinants for precision
     near the boundary.
     """
-    det_cond = _det2(_conditional_block(state, direction))
-    if det_cond <= 0.0:
-        raise DegenerateInputError("conditional covariance is singular")
-    return -0.5 * math.log(det_cond)
+    return float(_steerability_exponents(state.cm, direction))
 
 
 def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -97,8 +118,7 @@ def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirect
 
 def log_negativity_exponent(state: TwoModeGaussianState) -> float:
     """Unclamped -ln(nu_s) of the partial transpose; positive iff entangled."""
-    _, nu_s = symplectic_eigenvalues(partial_transpose(state, ModeLabel.B))
-    return -math.log(nu_s)
+    return float(_log_negativity_exponents(state.cm))
 
 
 def log_negativity(state: TwoModeGaussianState) -> float:
@@ -143,8 +163,6 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
     with the Reid product crossing 1/4 and the entropic sum crossing
     ln(e*pi).  Steerability in either direction implies entanglement.
     """
-    from .criteria import entropic_sum  # local import avoids cycle at module load
-
     g_ab = gaussian_steerability(state, SteeringDirection.A_TO_B)
     g_ba = gaussian_steerability(state, SteeringDirection.B_TO_A)
     e_n = log_negativity(state)
@@ -193,27 +211,45 @@ class ThresholdResult:
 _QUANTITIES = ("G_AtoB", "G_BtoA", "G_twoway", "E_N")
 
 
-def _signed_quantity(channel: ChannelSpec, r: float, quantity: str):
-    state0 = make_tmsv(r)
+def _signed_quantity(cms: np.ndarray, quantity: str) -> np.ndarray:
+    """The signed threshold quantity (positive before the threshold) over a
+    (..., 4, 4) stack; equal bit for bit to the per-state quantifiers."""
+    if quantity == "E_N":
+        return _log_negativity_exponents(cms)
+    if quantity == "G_AtoB":
+        return _steerability_exponents(cms, SteeringDirection.A_TO_B)
+    if quantity == "G_BtoA":
+        return _steerability_exponents(cms, SteeringDirection.B_TO_A)
+    return np.minimum(
+        _steerability_exponents(cms, SteeringDirection.A_TO_B),
+        _steerability_exponents(cms, SteeringDirection.B_TO_A),
+    )
 
-    def f(t: float) -> float:
-        state = channel.evolve(state0, t)
-        if quantity == "G_AtoB":
-            return steerability_exponent(state, SteeringDirection.A_TO_B)
-        if quantity == "G_BtoA":
-            return steerability_exponent(state, SteeringDirection.B_TO_A)
-        if quantity == "G_twoway":
-            return min(
-                steerability_exponent(state, SteeringDirection.A_TO_B),
-                steerability_exponent(state, SteeringDirection.B_TO_A),
-            )
-        return log_negativity_exponent(state)
 
-    return f
+def _scan_grid(t_max: float) -> np.ndarray:
+    """The bracketing scan's durations in (0, t_max]: a geometric head
+    resolves thresholds far below t_max, a linear tail covers the rest."""
+    return np.unique(
+        np.concatenate(
+            [
+                np.geomspace(t_max * 1e-9, t_max, 400),
+                np.linspace(t_max / 400, t_max, 400),
+            ]
+        )
+    )
 
 
 def numeric_threshold(channel: ChannelSpec, r: float, quantity: str, t_max: float) -> float:
     """Smallest t in (0, t_max] where the signed quantity hits zero.
+
+    The quantity of the evolved TMSV is scanned on an 800-point grid as one
+    stacked batch: a single channel map builds the (800, 4, 4) covariance
+    matrices, they are validated once with the state constructor's checks,
+    and the quantity comes from closed-form 2x2 determinants on the stack.
+    ``brentq`` then refines the one bracketing pair on the N = 1 view of the
+    same function, whose values equal the per-state quantifiers bit for bit.
+    No closed-form threshold expression enters, so the bisected value is an
+    independent check on them.
 
     Returns the infinite sentinel when the quantity stays positive on the
     whole interval.  A non-monotone sign pattern (several crossings) raises
@@ -223,20 +259,18 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str, t_max: floa
         raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
-    f = _signed_quantity(channel, r, quantity)
+    state0 = make_tmsv(r)
+
+    def signed(ts):
+        return _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+
+    def f(t):
+        return signed([t])[0]
+
     if f(0.0) <= 0.0:
         raise InvalidArgumentError(f"{quantity} must be positive at t = 0")
-    # Geometric head resolves thresholds far below t_max; linear tail covers
-    # the rest of the interval.
-    ts = np.unique(
-        np.concatenate(
-            [
-                np.geomspace(t_max * 1e-9, t_max, 400),
-                np.linspace(t_max / 400, t_max, 400),
-            ]
-        )
-    )
-    values = np.array([f(t) for t in ts])
+    ts = _scan_grid(t_max)
+    values = signed(ts)
     # Quantities that decay towards zero without crossing it jitter at the
     # rounding level for large t; values inside the noise band carry no sign.
     signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
@@ -262,15 +296,12 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str, t_max: floa
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=1e-12))
 
 
-def _default_rate(g: float, kappa: float) -> float:
+def _default_t_max(g: float, kappa: float) -> float:
+    """Scan horizon of 50 time units of 1/(g + kappa)."""
     rate = g + kappa
     if rate <= 0.0:
         raise InvalidArgumentError("g and kappa cannot both be zero")
-    return rate
-
-
-def _bisect_or_inf(channel: ChannelSpec, r: float, quantity: str, t_scale: float) -> float:
-    return numeric_threshold(channel, r, quantity, t_max=50.0 * t_scale)
+    return 50.0 * (1.0 / rate)
 
 
 def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = True) -> ThresholdResult:
@@ -298,7 +329,7 @@ def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = 
     channel = ChannelSpec(kind="laser", side=ChannelSide.BOTH, g=g, kappa=kappa)
     if not bisect:
         return ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, status="closed-form-only")
-    t_numeric = _bisect_or_inf(channel, r, "G_twoway", 1.0 / _default_rate(g, kappa))
+    t_numeric = numeric_threshold(channel, r, "G_twoway", t_max=_default_t_max(g, kappa))
     return ThresholdResult(channel.describe(), "two-way", t_closed, t_numeric)
 
 
@@ -325,7 +356,7 @@ def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> 
     )
     if not bisect:
         return ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, status="closed-form-only")
-    t_numeric = _bisect_or_inf(channel, r, "G_twoway", 1.0)
+    t_numeric = numeric_threshold(channel, r, "G_twoway", t_max=50.0)
     return ThresholdResult(channel.describe(), "two-way", t_closed, t_numeric)
 
 
@@ -361,9 +392,9 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
             ThresholdResult(desc, "a_to_b", t_ab, math.nan, status="closed-form-only"),
             ThresholdResult(desc, "b_to_a", t_ba, math.nan, status="closed-form-only"),
         )
-    scale = 1.0 / _default_rate(g, kappa)
-    num_ab = _bisect_or_inf(channel, r, "G_AtoB", scale)
-    num_ba = _bisect_or_inf(channel, r, "G_BtoA", scale)
+    t_max = _default_t_max(g, kappa)
+    num_ab = numeric_threshold(channel, r, "G_AtoB", t_max)
+    num_ba = numeric_threshold(channel, r, "G_BtoA", t_max)
     return (
         ThresholdResult(desc, "a_to_b", t_ab, num_ab),
         ThresholdResult(desc, "b_to_a", t_ba, num_ba),
@@ -397,7 +428,7 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
     channel = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa)
     if not bisect:
         return ThresholdResult(channel.describe(), "inseparability", t_closed, math.nan, status="closed-form-only")
-    t_numeric = _bisect_or_inf(channel, r, "E_N", 1.0 / _default_rate(g, kappa))
+    t_numeric = numeric_threshold(channel, r, "E_N", t_max=_default_t_max(g, kappa))
     return ThresholdResult(channel.describe(), "inseparability", t_closed, t_numeric)
 
 

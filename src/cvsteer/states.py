@@ -40,6 +40,9 @@ SYMMETRY_TOL = 1e-9
 # shows up as sqrt(eps) ~ 1e-8 in the smallest eigenvalue.  The uncertainty
 # check must leave room for that amplification.
 PHYSICALITY_TOL = 1e-7
+# Largest covariance eigenvalue for which det V and Delta^2 in the closed-form
+# symplectic spectrum stay finite (|Delta| <= 6 max_eig^2 for a positive matrix).
+_MAX_SCALE = np.finfo(float).max ** 0.25 / 4.0
 
 
 class ModeLabel(enum.Enum):
@@ -94,29 +97,9 @@ class TwoModeGaussianState:
             raise InvalidArgumentError(f"mean must have 4 entries, got shape {mean.shape}")
         if cm.shape != (4, 4):
             raise InvalidArgumentError(f"cm must be 4x4, got shape {cm.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cm))):
-            raise InvalidArgumentError("mean and cm must be finite")
-        asym = np.max(np.abs(cm - cm.T))
-        if asym > SYMMETRY_TOL:
-            raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        cm = 0.5 * (cm + cm.T)
-        eigs = np.linalg.eigvalsh(cm)
-        # The eigensolver's absolute error grows with the largest eigenvalue,
-        # so the definiteness test must be relative to the matrix scale
-        # (strongly amplified states are legitimately ill-conditioned).
-        if eigs[0] <= -1e-9 * max(1.0, eigs[-1]):
-            raise UnphysicalStateError("covariance matrix is not positive definite")
-        nu1, nu2 = symplectic_eigenvalues(cm, _validated=True)
-        # For pure states the discriminant under the square root vanishes
-        # identically, so its rounding error (of order eps times the fourth
-        # power of the matrix norm) dominates: the slack must grow with the
-        # squared scale of the matrix or strongly squeezed pure states would
-        # be rejected.
-        slack = PHYSICALITY_TOL * max(1.0, eigs[-1]) ** 2
-        if nu2 < 1.0 - slack:
-            raise UnphysicalStateError(
-                f"uncertainty relation violated: smallest symplectic eigenvalue {nu2:.12g} < 1"
-            )
+        if not np.all(np.isfinite(mean)):
+            raise InvalidArgumentError("mean must be finite")
+        cm = _validate_cms(cm)
         mean.setflags(write=False)
         cm.setflags(write=False)
         object.__setattr__(self, "_mean", mean)
@@ -206,13 +189,57 @@ def partial_transpose(state: TwoModeGaussianState, mode: ModeLabel) -> np.ndarra
     symmetric matrix: it need not satisfy the uncertainty bound (that failure
     is exactly what signals entanglement).
     """
+    return _partial_transpose_cms(state.cm, mode)
+
+
+def _partial_transpose_cms(cms: np.ndarray, mode: ModeLabel) -> np.ndarray:
+    """``partial_transpose`` of a (..., 4, 4) stack of covariance matrices."""
     p_index = 1 if mode is ModeLabel.A else 3
     flip = np.ones(4)
     flip[p_index] = -1.0
-    return state.cm * np.outer(flip, flip)
+    return cms * np.outer(flip, flip)
 
 
-def symplectic_eigenvalues(cm: np.ndarray, *, _validated: bool = False) -> tuple[float, float]:
+def _validate_cms(cms: np.ndarray) -> np.ndarray:
+    """The state constructor's checks on a (..., 4, 4) stack, or one matrix.
+
+    Each matrix must be finite, symmetric to SYMMETRY_TOL, positive definite
+    relative to its scale, small enough that det V cannot overflow, and obey
+    the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
+    Raises if any member fails; returns the symmetrized stack (bit-identical
+    to the input when that is symmetric).
+    """
+    if not np.isfinite(cms).all():
+        raise InvalidArgumentError("covariance matrix must be finite")
+    transposed = cms.mT
+    asym = np.abs(cms - transposed).max()
+    if asym > SYMMETRY_TOL:
+        raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+    cms = 0.5 * (cms + transposed)
+    eigs = np.linalg.eigvalsh(cms)
+    # The eigensolver's absolute error grows with the largest eigenvalue,
+    # so the definiteness test must be relative to the matrix scale
+    # (strongly amplified states are legitimately ill-conditioned).
+    top = eigs[..., -1]
+    scale = np.maximum(1.0, top)
+    if _any(eigs[..., 0] <= -1e-9 * scale):
+        raise UnphysicalStateError("covariance matrix is not positive definite")
+    _check_scale(top)
+    _, nu2 = _symplectic_spectra(cms)
+    # For pure states the discriminant under the square root vanishes
+    # identically, so its rounding error (of order eps times the fourth
+    # power of the matrix norm) dominates: the slack must grow with the
+    # squared scale of the matrix or strongly squeezed pure states would
+    # be rejected.
+    violated = nu2 < 1.0 - PHYSICALITY_TOL * scale**2
+    if _any(violated):
+        raise UnphysicalStateError(
+            f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
+        )
+    return cms
+
+
+def symplectic_eigenvalues(cm: np.ndarray) -> tuple[float, float]:
     """The two symplectic eigenvalues (nu1 >= nu2 > 0) of a 4x4 covariance matrix.
 
     Uses the closed form 2 nu^2 = Delta +- sqrt(Delta^2 - 4 det V) with
@@ -222,28 +249,53 @@ def symplectic_eigenvalues(cm: np.ndarray, *, _validated: bool = False) -> tuple
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 matrix, got shape {cm.shape}")
-    if not _validated:
-        if np.max(np.abs(cm - cm.T)) > SYMMETRY_TOL:
-            raise InvalidArgumentError("matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(cm)
-        if eigs[0] <= -1e-9 * max(1.0, eigs[-1]):
-            raise InvalidArgumentError("matrix is not positive definite")
-    a = _det2(cm[0:2, 0:2])
-    b = _det2(cm[2:4, 2:4])
-    c = _det2(cm[0:2, 2:4])
+    if np.max(np.abs(cm - cm.T)) > SYMMETRY_TOL:
+        raise InvalidArgumentError("matrix is not symmetric")
+    eigs = np.linalg.eigvalsh(cm)
+    if eigs[0] <= -1e-9 * max(1.0, eigs[-1]):
+        raise InvalidArgumentError("matrix is not positive definite")
+    _check_scale(eigs[-1])
+    nu1, nu2 = _symplectic_spectra(cm)
+    return float(nu1), float(nu2)
+
+
+def _symplectic_spectra(cms: np.ndarray):
+    """``symplectic_eigenvalues`` of a (..., 4, 4) stack, without input checks.
+
+    For validated stacks, or congruent ones like their partial transposes.
+    """
+    a = _det2(cms[..., 0:2, 0:2])
+    b = _det2(cms[..., 2:4, 2:4])
+    c = _det2(cms[..., 0:2, 2:4])
     delta = a + b + 2.0 * c
-    det_v = np.linalg.det(cm)
-    disc = max(delta * delta - 4.0 * det_v, 0.0)
-    root = np.sqrt(disc)
+    det_v = np.linalg.det(cms)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
     nu1_sq = 0.5 * (delta + root)
-    if nu1_sq <= 0.0 or det_v <= 0.0:
+    # Written so that a NaN fails as well; below _MAX_SCALE nothing overflows.
+    if _any(~((nu1_sq > 0.0) & (det_v > 0.0))):
         raise DegenerateInputError("symplectic spectrum collapsed to zero")
     # (delta - root)/2 cancels catastrophically when nu1 >> nu2 (strongly
     # amplified states); the product form is algebraically identical.
-    nu2_sq = det_v / nu1_sq
-    return float(np.sqrt(nu1_sq)), float(np.sqrt(nu2_sq))
+    return np.sqrt(nu1_sq), np.sqrt(det_v / nu1_sq)
 
 
-def _det2(m: np.ndarray) -> float:
-    # 2x2 closed form; np.linalg.det loses precision near steerable boundaries.
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _check_scale(max_eig) -> None:
+    if _any(max_eig > _MAX_SCALE):
+        raise DegenerateInputError(
+            f"covariance scale {np.max(max_eig):.3e} exceeds {_MAX_SCALE:.3e}: det V would overflow"
+        )
+
+
+def _any(mask) -> bool:
+    """``mask.any()``; a single matrix's scalar mask skips the costlier reduction."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _det2(m: np.ndarray):
+    """Determinants of (..., 2, 2) blocks in closed form (np.linalg.det loses
+    precision near steerable boundaries); a scalar for a single block."""
+    if m.ndim == 2:
+        # Plain indexing keeps the per-state path fast (and yields a numpy
+        # scalar rather than a 0-d array).
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -173,3 +173,37 @@ def test_channel_spec_validation_and_describe():
 def test_channel_spec_identity_kind():
     s = make_tmsv(0.4)
     assert ChannelSpec(kind="identity").evolve(s, 5.0) is s
+
+
+@pytest.mark.parametrize("kind", ["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_evolve_cms_matches_evolve_bit_for_bit(kind, side):
+    spec = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.8, m=0.3 - 0.5j)
+    s = make_tmsv(0.6)
+    ts = np.array([0.0, 1e-7, 0.05, 0.4, 2.0])
+    stack = spec.evolve_cms(s, ts)
+    assert stack.shape == (5, 4, 4)
+    for t, cm in zip(ts, stack):
+        assert np.array_equal(cm, spec.evolve(s, t).cm)
+        assert np.array_equal(spec.evolve_cms(s, [t])[0], cm)
+
+
+def test_evolve_cms_at_balanced_rates_uses_the_analytic_limit():
+    spec = ChannelSpec(kind="laser", side=ChannelSide.BOTH, g=1.0, kappa=1.0)
+    s = make_tmsv(0.5)
+    ts = np.array([0.1, 0.3])
+    for t, cm in zip(ts, spec.evolve_cms(s, ts)):
+        assert np.array_equal(cm, spec.evolve(s, t).cm)
+        assert cm[0, 0] == pytest.approx(math.cosh(1.0) + 4.0 * t, rel=1e-14)
+
+
+def test_evolve_cms_validates_durations_and_rates():
+    s = make_tmsv(0.5)
+    with pytest.raises(InvalidArgumentError):
+        ChannelSpec(kind="loss").evolve_cms(s, np.array([0.1, -0.2]))
+    with pytest.raises(InvalidArgumentError):
+        ChannelSpec(kind="loss").evolve_cms(s, np.array([0.1, np.nan]))
+    with pytest.raises(InvalidArgumentError):
+        ChannelSpec(kind="gain", g=-1.0).evolve_cms(s, np.array([0.1]))
+    with pytest.raises(InvalidArgumentError):
+        ChannelSpec(kind="phase-sensitive", nbar=1.0, m=1.5).evolve_cms(s, np.array([0.1]))

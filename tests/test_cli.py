@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -181,3 +182,12 @@ def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "pdf")
     assert code == 0
     assert "[PASS]" in out
+
+
+def test_eval_overflowing_gain_exits_2_without_warnings(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eval", "--r", "0.5", "--channel", "gain", "--g", "3", "--t", "50")
+    assert code == 2
+    assert out == ""
+    assert "det V would overflow" in err

@@ -1,19 +1,26 @@
 """Steerability quantifier, logarithmic negativity and threshold times."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
-from cvsteer.errors import InvalidArgumentError
+from cvsteer.errors import DegenerateInputError, InvalidArgumentError
 from cvsteer.measures import (
+    _scan_grid,
+    _signed_quantity,
     gaussian_steerability,
     inseparability_threshold,
     log_negativity,
+    log_negativity_exponent,
     numeric_threshold,
     one_side_thresholds,
+    steerability_exponent,
     steering_report,
     two_way_laser_threshold,
     two_way_thermal_threshold,
@@ -175,3 +182,50 @@ def test_threshold_result_serialization():
     t_ab, _ = one_side_thresholds(0.0, 1.0, 0.5)
     assert t_ab.as_dict()["t_closed"] == "inf"
     assert t_ab.as_dict()["t_numeric"] == "inf"
+
+
+def _per_state_quantity(state, quantity):
+    a_to_b = lambda: steerability_exponent(state, SteeringDirection.A_TO_B)
+    b_to_a = lambda: steerability_exponent(state, SteeringDirection.B_TO_A)
+    if quantity == "G_AtoB":
+        return a_to_b()
+    if quantity == "G_BtoA":
+        return b_to_a()
+    if quantity == "G_twoway":
+        return min(a_to_b(), b_to_a())
+    return log_negativity_exponent(state)
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    quantity=st.sampled_from(["G_AtoB", "G_BtoA", "G_twoway", "E_N"]),
+    r=st.floats(0.05, 1.5),
+    g=st.floats(0.1, 3.0),
+    kappa=st.floats(0.1, 3.0),
+    nbar=st.floats(0.0, 1.5),
+    m_fraction=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_stacked_scan_equals_per_state_values_exactly(kind, side, quantity, r, g, kappa, nbar, m_fraction):
+    # The bracket, and so every printed digit of the bisected root, depends on
+    # the stacked values being the per-state values bit for bit.
+    m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    state0 = make_tmsv(r)
+    ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))])
+    stacked = _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+    per_state = [_per_state_quantity(channel.evolve(state0, t), quantity) for t in ts]
+    assert stacked.tolist() == per_state
+    for t in ts[::97]:
+        assert _signed_quantity(channel.evolve_cms(state0, [t]), quantity)[0] == _per_state_quantity(
+            channel.evolve(state0, t), quantity
+        )
+
+
+@pytest.mark.parametrize("t_max", [50.0, 200.0])  # 200: exp(2 g t) itself overflows
+def test_overflowing_scan_is_degenerate_without_warnings(t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            numeric_threshold(ChannelSpec("gain", g=3.0), 0.5, "E_N", t_max=t_max)

@@ -1,18 +1,21 @@
 """State construction, characteristic function and symplectic spectrum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsteer.errors import InvalidArgumentError, UnphysicalStateError
+from cvsteer.errors import DegenerateInputError, InvalidArgumentError, UnphysicalStateError
 from cvsteer.states import (
+    _MAX_SCALE,
     SYMPLECTIC_FORM,
     CfPoint,
     ModeLabel,
     TwoModeGaussianState,
+    _validate_cms,
     cf_eval,
     make_tmsv,
     partial_transpose,
@@ -155,3 +158,43 @@ def test_symplectic_eigenvalues_rejects_asymmetric():
     m[0, 1] = 0.5
     with pytest.raises(InvalidArgumentError):
         symplectic_eigenvalues(m)
+
+
+def _valid_stack():
+    return np.stack([make_tmsv(r).cm for r in (0.1, 0.5, 1.0)] + [np.diag([3.0, 3.0, 5.0, 5.0])])
+
+
+def test_validate_cms_keeps_a_valid_stack_bit_for_bit():
+    stack = _valid_stack()
+    out = _validate_cms(stack)
+    assert np.array_equal(out, stack)
+    assert np.array_equal(_validate_cms(stack[1]), make_tmsv(0.5).cm)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.diag([1.0, 1.0, 1.0, -1.0]), UnphysicalStateError),  # not positive definite
+        (np.diag([0.5, 0.5, 1.0, 1.0]), UnphysicalStateError),  # uncertainty bound violated
+        (np.eye(4) + np.diag([1e-3, 0.0, 0.0], k=1), UnphysicalStateError),  # asymmetric beyond SYMMETRY_TOL
+        (np.diag([1.0, 1.0, 1.0, np.inf]), InvalidArgumentError),  # not finite
+        (4.0 * _MAX_SCALE * np.eye(4), DegenerateInputError),  # det V would overflow
+    ],
+)
+def test_validate_cms_rejects_a_stack_with_one_bad_member(bad, error):
+    with pytest.raises(error):
+        TwoModeGaussianState(np.zeros(4), bad)
+    stack = _valid_stack()
+    stack[2] = bad
+    with pytest.raises(error):
+        _validate_cms(stack)
+
+
+def test_overflowing_scale_is_degenerate_without_warnings():
+    cm = make_tmsv(0.5).cm * 1e130
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            TwoModeGaussianState(np.zeros(4), cm)
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            symplectic_eigenvalues(cm)
