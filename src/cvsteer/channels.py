@@ -34,6 +34,11 @@ __all__ = [
 _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
+# Strong gain overflows exp at long durations.  The channel terms and map are
+# computed with these floating-point warnings off, and ``_channel_map`` turns
+# a non-finite result into DegenerateInputError.
+_OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 class ChannelSide(enum.Enum):
     """Which mode(s) pass through the channel."""
@@ -125,7 +130,8 @@ def apply_laser(
     and the mean scales by sqrt(survival); each correlation to a decohered mode
     scales by sqrt(survival).
     """
-    return _apply_channel(state, *_laser_terms(params.g, params.kappa, params.t), side)
+    with np.errstate(**_OVERFLOW_QUIET):
+        return _apply_channel(state, *_laser_terms(params.g, params.kappa, params.t), side)
 
 
 def _laser_terms(g: float, kappa: float, t):
@@ -141,24 +147,28 @@ def _apply_channel(state: TwoModeGaussianState, keep: float, added: np.ndarray, 
     mean = state.mean.copy()
     for mode in side.modes:
         mean[mode.block] *= sq
-    return TwoModeGaussianState(mean, _channel_map(state, sq, keep, added, side))
+    return TwoModeGaussianState(mean, _channel_map(state.cm, sq, keep, added, side))
 
 
-def _channel_map(state: TwoModeGaussianState, sq, keep, added: np.ndarray, side: ChannelSide) -> np.ndarray:
+def _channel_map(cms: np.ndarray, sq, keep, added: np.ndarray, side: ChannelSide) -> np.ndarray:
     """The Gaussian channel V -> X V X^T + Y on the covariance matrix.
 
     X scales each decohered mode by sq = sqrt(keep) and Y adds ``added`` to
     its diagonal block, which becomes added + keep * block.  ``keep`` is a
     float, giving one 4x4 matrix, or an (N, 1, 1) stack with ``added``
-    (N, 2, 2), giving the (N, 4, 4) stack.  The result is unvalidated.
+    (N, 2, 2), giving the (N, 4, 4) stack; ``cms`` is one 4x4 matrix or a
+    stack of that shape.  The result is finite (or this raises
+    DegenerateInputError) but otherwise unvalidated.
     """
     cm = np.empty(np.shape(keep)[:-2] + (4, 4))
-    cm[...] = state.cm
+    cm[...] = cms
     for mode in side.modes:
         blk = mode.block
         cm[..., blk, :] *= sq
         cm[..., :, blk] *= sq
-        cm[..., blk, blk] = added + keep * state.block(mode)
+        cm[..., blk, blk] = added + keep * cms[..., blk, blk]
+    if not np.isfinite(cm).all():
+        raise DegenerateInputError("covariance matrix overflows the float range")
     return cm
 
 
@@ -226,7 +236,8 @@ def apply_phase_sensitive(
     scales by sqrt(transmission), correlations to the mode by sqrt(transmission).
     With m = 0 this is exactly the thermal laser channel.
     """
-    return _apply_channel(state, *_bath_terms(params, params.t), side)
+    with np.errstate(**_OVERFLOW_QUIET):
+        return _apply_channel(state, *_bath_terms(params, params.t), side)
 
 
 def _bath_terms(params: PhaseSensitiveParams, t):
@@ -289,27 +300,10 @@ class ChannelSpec:
         The stacked form of ``evolve``: for an array of N durations it returns
         the (N, 4, 4) covariance matrices, built by one channel map and
         validated once with the constructor's checks.  Entries equal those of
-        ``evolve(state, t).cm`` bit for bit.
+        ``evolve(state, t).cm`` bit for bit.  Like ``evolve``, zero duration
+        is the identity: a batch of zeros consults no rates.
         """
-        t = np.asarray(t, dtype=float)
-        if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
-            raise InvalidArgumentError("durations must be finite and >= 0")
-        if self.kind == "identity":
-            return np.broadcast_to(state.cm, t.shape + (4, 4))
-        t = t[..., None, None]
-        # Strong gain overflows exp at long durations; such members are
-        # rejected below, so the batch raises instead of warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "phase-sensitive":
-                params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=0.0)
-                keep, added = _bath_terms(params, t)
-            else:
-                rates = self.laser_params(0.0)
-                keep, added = _laser_terms(rates.g, rates.kappa, t)
-            cms = _channel_map(state, np.sqrt(keep), keep, added, self.side)
-        if not np.all(np.isfinite(cms)):
-            raise DegenerateInputError("covariance matrix overflows float range at these durations")
-        return _validate_cms(cms)
+        return _evolve_stack(state.cm, (self,), t)
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""
@@ -323,3 +317,46 @@ class ChannelSpec:
         if self.kind == "phase-sensitive":
             out["m"] = {"re": complex(self.m).real, "im": complex(self.m).imag}
         return out
+
+
+def _evolve_stack(cms: np.ndarray, channels, t) -> np.ndarray:
+    """Row i of the (N, 4, 4) result is the covariance matrix after duration
+    t[i] in channels[i], built by one channel map and validated once.
+
+    ``cms`` is one 4x4 matrix shared by every row or an (N, 4, 4) stack with
+    one matrix per row; ``channels`` is one ChannelSpec shared by every row or
+    N of them with the same kind and side, which may differ in their rates.
+    Row i equals ``channels[i].evolve`` of the state with covariance cms[i]
+    bit for bit.  Zero duration is the identity: a batch of zeros consults no
+    rates.
+    """
+    t = np.asarray(t, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
+        raise InvalidArgumentError("durations must be finite and >= 0")
+    first = channels[0]
+    if first.kind == "identity" or not t.any():
+        return np.broadcast_to(cms, t.shape + (4, 4))
+    t = t[..., None, None]
+    with np.errstate(**_OVERFLOW_QUIET):
+        keep, added = _stack_terms(channels, t)
+        cms = _channel_map(cms, np.sqrt(keep), keep, added, first.side)
+    return _validate_cms(cms)
+
+
+def _stack_terms(channels, t):
+    """The (keep, added) arguments of ``_channel_map`` for durations t, an
+    (N, 1, 1) array: each channel's rates are validated on their own, then
+    the terms of every row are computed once, elementwise."""
+    if channels[0].kind == "phase-sensitive":
+        baths = [PhaseSensitiveParams(kappa=c.kappa, nbar=c.nbar, m=c.m, t=0.0) for c in channels]
+        if len(baths) == 1:
+            return _bath_terms(baths[0], t)
+        transmission, mixing = _bath_factors(_column([p.kappa for p in baths]), t)
+        return transmission, mixing * np.stack([v_infinity(p) for p in baths])
+    rates = [c.laser_params(0.0) for c in channels]
+    return _laser_terms(_column([p.g for p in rates]), _column([p.kappa for p in rates]), t)
+
+
+def _column(values: list[float]):
+    """One rate as it is, or one rate per row as an (N, 1, 1) column."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]

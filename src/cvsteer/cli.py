@@ -9,33 +9,31 @@ Set CVSTEER_OUT_DIR to redirect relative --out paths.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .channels import ChannelSide, ChannelSpec, thermal_preset
-from .criteria import SteeringDirection
+from .channels import ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
 from .measures import (
-    gaussian_steerability,
+    _steering_reports,
     inseparability_threshold,
-    log_negativity,
     one_side_thresholds,
     steering_report,
     two_way_laser_threshold,
     two_way_thermal_threshold,
 )
-from .states import TwoModeGaussianState, make_tmsv
+from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "state_to_dict", "state_from_dict"]
 
 SQRT2 = math.sqrt(2.0)
-_AB = SteeringDirection.A_TO_B
-_BA = SteeringDirection.B_TO_A
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +45,8 @@ def state_to_dict(state: TwoModeGaussianState) -> dict:
 
 
 def state_from_dict(data: dict) -> TwoModeGaussianState:
+    if not isinstance(data, dict):
+        raise CvSteerError(f"state JSON must be an object with 'mean' and 'cm' keys, got {type(data).__name__}")
     try:
         return TwoModeGaussianState(data["mean"], data["cm"])
     except KeyError as exc:
@@ -156,28 +156,14 @@ def _add_channel_flags(parser):
 # ---------------------------------------------------------------------------
 # eval
 
-def _record_quantities(state: TwoModeGaussianState) -> dict:
-    report = steering_report(state)
-    d = {
-        "reid_a_to_b": report.reid_a_to_b,
-        "reid_b_to_a": report.reid_b_to_a,
-        "entropic_a_to_b": report.entropic_a_to_b,
-        "entropic_b_to_a": report.entropic_b_to_a,
-        "g_a_to_b": report.g_a_to_b,
-        "g_b_to_a": report.g_b_to_a,
-        "g_twoway": min(report.g_a_to_b, report.g_b_to_a),
-        "e_n": report.e_n,
-        "steerable_a_to_b": report.steerable_a_to_b,
-        "steerable_b_to_a": report.steerable_b_to_a,
-        "separable": not report.entangled,
-    }
-    return d
-
-
 def _cmd_eval(args) -> int:
     if args.state is not None:
         with open(args.state) as fh:
-            state = state_from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise CvSteerError(f"{args.state} is not a JSON state file: {exc}") from exc
+        state = state_from_dict(data)
     else:
         state = make_tmsv(args.r)
     channel = _channel_from_args(args)
@@ -264,6 +250,28 @@ FIGURE_PRESETS = {
 }
 
 
+def _log_time(xs: np.ndarray) -> np.ndarray:
+    """Durations t with 1 - e^{-2t} = x; math.log1p per element, since
+    np.log1p on an array differs from it in the last bit."""
+    return np.array([-0.5 * math.log1p(-x) for x in xs.tolist()])
+
+
+# How the figure presets 2a-5 read as sweeps.  A preset sweeps its "x" axis
+# (mapped to durations, rates normalized to 1) over every combination of its
+# "<name>_values" lists; r sets the TMSV and the others the channel rates.
+_X_TO_T = {"kt": lambda xs: xs, "one_minus_R": _log_time, "one_minus_inv_R": _log_time, "one_minus_T": _log_time}
+_PRESET_RATES = {"nbar": "nbar", "gamma": "g", "m": "m"}
+# Report columns: column -> (channel side, SteeringReport field).  g1 is the
+# one-side channel on B, g2 the two-side one; a preset with a "side" takes
+# every column from that side.
+_PRESET_QUANTITIES = {
+    "g1_a_to_b": ("b", "g_a_to_b"),
+    "g1_b_to_a": ("b", "g_b_to_a"),
+    "g2_twoway": ("two", "g_twoway"),
+    "e_n": ("two", "e_n"),
+}
+
+
 def _preset_rows(name: str):
     preset = FIGURE_PRESETS[name]
     if name == "1":
@@ -281,122 +289,94 @@ def _preset_rows(name: str):
         return preset["columns"], rows
 
     xs = np.linspace(*preset["x_range"], preset["steps"])
-    rows = []
-    if name in ("2a", "2b"):
-        nbar_values = preset.get("nbar_values", [0.0])
-        for r in preset["r_values"]:
-            for nbar in nbar_values:
-                tmsv = make_tmsv(r)
-                kind = preset["channel"]
-                one = ChannelSpec(kind=kind, side=ChannelSide.B, nbar=nbar)
-                two = ChannelSpec(kind=kind, side=ChannelSide.BOTH, nbar=nbar)
-                for x in xs:
-                    t = -0.5 * math.log1p(-float(x))  # kappa or g normalized to 1
-                    s1, s2 = one.evolve(tmsv, t), two.evolve(tmsv, t)
-                    g1_ab = gaussian_steerability(s1, _AB)
-                    g1_ba = gaussian_steerability(s1, _BA)
-                    g2 = min(gaussian_steerability(s2, _AB), gaussian_steerability(s2, _BA))
-                    row = (float(x), r, nbar, g1_ab, g1_ba, g2) if name == "2a" else (float(x), r, g1_ab, g1_ba, g2)
-                    rows.append(row)
-        return preset["columns"], rows
-    if name == "3":
-        r = preset["r_values"][0]
-        tmsv = make_tmsv(r)
-        for gamma in preset["gamma_values"]:
-            one = ChannelSpec(kind="laser", side=ChannelSide.B, g=gamma, kappa=1.0)
-            two = ChannelSpec(kind="laser", side=ChannelSide.BOTH, g=gamma, kappa=1.0)
-            for kt in xs:
-                s1, s2 = one.evolve(tmsv, float(kt)), two.evolve(tmsv, float(kt))
-                rows.append(
-                    (
-                        float(kt),
-                        gamma,
-                        gaussian_steerability(s1, _AB),
-                        gaussian_steerability(s1, _BA),
-                        min(gaussian_steerability(s2, _AB), gaussian_steerability(s2, _BA)),
-                    )
-                )
-        return preset["columns"], rows
-    # figures 4 and 5
-    side = ChannelSide(preset["side"])
-    for r in preset["r_values"]:
-        tmsv = make_tmsv(r)
-        for m in preset["m_values"]:
-            spec = ChannelSpec(kind="phase-sensitive", side=side, nbar=preset["nbar"], m=m)
-            for x in xs:
-                t = -0.5 * math.log1p(-float(x))
-                state = spec.evolve(tmsv, t)
-                if name == "4":
-                    g2 = min(gaussian_steerability(state, _AB), gaussian_steerability(state, _BA))
-                    rows.append((float(x), r, m, log_negativity(state), g2))
-                else:
-                    rows.append(
-                        (
-                            float(x),
-                            r,
-                            m,
-                            gaussian_steerability(state, _AB),
-                            gaussian_steerability(state, _BA),
-                            log_negativity(state),
-                        )
-                    )
+    ts = _X_TO_T[preset["x"]](xs)
+    swept = {key[: -len("_values")]: values for key, values in preset.items() if key.endswith("_values")}
+    points = [dict(zip(swept, combo)) for combo in itertools.product(*swept.values())]
+    quantities = {
+        column: (preset.get("side", side), field)
+        for column, (side, field) in _PRESET_QUANTITIES.items()
+        if column in preset["columns"]
+    }
+    sides = list(dict.fromkeys(side for side, _ in quantities.values()))
+    stacks = []
+    for point in points:
+        rates = {"nbar": preset.get("nbar", 0.0)}
+        rates.update((_PRESET_RATES[key], value) for key, value in point.items() if key != "r")
+        for side in sides:
+            channel = ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **rates)
+            stacks.append(channel.evolve_cms(make_tmsv(point["r"]), ts))
+    report = _steering_reports(np.concatenate(stacks))
+    n, rows = len(ts), []
+    for p, point in enumerate(points):
+        columns = []
+        for column in preset["columns"]:
+            if column == preset["x"]:
+                columns.append(xs.tolist())
+            elif column in point:
+                columns.append([point[column]] * n)
+            else:
+                side, field = quantities[column]
+                start = (p * len(sides) + sides.index(side)) * n
+                columns.append(report[field][start : start + n])
+        rows.extend(zip(*columns))
     return preset["columns"], rows
 
 
 _SWEEP_VARS = ("t", "kt", "gt", "nbar", "r", "one-minus-T")
+_SWEEP_COLUMNS = (
+    "reid_a_to_b",
+    "reid_b_to_a",
+    "entropic_a_to_b",
+    "entropic_b_to_a",
+    "g_a_to_b",
+    "g_b_to_a",
+    "g_twoway",
+    "e_n",
+    "steerable_a_to_b",
+    "steerable_b_to_a",
+    "separable",
+)
+
+
+def _sweep_durations(var: str, values: np.ndarray, channel: ChannelSpec | None) -> np.ndarray:
+    """Durations of a sweep over t, kt, gt or one-minus-T."""
+    if var == "t":
+        return values
+    gain = var == "gt"
+    if channel is None or (channel.g if gain else channel.kappa) <= 0:
+        raise CvSteerError(f"sweeping {var} needs a channel with a positive {'gain' if gain else 'loss'} rate")
+    if var == "kt":
+        return values / channel.kappa
+    if gain:
+        return values / channel.g
+    return _log_time(values) / channel.kappa
 
 
 def _generic_sweep_rows(args):
     if args.steps < 2:
         raise CvSteerError("--steps must be >= 2")
     values = np.linspace(args.start, args.stop, args.steps)
-    quantity_keys = [
-        "reid_a_to_b",
-        "reid_b_to_a",
-        "entropic_a_to_b",
-        "entropic_b_to_a",
-        "g_a_to_b",
-        "g_b_to_a",
-        "g_twoway",
-        "e_n",
-        "steerable_a_to_b",
-        "steerable_b_to_a",
-        "separable",
-    ]
-    columns = [args.var] + quantity_keys
-    rows = []
-    for v in values:
-        v = float(v)
-        local = argparse.Namespace(**vars(args))
+    channel = _channel_from_args(args)
+    channels = (channel,)
+    if args.var in ("r", "nbar"):
+        # r and nbar change the state or the bath at one duration: row i is
+        # the TMSV with the i-th r, or the channel with the i-th nbar.
+        ts = np.full(len(values), _time_from_args(args, channel))
         if args.var == "r":
-            r = v
+            cms = _validate_cms(_tmsv_cms(values))
         else:
-            r = args.r
-        if args.var == "nbar":
-            local.nbar = v
-        channel = _channel_from_args(local)
-        if args.var == "t":
-            t = v
-        elif args.var == "kt":
-            if channel is None or channel.kappa <= 0:
-                raise CvSteerError("sweeping kt needs a channel with a positive loss rate")
-            t = v / channel.kappa
-        elif args.var == "gt":
-            if channel is None or channel.g <= 0:
-                raise CvSteerError("sweeping gt needs a channel with a positive gain rate")
-            t = v / channel.g
-        elif args.var == "one-minus-T":
-            if channel is None or channel.kappa <= 0:
-                raise CvSteerError("sweeping one-minus-T needs a channel with a positive loss rate")
-            t = -0.5 * math.log1p(-v) / channel.kappa
-        else:
-            t = _time_from_args(local, channel)
-        state = make_tmsv(r)
-        if channel is not None:
-            state = channel.evolve(state, t)
-        record = _record_quantities(state)
-        rows.append(tuple([v] + [record[k] for k in quantity_keys]))
-    return columns, rows
+            cms = make_tmsv(args.r).cm
+            if channel is not None:
+                channels = [replace(channel, nbar=v) for v in values.tolist()]
+    else:
+        cms = make_tmsv(args.r).cm
+        ts = _sweep_durations(args.var, values, channel)
+    if channel is None:  # every duration leaves the state as it is
+        cms = np.broadcast_to(cms, (len(values), 4, 4))
+    else:
+        cms = _evolve_stack(cms, channels, ts)
+    report = _steering_reports(cms)
+    return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 
 
 def _cmd_sweep(args) -> int:

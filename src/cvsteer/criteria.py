@@ -12,8 +12,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, InvalidArgumentError
-from .states import TwoModeGaussianState
+from .states import TwoModeGaussianState, _any, _clamp, _log
 
 __all__ = [
     "SteeringDirection",
@@ -87,19 +89,12 @@ def reid_inferred_variance(
     quadrature: Quadrature,
 ) -> float:
     """Minimized inferred variance (1/2)[V(X_out) - E^2 / V(X_in)] >= 0."""
-    i, j = _moment_indices(direction, quadrature)
-    v_in = state.cm[i, i]
-    if v_in <= 0.0:
-        raise DegenerateInputError("conditioning variance is not positive")
-    value = 0.5 * (state.cm[j, j] - state.cm[i, j] ** 2 / v_in)
-    return float(max(value, 0.0))
+    return float(_inferred_variances(state.cm, direction, quadrature))
 
 
 def reid_product(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Product of minimized Q and P inferred variances; steerable iff < 1/4."""
-    return reid_inferred_variance(state, direction, Quadrature.Q) * reid_inferred_variance(
-        state, direction, Quadrature.P
-    )
+    return float(_reid_products(state.cm, direction))
 
 
 def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -109,12 +104,38 @@ def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> f
     differential entropy of the Gaussian conditional distribution in
     eigenvalue units.
     """
+    return float(_entropic_sums(state.cm, direction))
+
+
+def _inferred_variances(cms: np.ndarray, direction: SteeringDirection, quadrature: Quadrature):
+    """``reid_inferred_variance`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
+    i, j = _moment_indices(direction, quadrature)
+    if cms.ndim > 2:
+        # Matrix axes first, so that plain indexing serves both cases and one
+        # matrix's entries stay numpy scalars (the fast per-state path).
+        cms = np.moveaxis(cms, (-2, -1), (0, 1))
+    v_in = cms[i, i]
+    if _any(v_in <= 0.0):
+        raise DegenerateInputError("conditioning variance is not positive")
+    # x * x, not x ** 2: a numpy scalar's power rounds differently from an
+    # array's square, and one matrix must give the stack's values bit for bit.
+    cross = cms[i, j]
+    return _clamp(0.5 * (cms[j, j] - cross * cross / v_in))
+
+
+def _reid_products(cms: np.ndarray, direction: SteeringDirection):
+    """``reid_product`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
+    return _inferred_variances(cms, direction, Quadrature.Q) * _inferred_variances(cms, direction, Quadrature.P)
+
+
+def _entropic_sums(cms: np.ndarray, direction: SteeringDirection):
+    """``entropic_sum`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
     total = 0.0
     for quad in (Quadrature.Q, Quadrature.P):
-        var = reid_inferred_variance(state, direction, quad)
-        if var <= 0.0:
+        var = _inferred_variances(cms, direction, quad)
+        if _any(var <= 0.0):
             raise DegenerateInputError("conditional distribution is degenerate")
-        total += 0.5 * math.log(2.0 * math.pi * math.e * var)
+        total += 0.5 * _log(2.0 * math.pi * math.e * var)
     return total
 
 

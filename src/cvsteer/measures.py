@@ -17,13 +17,15 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channels import ChannelSide, ChannelSpec
-from .criteria import SteeringDirection, entropic_sum, reid_product
+from .criteria import SteeringDirection, _entropic_sums, _reid_products
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from .states import (
     ModeLabel,
     TwoModeGaussianState,
     _any,
+    _clamp,
     _det2,
+    _log,
     _partial_transpose_cms,
     _symplectic_spectra,
     make_tmsv,
@@ -62,14 +64,6 @@ _SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N":
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _ADJUGATE_SIGNS.setflags(write=False)
-
-
-def _log(x):
-    # math.log element by element: np.log differs from it in the last bit for
-    # a fraction of inputs, and a stack must equal its one-state views.
-    if isinstance(x, float):
-        return math.log(x)
-    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
 def _steerability_exponents(cms: np.ndarray, direction: SteeringDirection):
@@ -113,7 +107,7 @@ def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirect
 
 def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Gaussian steerability quantifier, >= 0; zero iff not steerable."""
-    return max(0.0, steerability_exponent(state, direction))
+    return float(_clamp(_steerability_exponents(state.cm, direction)))
 
 
 def log_negativity_exponent(state: TwoModeGaussianState) -> float:
@@ -123,7 +117,7 @@ def log_negativity_exponent(state: TwoModeGaussianState) -> float:
 
 def log_negativity(state: TwoModeGaussianState) -> float:
     """Logarithmic negativity E_N = max(0, -ln nu_s), an entanglement monotone."""
-    return max(0.0, log_negativity_exponent(state))
+    return float(_clamp(_log_negativity_exponents(state.cm)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +130,12 @@ class SteeringReport:
     entropic_b_to_a: float
     g_a_to_b: float
     g_b_to_a: float
+    g_twoway: float
     e_n: float
     steerable_a_to_b: bool
     steerable_b_to_a: bool
     entangled: bool
+    separable: bool
 
     def as_dict(self) -> dict:
         return {
@@ -163,21 +159,32 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
     with the Reid product crossing 1/4 and the entropic sum crossing
     ln(e*pi).  Steerability in either direction implies entanglement.
     """
-    g_ab = gaussian_steerability(state, SteeringDirection.A_TO_B)
-    g_ba = gaussian_steerability(state, SteeringDirection.B_TO_A)
-    e_n = log_negativity(state)
-    return SteeringReport(
-        reid_a_to_b=reid_product(state, SteeringDirection.A_TO_B),
-        reid_b_to_a=reid_product(state, SteeringDirection.B_TO_A),
-        entropic_a_to_b=entropic_sum(state, SteeringDirection.A_TO_B),
-        entropic_b_to_a=entropic_sum(state, SteeringDirection.B_TO_A),
-        g_a_to_b=g_ab,
-        g_b_to_a=g_ba,
-        e_n=e_n,
-        steerable_a_to_b=g_ab > 0.0,
-        steerable_b_to_a=g_ba > 0.0,
-        entangled=e_n > 0.0,
-    )
+    return SteeringReport(**_steering_reports(state.cm))
+
+
+def _steering_reports(cms: np.ndarray) -> dict[str, list]:
+    """Every ``SteeringReport`` field over an (N, 4, 4) stack of physical
+    covariance matrices, as lists of Python floats and bools; entry k equals
+    ``steering_report`` of matrix k bit for bit.  One (4, 4) matrix gives
+    one float or bool per field."""
+    g_ab = _clamp(_steerability_exponents(cms, SteeringDirection.A_TO_B))
+    g_ba = _clamp(_steerability_exponents(cms, SteeringDirection.B_TO_A))
+    e_n = _clamp(_log_negativity_exponents(cms))
+    columns = {
+        "reid_a_to_b": _reid_products(cms, SteeringDirection.A_TO_B),
+        "reid_b_to_a": _reid_products(cms, SteeringDirection.B_TO_A),
+        "entropic_a_to_b": _entropic_sums(cms, SteeringDirection.A_TO_B),
+        "entropic_b_to_a": _entropic_sums(cms, SteeringDirection.B_TO_A),
+        "g_a_to_b": g_ab,
+        "g_b_to_a": g_ba,
+        "g_twoway": np.minimum(g_ab, g_ba),
+        "e_n": e_n,
+        "steerable_a_to_b": g_ab > 0.0,
+        "steerable_b_to_a": g_ba > 0.0,
+        "entangled": e_n > 0.0,
+        "separable": e_n <= 0.0,  # e_n is clamped: never NaN
+    }
+    return {name: np.asarray(values).tolist() for name, values in columns.items()}
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,20 +155,24 @@ def make_tmsv(r: float) -> TwoModeGaussianState:
     Diagonal entries cosh 2r, Q-Q correlation +sinh 2r, P-P correlation
     -sinh 2r; a pure state (both symplectic eigenvalues exactly 1).
     """
-    if not np.isfinite(r):
-        raise InvalidArgumentError(f"squeezing parameter must be finite, got {r}")
-    if r < 0:
-        raise InvalidArgumentError(f"squeezing parameter must be >= 0, got {r}")
+    return TwoModeGaussianState(np.zeros(4), _tmsv_cms(r))
+
+
+def _tmsv_cms(r) -> np.ndarray:
+    """The (unvalidated) covariance matrices of ``make_tmsv`` for each
+    squeezing parameter in r: one 4x4 matrix for a float, an (N, 4, 4) stack
+    for N values."""
+    r = np.asarray(r, dtype=float)
+    for bad, rule in ((~np.isfinite(r), "finite"), (r < 0, ">= 0")):
+        if _any(bad):
+            raise InvalidArgumentError(f"squeezing parameter must be {rule}, got {r[bad][0]}")
     ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    cm = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    return TwoModeGaussianState(np.zeros(4), cm)
+    cms = np.zeros(r.shape + (4, 4))
+    for i in range(4):
+        cms[..., i, i] = ch
+    cms[..., 0, 2] = cms[..., 2, 0] = sh
+    cms[..., 1, 3] = cms[..., 3, 1] = -sh
+    return cms
 
 
 def cf_eval(state: TwoModeGaussianState, pt: CfPoint) -> complex:
@@ -231,7 +236,7 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     # power of the matrix norm) dominates: the slack must grow with the
     # squared scale of the matrix or strongly squeezed pure states would
     # be rejected.
-    violated = nu2 < 1.0 - PHYSICALITY_TOL * scale**2
+    violated = nu2 < 1.0 - PHYSICALITY_TOL * (scale * scale)
     if _any(violated):
         raise UnphysicalStateError(
             f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
@@ -291,6 +296,14 @@ def _any(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
+def _clamp(x):
+    """max(0.0, x) elementwise: zero unless x > 0 (so -0.0 and NaN give 0.0);
+    plain ``max`` for one value keeps the per-state path fast."""
+    if isinstance(x, float):
+        return max(0.0, x)
+    return np.where(x > 0.0, x, 0.0)
+
+
 def _det2(m: np.ndarray):
     """Determinants of (..., 2, 2) blocks in closed form (np.linalg.det loses
     precision near steerable boundaries); a scalar for a single block."""
@@ -299,3 +312,12 @@ def _det2(m: np.ndarray):
         # scalar rather than a 0-d array).
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _log(x):
+    """Natural log, through ``math.log`` element by element: np.log differs
+    from it in the last bit for a fraction of inputs, and a stack must equal
+    its one-state views."""
+    if isinstance(x, float):
+        return math.log(x)
+    return np.fromiter(map(math.log, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)

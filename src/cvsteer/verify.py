@@ -14,7 +14,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import oracle
-from .channels import ChannelSide, ChannelSpec, laser_coefficients, thermal_preset
+from .channels import (
+    ChannelSide,
+    PhaseSensitiveParams,
+    apply_laser,
+    apply_phase_sensitive,
+    laser_coefficients,
+    thermal_preset,
+)
 from .criteria import SteeringDirection, entropic_sum, reid_inferred_variance, Quadrature
 from .errors import InvalidArgumentError
 from .measures import (
@@ -23,7 +30,14 @@ from .measures import (
     two_way_laser_threshold,
     two_way_thermal_threshold,
 )
-from .states import TwoModeGaussianState, make_tmsv, symplectic_eigenvalues
+from .states import (
+    SYMPLECTIC_FORM,
+    ModeLabel,
+    TwoModeGaussianState,
+    make_tmsv,
+    partial_transpose,
+    symplectic_eigenvalues,
+)
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "random_physical_state"]
 
@@ -49,8 +63,6 @@ def random_physical_state(rng: np.random.Generator, *, with_mean: bool = False) 
     V = S diag(nu1, nu1, nu2, nu2) S^T with S = expm(Omega H) symplectic for
     symmetric H, so physicality holds by construction.
     """
-    from .states import SYMPLECTIC_FORM
-
     h = rng.normal(scale=0.35, size=(4, 4))
     h = h + h.T
     s = expm(SYMPLECTIC_FORM @ h)
@@ -72,8 +84,6 @@ def _decohered_family():
                 ("thermal nbar=1", thermal_preset(1.0, 1.0, kt)),
                 ("gain", laser_coefficients(1.0, 0.0, 0.25 * kt)),
             ):
-                from .channels import apply_laser
-
                 state = apply_laser(make_tmsv(r), params, ChannelSide.BOTH)
                 b = params.noise + params.survival * math.cosh(2 * r)
                 c = params.survival * math.sinh(2 * r)
@@ -151,8 +161,6 @@ def _suite_entropy() -> SuiteResult:
 def _moment_states():
     yield "tmsv r=0.3", make_tmsv(0.3)
     yield "tmsv r=3", make_tmsv(3.0)
-    from .channels import PhaseSensitiveParams, apply_phase_sensitive, apply_laser
-
     yield "one-side laser", apply_laser(
         make_tmsv(0.8), laser_coefficients(0.4, 1.0, 0.3), ChannelSide.B
     )
@@ -175,8 +183,6 @@ def _suite_moments() -> SuiteResult:
 
 
 def _suite_symplectic(n_states: int = 1000) -> SuiteResult:
-    from .states import ModeLabel, partial_transpose
-
     rng = np.random.default_rng(20240817)
     worst, worst_case = 0.0, ""
     for k in range(n_states):

@@ -1,6 +1,7 @@
 """Laser and phase-sensitive channel maps at the covariance-matrix level."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cvsteer.channels import (
     ChannelSpec,
     LaserChannelParams,
     PhaseSensitiveParams,
+    _evolve_stack,
     apply_laser,
     apply_phase_sensitive,
     gain_preset,
@@ -21,7 +23,7 @@ from cvsteer.channels import (
     v_infinity,
 )
 from cvsteer.errors import InvalidArgumentError
-from cvsteer.states import make_tmsv, symplectic_eigenvalues, vacuum
+from cvsteer.states import TwoModeGaussianState, _tmsv_cms, make_tmsv, symplectic_eigenvalues, vacuum
 
 
 def test_identity_at_zero_time():
@@ -186,6 +188,30 @@ def test_evolve_cms_matches_evolve_bit_for_bit(kind, side):
     for t, cm in zip(ts, stack):
         assert np.array_equal(cm, spec.evolve(s, t).cm)
         assert np.array_equal(spec.evolve_cms(s, [t])[0], cm)
+
+
+@pytest.mark.parametrize("kind", ["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
+    spec = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.8, m=0.3 - 0.5j)
+    rs = np.linspace(0.05, 1.5, 7)
+    nbars = np.linspace(0.6, 1.5, 7)
+    ts = np.array([0.0, 1e-7, 0.05, 0.4, 2.0, 0.3, 0.3])
+    # One state per row (an r sweep) and one channel per row (an nbar sweep).
+    per_state = _evolve_stack(_tmsv_cms(rs), (spec,), ts)
+    channels = [replace(spec, nbar=v) for v in nbars.tolist()]
+    per_channel = _evolve_stack(make_tmsv(0.6).cm, channels, ts)
+    for r, channel, t, a, b in zip(rs, channels, ts, per_state, per_channel):
+        assert np.array_equal(a, spec.evolve(make_tmsv(r), t).cm)
+        assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
+
+
+def test_evolve_stack_validates_each_channel_only_after_a_nonzero_duration():
+    s = make_tmsv(0.5)
+    bad = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.9) for v in (1.0, 0.2)]  # |m|^2 > 0.24
+    with pytest.raises(InvalidArgumentError, match="exceeds"):
+        _evolve_stack(s.cm, bad, np.full(2, 0.1))
+    assert np.array_equal(_evolve_stack(s.cm, bad, np.zeros(2)), np.stack([s.cm, s.cm]))
 
 
 def test_evolve_cms_at_balanced_rates_uses_the_analytic_limit():

@@ -191,3 +191,31 @@ def test_eval_overflowing_gain_exits_2_without_warnings(capsys):
     assert code == 2
     assert out == ""
     assert "det V would overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--r", "0.5", "--channel", "gain", "--g", "3", "--t", "200"),
+        ("sweep", "--var", "gt", "--start", "0", "--stop", "200", "--steps", "5", "--channel", "gain", "--g", "3"),
+    ],
+)
+def test_exp_overflow_exits_2_without_warnings(capsys, argv):
+    # exp(2 g t) itself overflows here, in the one-state and the batched map.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflow" in err
+
+
+@pytest.mark.parametrize(("content", "message"), [("[1,2", "not a JSON state file"), ("[1,2]", "must be an object")])
+def test_eval_malformed_state_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "state.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "eval", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1

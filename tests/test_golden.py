@@ -1,0 +1,124 @@
+"""Golden outputs: the CLI reproduces recorded stdout byte for byte.
+
+``tests/golden/cli_digests.json`` holds, per case, the argument vector, the
+exit code and the sha256 of stdout.  The cases cover every figure preset in
+CSV and JSON, generic sweeps over every swept variable, channel kind and
+side, sweeps without a channel, single-state reports and threshold tables.
+A refactor that changes one printed digit fails here.
+
+Regenerate (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from cvsteer.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+
+_FIGURES = ("1", "2a", "2b", "3", "4", "5")
+_KINDS = ("loss", "gain", "thermal", "laser", "phase-sensitive")
+_SIDES = ("a", "b", "two")
+_RATES = {
+    "loss": ["--kappa", "0.7"],
+    "gain": ["--g", "0.8"],
+    "thermal": ["--kappa", "0.9", "--nbar", "0.6"],
+    "laser": ["--g", "0.5", "--kappa", "1.3"],
+    "phase-sensitive": ["--kappa", "1.1", "--nbar", "0.8", "--M", "-0.7"],
+}
+# (start, stop, extra flags) per swept variable; r and nbar sweeps need a
+# duration flag (gain channels take g t, the others kappa t).
+_SPANS = {
+    "t": ("0", "0.6", []),
+    "kt": ("0", "1.2", []),
+    "gt": ("0", "1", []),
+    "one-minus-T": ("0", "0.95", []),
+    "r": ("0.05", "1.5", ["--kt", "0.4"]),
+    "nbar": ("0.5", "1.5", ["--kt", "0.4"]),
+}
+_R_BY_SIDE = {"a": "0.4", "b": "0.7", "two": "1.1"}
+
+
+def _sweep_argv(var, kind, side, steps="11"):
+    start, stop, extra = _SPANS[var]
+    if kind == "gain" and extra:
+        extra = ["--gt", "0.3"]
+    argv = ["sweep", "--var", var, "--start", start, "--stop", stop, "--steps", steps, "--r", _R_BY_SIDE[side]]
+    return argv + ["--channel", kind, "--side", side] + _RATES[kind] + extra
+
+
+def cases() -> dict[str, list[str]]:
+    """Case id -> argument vector."""
+    out = {}
+    for fig in _FIGURES:
+        out[f"figure-{fig}-csv"] = ["sweep", "--figure", fig]
+        out[f"figure-{fig}-json"] = ["sweep", "--figure", fig, "--format", "json"]
+    out["figure-3-provenance"] = ["sweep", "--figure", "3", "--provenance"]
+    out["explain-all"] = ["sweep", "--explain"]
+    out["explain-4"] = ["sweep", "--figure", "4", "--explain"]
+    for var in _SPANS:
+        for kind in _KINDS:
+            for side in _SIDES:
+                out[f"sweep-{var}-{kind}-{side}"] = _sweep_argv(var, kind, side)
+        kind = _KINDS[list(_SPANS).index(var) % len(_KINDS)]
+        out[f"sweep-{var}-{kind}-json"] = _sweep_argv(var, kind, "two", steps="5") + ["--format", "json"]
+    for var, start, stop in (("t", "0", "1"), ("r", "0", "1.2"), ("nbar", "0", "1"), ("kt", "0", "1")):
+        out[f"sweep-{var}-no-channel"] = ["sweep", "--var", var, "--start", start, "--stop", stop, "--steps", "7"]
+    # Zero duration is the identity channel: the rates are never consulted.
+    out["sweep-r-zero-duration"] = ["sweep", "--var", "r", "--steps", "5", "--channel", "loss", "--kappa", "-1"]
+    out["sweep-one-minus-T-provenance"] = _sweep_argv("one-minus-T", "thermal", "b") + ["--provenance"]
+    for kind in _KINDS:
+        for side in _SIDES:
+            out[f"eval-{kind}-{side}"] = ["eval", "--r", _R_BY_SIDE[side], "--channel", kind, "--side", side] + _RATES[
+                kind
+            ] + ["--t", "0.35"]
+    out["eval-include-state"] = ["eval", "--r", "0.9", "--channel", "laser", "--g", "2", "--kt", "0.2", "--include-state"]
+    for kind in ("loss", "gain", "thermal", "laser"):
+        out[f"threshold-{kind}-json"] = ["threshold", "--channel", kind, "--r", "0.6"] + _RATES[kind] + ["--format", "json"]
+    out["threshold-laser-table"] = ["threshold", "--channel", "laser", "--r", "0.6"] + _RATES["laser"]
+    return out
+
+
+def run(argv) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call; stderr is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_cases_are_current():
+    assert sorted(_golden()) == sorted(cases())
+
+
+@pytest.mark.parametrize("case", sorted(cases()))
+def test_cli_reproduces_golden_output(case):
+    expected = _golden()[case]
+    assert expected["argv"] == cases()[case]
+    code, stdout = run(expected["argv"])
+    assert code == expected["exit"]
+    assert _digest(stdout) == expected["sha256"], f"stdout of {' '.join(expected['argv'])} changed"
+
+
+if __name__ == "__main__":
+    records = {}
+    for name, argv in sorted(cases().items()):
+        code, stdout = run(argv)
+        records[name] = {"argv": argv, "exit": code, "sha256": _digest(stdout)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} cases to {GOLDEN}")

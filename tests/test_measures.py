@@ -5,14 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError
+from cvsteer.criteria import entropic_sum, reid_product
 from cvsteer.measures import (
+    SteeringReport,
     _scan_grid,
+    _steering_reports,
     _signed_quantity,
     gaussian_steerability,
     inseparability_threshold,
@@ -26,6 +29,7 @@ from cvsteer.measures import (
     two_way_thermal_threshold,
 )
 from cvsteer.states import TwoModeGaussianState, make_tmsv, vacuum
+from cvsteer.verify import random_physical_state
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
@@ -229,3 +233,50 @@ def test_overflowing_scan_is_degenerate_without_warnings(t_max):
         warnings.simplefilter("error")
         with pytest.raises(DegenerateInputError, match="overflow"):
             numeric_threshold(ChannelSpec("gain", g=3.0), 0.5, "E_N", t_max=t_max)
+
+
+def _assert_stacked_report_matches(states):
+    # Each stacked column entry equals the one-state report field and the
+    # scalar API value exactly, with the same Python type.
+    columns = _steering_reports(np.stack([s.cm for s in states]))
+    assert list(columns) == [f for f in SteeringReport.__dataclass_fields__]
+    for k, state in enumerate(states):
+        report = steering_report(state)
+        for name, values in columns.items():
+            assert values[k] == getattr(report, name)
+            assert type(values[k]) is type(getattr(report, name))
+        ab, ba = SteeringDirection.A_TO_B, SteeringDirection.B_TO_A
+        assert report.reid_a_to_b == reid_product(state, ab) and report.reid_b_to_a == reid_product(state, ba)
+        assert report.entropic_a_to_b == entropic_sum(state, ab)
+        assert report.entropic_b_to_a == entropic_sum(state, ba)
+        assert report.g_a_to_b == gaussian_steerability(state, ab)
+        assert report.g_b_to_a == gaussian_steerability(state, ba)
+        assert report.g_twoway == min(report.g_a_to_b, report.g_b_to_a)
+        assert report.e_n == log_negativity(state)
+        assert report.entangled is (report.e_n > 0.0)
+        assert report.separable is (not report.entangled)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=824)  # a conditional Reid variance where x ** 2 on one matrix differed from the stack's square
+@settings(max_examples=20, deadline=None)
+def test_stacked_report_equals_per_state_report_on_random_states(seed):
+    rng = np.random.default_rng(seed)
+    _assert_stacked_report_matches([random_physical_state(rng, with_mean=True) for _ in range(6)] + [vacuum()])
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    r=st.floats(0.0, 1.5),
+    g=st.floats(0.1, 3.0),
+    kappa=st.floats(0.1, 3.0),
+    nbar=st.floats(0.0, 1.5),
+    m_fraction=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_stacked_report_equals_per_state_report_along_channels(kind, side, r, g, kappa, nbar, m_fraction):
+    m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    state0 = make_tmsv(r)
+    _assert_stacked_report_matches([channel.evolve(state0, t) for t in (0.0, 1e-6, 0.05, 0.3, 1.0, 4.0)])

@@ -8,6 +8,8 @@ import pytest
 from cvsteer.errors import InvalidArgumentError
 from cvsteer.oracle import (
     Grid2D,
+    _cf_grid,
+    _integration_grid,
     default_grid,
     numeric_conditional_entropy_sum,
     numeric_entropy,
@@ -16,8 +18,8 @@ from cvsteer.oracle import (
     numeric_symplectic,
     pdf_from_cf,
 )
-from cvsteer.states import TwoModeGaussianState, make_tmsv, symplectic_eigenvalues, vacuum
-from cvsteer.verify import SUITES, random_physical_state, run_suite, run_suites
+from cvsteer.states import SYMPLECTIC_FORM, TwoModeGaussianState, make_tmsv, symplectic_eigenvalues, vacuum
+from cvsteer.verify import SUITES, _decohered_family, random_physical_state, run_suite, run_suites
 
 
 def test_grid_properties():
@@ -130,3 +132,20 @@ def test_run_single_suite():
     assert len(results) == 1
     assert results[0].name == "pdf"
     assert results[0].passed
+
+
+def test_cf_grid_equals_einsum_reference():
+    # The accumulated quadratic form must equal np.einsum("ni,ij,nj->n") bit
+    # for bit, so every oracle table is unchanged.
+    rng = np.random.default_rng(5)
+    states = [c[1] for c in _decohered_family()[::4]] + [random_physical_state(rng, with_mean=True) for _ in range(3)]
+    for state in states:
+        for variables, cols in (("q", (1, 3)), ("p", (0, 2))):
+            u = _integration_grid(state, variables, 64).axis
+            u1, u2 = np.meshgrid(u, u, indexing="ij")
+            xi = np.zeros((u.size**2, 4))
+            xi[:, cols[0]], xi[:, cols[1]] = u1.ravel(), u2.ravel()
+            eta = xi @ SYMPLECTIC_FORM.T
+            quad = np.einsum("ni,ij,nj->n", eta, state.cm, eta)
+            expected = np.exp(-0.5 * quad) * np.exp(1j * (eta @ state.mean))
+            assert np.array_equal(_cf_grid(state, variables, u), expected.reshape(u.size, u.size))

@@ -15,6 +15,7 @@ from cvsteer.states import (
     CfPoint,
     ModeLabel,
     TwoModeGaussianState,
+    _tmsv_cms,
     _validate_cms,
     cf_eval,
     make_tmsv,
@@ -162,6 +163,18 @@ def test_symplectic_eigenvalues_rejects_asymmetric():
 
 def _valid_stack():
     return np.stack([make_tmsv(r).cm for r in (0.1, 0.5, 1.0)] + [np.diag([3.0, 3.0, 5.0, 5.0])])
+
+
+def test_tmsv_stack_matches_make_tmsv_bit_for_bit():
+    rs = np.linspace(0.0, 3.0, 31)
+    stack = _tmsv_cms(rs)
+    assert stack.shape == (31, 4, 4)
+    for r, cm in zip(rs.tolist(), stack):
+        assert np.array_equal(cm, make_tmsv(r).cm)
+    with pytest.raises(InvalidArgumentError, match="got -0.5"):
+        _tmsv_cms(np.array([0.1, -0.5, -1.0]))
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        _tmsv_cms(np.array([0.1, np.inf]))
 
 
 def test_validate_cms_keeps_a_valid_stack_bit_for_bit():
