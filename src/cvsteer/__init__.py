@@ -8,7 +8,6 @@ from .channels import (
     apply_laser,
     apply_phase_sensitive,
     gain_preset,
-    laser_coefficients,
     loss_preset,
     thermal_preset,
     v_infinity,

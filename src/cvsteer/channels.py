@@ -10,6 +10,7 @@ parameterizations of the same map are recovered by the presets below.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ __all__ = [
     "ChannelSpec",
     "LaserChannelParams",
     "PhaseSensitiveParams",
-    "laser_coefficients",
     "loss_preset",
     "gain_preset",
     "thermal_preset",
@@ -95,11 +95,6 @@ def _laser_factors(g: float, kappa: float, t):
     return np.exp(-x), noise[()]
 
 
-def laser_coefficients(g: float, kappa: float, t: float) -> LaserChannelParams:
-    """Validated laser-channel parameters for gain g, loss kappa, duration t."""
-    return LaserChannelParams(g=g, kappa=kappa, t=t)
-
-
 def loss_preset(kappa: float, t: float) -> LaserChannelParams:
     """Pure photon-loss channel (g = 0)."""
     return LaserChannelParams(g=0.0, kappa=kappa, t=t)
@@ -128,26 +123,9 @@ def apply_laser(
 
     Per decohered mode the 2x2 diagonal block maps to noise*I + survival*block
     and the mean scales by sqrt(survival); each correlation to a decohered mode
-    scales by sqrt(survival).
+    scales by sqrt(survival).  A view of ``ChannelSpec.evolve``.
     """
-    with np.errstate(**_OVERFLOW_QUIET):
-        return _apply_channel(state, *_laser_terms(params.g, params.kappa, params.t), side)
-
-
-def _laser_terms(g: float, kappa: float, t):
-    """The laser channel's (keep, added) arguments of ``_channel_map``."""
-    survival, noise = _laser_factors(g, kappa, t)
-    return survival, noise * _EYE2
-
-
-def _apply_channel(state: TwoModeGaussianState, keep: float, added: np.ndarray, side: ChannelSide):
-    """One state through ``_channel_map``; the mean of each decohered mode
-    scales by sqrt(keep)."""
-    sq = np.sqrt(keep)
-    mean = state.mean.copy()
-    for mode in side.modes:
-        mean[mode.block] *= sq
-    return TwoModeGaussianState(mean, _channel_map(state.cm, sq, keep, added, side))
+    return ChannelSpec("laser", side, g=params.g, kappa=params.kappa).evolve(state, params.t)
 
 
 def _channel_map(cms: np.ndarray, sq, keep, added: np.ndarray, side: ChannelSide) -> np.ndarray:
@@ -234,16 +212,11 @@ def apply_phase_sensitive(
 
     Per decohered mode: block -> mixing * V_inf + transmission * block, mean
     scales by sqrt(transmission), correlations to the mode by sqrt(transmission).
-    With m = 0 this is exactly the thermal laser channel.
+    With m = 0 this is exactly the thermal laser channel.  A view of
+    ``ChannelSpec.evolve``.
     """
-    with np.errstate(**_OVERFLOW_QUIET):
-        return _apply_channel(state, *_bath_terms(params, params.t), side)
-
-
-def _bath_terms(params: PhaseSensitiveParams, t):
-    """The phase-sensitive channel's (keep, added) arguments of ``_channel_map``."""
-    transmission, mixing = _bath_factors(params.kappa, t)
-    return transmission, mixing * v_infinity(params)
+    spec = ChannelSpec("phase-sensitive", side, kappa=params.kappa, nbar=params.nbar, m=params.m)
+    return spec.evolve(state, params.t)
 
 
 _CHANNEL_KINDS = ("identity", "loss", "gain", "thermal", "laser", "phase-sensitive")
@@ -282,17 +255,26 @@ class ChannelSpec:
         if self.kind == "thermal":
             return thermal_preset(self.kappa, self.nbar, t)
         if self.kind == "laser":
-            return laser_coefficients(self.g, self.kappa, t)
+            return LaserChannelParams(self.g, self.kappa, t)
         raise InvalidArgumentError(f"channel kind {self.kind!r} has no laser parameterization")
 
     def evolve(self, state: TwoModeGaussianState, t: float) -> TwoModeGaussianState:
-        """The state after duration t in this channel."""
-        if self.kind == "identity" or t == 0.0:
+        """The state after duration t in this channel.
+
+        The one-state case of ``_evolve_stack``: the mean of each decohered
+        mode scales by the same sqrt(keep) as its rows and columns.  Zero
+        duration and the identity kind return ``state`` itself.
+        """
+        cm, sq = _evolve_stack(state.cm, (self,), t)
+        if sq is None:
             return state
-        if self.kind == "phase-sensitive":
-            params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=t)
-            return apply_phase_sensitive(state, params, self.side)
-        return apply_laser(state, self.laser_params(t), self.side)
+        mean = state.mean.copy()
+        with np.errstate(**_OVERFLOW_QUIET):
+            for mode in self.side.modes:
+                mean[mode.block] *= sq
+        if not np.isfinite(mean).all():
+            raise InvalidArgumentError("mean must be finite")
+        return TwoModeGaussianState._validated(mean, cm)
 
     def evolve_cms(self, state: TwoModeGaussianState, t) -> np.ndarray:
         """Covariance matrices after each duration in t, as one stack.
@@ -303,7 +285,7 @@ class ChannelSpec:
         ``evolve(state, t).cm`` bit for bit.  Like ``evolve``, zero duration
         is the identity: a batch of zeros consults no rates.
         """
-        return _evolve_stack(state.cm, (self,), t)
+        return _evolve_stack(state.cm, (self,), t)[0]
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""
@@ -319,44 +301,55 @@ class ChannelSpec:
         return out
 
 
-def _evolve_stack(cms: np.ndarray, channels, t) -> np.ndarray:
-    """Row i of the (N, 4, 4) result is the covariance matrix after duration
-    t[i] in channels[i], built by one channel map and validated once.
+def _evolve_stack(cms: np.ndarray, channels, t):
+    """(stack, sq): row i of the (N, 4, 4) stack is the covariance matrix after
+    duration t[i] in channels[i], built by one channel map and validated once.
 
     ``cms`` is one 4x4 matrix shared by every row or an (N, 4, 4) stack with
     one matrix per row; ``channels`` is one ChannelSpec shared by every row or
     N of them with the same kind and side, which may differ in their rates.
-    Row i equals ``channels[i].evolve`` of the state with covariance cms[i]
-    bit for bit.  Zero duration is the identity: a batch of zeros consults no
-    rates.
+    A 0-d t gives one 4x4 matrix, computed on scalars (``ChannelSpec.evolve``
+    is that case).  ``sq`` = sqrt(keep) is the factor of each decohered mode.
+    Zero duration is the identity: a batch of zeros consults no rates,
+    returns ``cms`` broadcast and unvalidated, and sq = None.
     """
     t = np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(t)) and np.all(t >= 0.0)):
+    if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
+        t = float(t)
+        valid, zero = 0.0 <= t < math.inf, t == 0.0
+    else:
+        valid, zero = bool(np.isfinite(t).all() and (t >= 0.0).all()), not t.any()
+    if not valid:
         raise InvalidArgumentError("durations must be finite and >= 0")
     first = channels[0]
-    if first.kind == "identity" or not t.any():
-        return np.broadcast_to(cms, t.shape + (4, 4))
-    t = t[..., None, None]
+    if first.kind == "identity" or zero:
+        return np.broadcast_to(cms, np.shape(t) + (4, 4)), None
+    if not isinstance(t, float):
+        t = t[..., None, None]
     with np.errstate(**_OVERFLOW_QUIET):
         keep, added = _stack_terms(channels, t)
-        cms = _channel_map(cms, np.sqrt(keep), keep, added, first.side)
-    return _validate_cms(cms)
+        sq = np.sqrt(keep)
+        cms = _channel_map(cms, sq, keep, added, first.side)
+    return _validate_cms(cms), sq
 
 
 def _stack_terms(channels, t):
-    """The (keep, added) arguments of ``_channel_map`` for durations t, an
-    (N, 1, 1) array: each channel's rates are validated on their own, then
-    the terms of every row are computed once, elementwise."""
+    """The (keep, added) arguments of ``_channel_map`` for durations t, a
+    float or an (N, 1, 1) array: each channel's rates are validated on their
+    own, then the terms of every row are computed once, elementwise."""
     if channels[0].kind == "phase-sensitive":
         baths = [PhaseSensitiveParams(kappa=c.kappa, nbar=c.nbar, m=c.m, t=0.0) for c in channels]
-        if len(baths) == 1:
-            return _bath_terms(baths[0], t)
         transmission, mixing = _bath_factors(_column([p.kappa for p in baths]), t)
-        return transmission, mixing * np.stack([v_infinity(p) for p in baths])
+        return transmission, mixing * _column([v_infinity(p) for p in baths])
     rates = [c.laser_params(0.0) for c in channels]
-    return _laser_terms(_column([p.g for p in rates]), _column([p.kappa for p in rates]), t)
+    survival, noise = _laser_factors(_column([p.g for p in rates]), _column([p.kappa for p in rates]), t)
+    return survival, noise * _EYE2
 
 
-def _column(values: list[float]):
-    """One rate as it is, or one rate per row as an (N, 1, 1) column."""
-    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+def _column(values: list):
+    """One rate or 2x2 matrix as it is, or one per row along a new leading
+    axis: rates as an (N, 1, 1) column, matrices as an (N, 2, 2) stack."""
+    if len(values) == 1:
+        return values[0]
+    rows = np.array(values)
+    return rows if rows.ndim == 3 else rows[:, None, None]

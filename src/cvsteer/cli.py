@@ -113,32 +113,44 @@ def _write_table(columns, rows, fmt, out, provenance=None):
 # channel construction from flags
 
 def _channel_from_args(args) -> ChannelSpec | None:
-    kind = args.channel
-    if kind is None:
+    """The --channel on --side with the rates given as flags; ChannelSpec's
+    defaults fill in the others."""
+    if args.channel is None:
         return None
-    side = ChannelSide(args.side)
-    g = args.g if args.g is not None else 1.0
-    kappa = args.kappa if args.kappa is not None else 1.0
-    nbar = args.nbar if args.nbar is not None else 0.0
-    m = args.M if args.M is not None else 0.0
-    return ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    rates = {"g": args.g, "kappa": args.kappa, "nbar": args.nbar, "m": getattr(args, "M", None)}
+    given = {name: value for name, value in rates.items() if value is not None}
+    return ChannelSpec(kind=args.channel, side=ChannelSide(args.side), **given)
 
 
-def _time_from_args(args, channel: ChannelSpec | None) -> float:
-    given = [v for v in (args.t, args.kt, args.gt) if v is not None]
-    if len(given) > 1:
-        raise CvSteerError("give at most one of --t, --kt, --gt")
-    if args.t is not None:
-        return args.t
-    if args.kt is not None:
-        if channel is None or channel.kappa <= 0:
-            raise CvSteerError("--kt needs a channel with a positive loss rate")
-        return args.kt / channel.kappa
-    if args.gt is not None:
-        if channel is None or channel.g <= 0:
-            raise CvSteerError("--gt needs a channel with a positive gain rate")
-        return args.gt / channel.g
-    return 0.0
+def _durations(args, channel: ChannelSpec | None, swept: np.ndarray | None = None):
+    """Durations in the channel: of the swept values of --var t, kt, gt or
+    one-minus-T, or else the one duration of --t, --kt or --gt (0 if none).
+
+    kt and one-minus-T = 1 - e^{-2t} count in units of the loss rate, gt in
+    units of the gain rate.
+    """
+    if swept is not None:
+        var, values, source = args.var, swept, f"sweeping {args.var}"
+    else:
+        given = [var for var in ("t", "kt", "gt") if getattr(args, var) is not None]
+        if len(given) > 1:
+            raise CvSteerError("give at most one of --t, --kt, --gt")
+        if not given:
+            return 0.0
+        var = given[0]
+        values, source = getattr(args, var), f"--{var}"
+    if var == "t":
+        return values
+    gain = var == "gt"
+    rate = 0.0 if channel is None else channel.g if gain else channel.kappa
+    if rate <= 0:
+        raise CvSteerError(f"{source} needs a channel with a positive {'gain' if gain else 'loss'} rate")
+    if var == "one-minus-T":
+        outside = values[~((values >= 0.0) & (values < 1.0))]
+        if outside.size:
+            raise CvSteerError(f"one-minus-T must be in [0, 1), got {outside[0]:.12g}")
+        values = _log_time(values)
+    return values / rate
 
 
 def _add_channel_flags(parser):
@@ -167,7 +179,7 @@ def _cmd_eval(args) -> int:
     else:
         state = make_tmsv(args.r)
     channel = _channel_from_args(args)
-    t = _time_from_args(args, channel)
+    t = _durations(args, channel)
     if channel is not None:
         state = channel.evolve(state, t)
     report = steering_report(state).as_dict()
@@ -338,20 +350,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_durations(var: str, values: np.ndarray, channel: ChannelSpec | None) -> np.ndarray:
-    """Durations of a sweep over t, kt, gt or one-minus-T."""
-    if var == "t":
-        return values
-    gain = var == "gt"
-    if channel is None or (channel.g if gain else channel.kappa) <= 0:
-        raise CvSteerError(f"sweeping {var} needs a channel with a positive {'gain' if gain else 'loss'} rate")
-    if var == "kt":
-        return values / channel.kappa
-    if gain:
-        return values / channel.g
-    return _log_time(values) / channel.kappa
-
-
 def _generic_sweep_rows(args):
     if args.steps < 2:
         raise CvSteerError("--steps must be >= 2")
@@ -361,7 +359,7 @@ def _generic_sweep_rows(args):
     if args.var in ("r", "nbar"):
         # r and nbar change the state or the bath at one duration: row i is
         # the TMSV with the i-th r, or the channel with the i-th nbar.
-        ts = np.full(len(values), _time_from_args(args, channel))
+        ts = np.full(len(values), _durations(args, channel))
         if args.var == "r":
             cms = _validate_cms(_tmsv_cms(values))
         else:
@@ -370,11 +368,11 @@ def _generic_sweep_rows(args):
                 channels = [replace(channel, nbar=v) for v in values.tolist()]
     else:
         cms = make_tmsv(args.r).cm
-        ts = _sweep_durations(args.var, values, channel)
+        ts = _durations(args, channel, values)
     if channel is None:  # every duration leaves the state as it is
         cms = np.broadcast_to(cms, (len(values), 4, 4))
     else:
-        cms = _evolve_stack(cms, channels, ts)
+        cms = _evolve_stack(cms, channels, ts)[0]
     report = _steering_reports(cms)
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 
@@ -402,25 +400,14 @@ def _cmd_sweep(args) -> int:
 # threshold
 
 def _threshold_results(args):
-    kind = args.channel
-    r = args.r
-    nbar = args.nbar if args.nbar is not None else 0.0
-    if kind == "loss":
-        g, kappa = 0.0, args.kappa if args.kappa is not None else 1.0
-    elif kind == "gain":
-        g, kappa = (args.g if args.g is not None else 1.0), 0.0
-    elif kind == "thermal":
-        base = args.kappa if args.kappa is not None else 1.0
-        rates = thermal_preset(base, nbar, 0.0)
-        g, kappa = rates.g, rates.kappa
-    else:
-        g = args.g if args.g is not None else 1.0
-        kappa = args.kappa if args.kappa is not None else 1.0
+    channel = _channel_from_args(args)
+    rates = channel.laser_params(0.0)
+    g, kappa, r = rates.g, rates.kappa, args.r
     results = []
     want = args.quantity
     if want in ("two-way", "all"):
-        if kind == "thermal":
-            results.append(two_way_thermal_threshold(nbar, r))
+        if channel.kind == "thermal":
+            results.append(two_way_thermal_threshold(channel.nbar, r))
         else:
             results.append(two_way_laser_threshold(g, kappa, r))
     if want in ("a-to-b", "b-to-a", "all"):
@@ -430,7 +417,7 @@ def _threshold_results(args):
         if want in ("b-to-a", "all"):
             results.append(t_ba)
     if want in ("inseparability", "all"):
-        sides = [ChannelSide.B, ChannelSide.BOTH] if want == "all" else [ChannelSide(args.side) if args.side != "a" else ChannelSide.A]
+        sides = [ChannelSide.B, ChannelSide.BOTH] if want == "all" else [channel.side]
         for side in sides:
             results.append(inseparability_threshold(g, kappa, r, side))
     return results

@@ -100,7 +100,17 @@ class TwoModeGaussianState:
             raise InvalidArgumentError(f"cm must be 4x4, got shape {cm.shape}")
         if not np.all(np.isfinite(mean)):
             raise InvalidArgumentError("mean must be finite")
-        cm = _validate_cms(cm)
+        self._freeze(mean, _validate_cms(cm))
+
+    @classmethod
+    def _validated(cls, mean: np.ndarray, cm: np.ndarray) -> "TwoModeGaussianState":
+        """The state of a finite length-4 mean and a 4x4 matrix that
+        ``_validate_cms`` returned, without checking either again."""
+        state = object.__new__(cls)
+        state._freeze(mean, cm)
+        return state
+
+    def _freeze(self, mean: np.ndarray, cm: np.ndarray) -> None:
         mean.setflags(write=False)
         cm.setflags(write=False)
         object.__setattr__(self, "_mean", mean)

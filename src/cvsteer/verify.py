@@ -16,10 +16,10 @@ from scipy.linalg import expm
 from . import oracle
 from .channels import (
     ChannelSide,
+    LaserChannelParams,
     PhaseSensitiveParams,
     apply_laser,
     apply_phase_sensitive,
-    laser_coefficients,
     thermal_preset,
 )
 from .criteria import SteeringDirection, entropic_sum, reid_inferred_variance, Quadrature
@@ -80,9 +80,9 @@ def _decohered_family():
     for r in (0.5,):
         for kt in _KT_GRID:
             for label, params in (
-                ("loss", laser_coefficients(0.0, 1.0, kt)),
+                ("loss", LaserChannelParams(0.0, 1.0, kt)),
                 ("thermal nbar=1", thermal_preset(1.0, 1.0, kt)),
-                ("gain", laser_coefficients(1.0, 0.0, 0.25 * kt)),
+                ("gain", LaserChannelParams(1.0, 0.0, 0.25 * kt)),
             ):
                 state = apply_laser(make_tmsv(r), params, ChannelSide.BOTH)
                 b = params.noise + params.survival * math.cosh(2 * r)
@@ -162,7 +162,7 @@ def _moment_states():
     yield "tmsv r=0.3", make_tmsv(0.3)
     yield "tmsv r=3", make_tmsv(3.0)
     yield "one-side laser", apply_laser(
-        make_tmsv(0.8), laser_coefficients(0.4, 1.0, 0.3), ChannelSide.B
+        make_tmsv(0.8), LaserChannelParams(0.4, 1.0, 0.3), ChannelSide.B
     )
     yield "phase-sensitive", apply_phase_sensitive(
         make_tmsv(0.6),

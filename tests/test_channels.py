@@ -17,7 +17,6 @@ from cvsteer.channels import (
     apply_laser,
     apply_phase_sensitive,
     gain_preset,
-    laser_coefficients,
     loss_preset,
     thermal_preset,
     v_infinity,
@@ -27,7 +26,7 @@ from cvsteer.states import TwoModeGaussianState, _tmsv_cms, make_tmsv, symplecti
 
 
 def test_identity_at_zero_time():
-    params = laser_coefficients(0.7, 1.3, 0.0)
+    params = LaserChannelParams(0.7, 1.3, 0.0)
     assert params.survival == 1.0
     assert params.noise == 0.0
     s = make_tmsv(0.5)
@@ -60,16 +59,16 @@ def test_thermal_preset_coefficients():
 
 
 def test_balanced_rates_use_stable_limit():
-    params = laser_coefficients(1.0, 1.0, 0.2)
+    params = LaserChannelParams(1.0, 1.0, 0.2)
     assert params.survival == 1.0
     assert params.noise == pytest.approx(2.0 * 2.0 * 0.2)
-    near = laser_coefficients(1.0, 1.0 + 1e-13, 0.2)
+    near = LaserChannelParams(1.0, 1.0 + 1e-13, 0.2)
     assert near.noise == pytest.approx(params.noise, rel=1e-9)
 
 
 def test_rejects_negative_parameters():
     with pytest.raises(InvalidArgumentError):
-        laser_coefficients(-0.1, 1.0, 0.1)
+        LaserChannelParams(-0.1, 1.0, 0.1)
     with pytest.raises(InvalidArgumentError):
         loss_preset(1.0, -0.1)
     with pytest.raises(InvalidArgumentError):
@@ -99,13 +98,28 @@ def test_one_side_laser_touches_only_b():
     assert out.cm[2, 2] == pytest.approx((1 - surv) + surv * math.cosh(2 * r))
 
 
-def test_mean_scales_with_square_root_of_survival():
-    from cvsteer.states import TwoModeGaussianState
-
-    s = TwoModeGaussianState([1.0, 2.0, 3.0, 4.0], make_tmsv(0.3).cm)
-    out = apply_laser(s, loss_preset(1.0, 0.5), ChannelSide.B)
-    surv = math.sqrt(math.exp(-1.0))
-    assert np.allclose(out.mean, [1.0, 2.0, 3.0 * surv, 4.0 * surv])
+@pytest.mark.parametrize("kind", ["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_mean_scales_with_square_root_of_survival(kind, side):
+    spec = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.8, m=0.3 - 0.5j)
+    s = TwoModeGaussianState([1.0, -2.0, 3.0, -4.5], make_tmsv(0.3).cm)
+    t = 0.37
+    expected = s.mean.copy()
+    views = []
+    if kind == "phase-sensitive":
+        params = PhaseSensitiveParams(kappa=spec.kappa, nbar=spec.nbar, m=spec.m, t=t)
+        factor = np.sqrt(params.transmission)
+        views.append(apply_phase_sensitive(s, params, side))
+    elif kind != "identity":
+        params = spec.laser_params(t)
+        factor = np.sqrt(params.survival)
+        views.append(apply_laser(s, params, side))
+    if kind != "identity":
+        for mode in side.modes:
+            expected[mode.block] = s.mean[mode.block] * factor
+    for out in [spec.evolve(s, t), *views]:
+        assert np.array_equal(out.mean, expected)
+        assert np.array_equal(out.cm, spec.evolve(s, t).cm)
 
 
 def test_laser_semigroup_property():
@@ -125,7 +139,7 @@ def test_laser_semigroup_property():
 )
 @settings(max_examples=80, deadline=None)
 def test_laser_preserves_physicality(r, g, kappa, t):
-    out = apply_laser(make_tmsv(r), laser_coefficients(g, kappa, t), ChannelSide.BOTH)
+    out = apply_laser(make_tmsv(r), LaserChannelParams(g, kappa, t), ChannelSide.BOTH)
     _, nu2 = symplectic_eigenvalues(out.cm)
     assert nu2 >= 1.0 - 1e-6
 
@@ -198,9 +212,9 @@ def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
     nbars = np.linspace(0.6, 1.5, 7)
     ts = np.array([0.0, 1e-7, 0.05, 0.4, 2.0, 0.3, 0.3])
     # One state per row (an r sweep) and one channel per row (an nbar sweep).
-    per_state = _evolve_stack(_tmsv_cms(rs), (spec,), ts)
+    per_state = _evolve_stack(_tmsv_cms(rs), (spec,), ts)[0]
     channels = [replace(spec, nbar=v) for v in nbars.tolist()]
-    per_channel = _evolve_stack(make_tmsv(0.6).cm, channels, ts)
+    per_channel = _evolve_stack(make_tmsv(0.6).cm, channels, ts)[0]
     for r, channel, t, a, b in zip(rs, channels, ts, per_state, per_channel):
         assert np.array_equal(a, spec.evolve(make_tmsv(r), t).cm)
         assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
@@ -211,7 +225,7 @@ def test_evolve_stack_validates_each_channel_only_after_a_nonzero_duration():
     bad = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.9) for v in (1.0, 0.2)]  # |m|^2 > 0.24
     with pytest.raises(InvalidArgumentError, match="exceeds"):
         _evolve_stack(s.cm, bad, np.full(2, 0.1))
-    assert np.array_equal(_evolve_stack(s.cm, bad, np.zeros(2)), np.stack([s.cm, s.cm]))
+    assert np.array_equal(_evolve_stack(s.cm, bad, np.zeros(2))[0], np.stack([s.cm, s.cm]))
 
 
 def test_evolve_cms_at_balanced_rates_uses_the_analytic_limit():
@@ -233,3 +247,10 @@ def test_evolve_cms_validates_durations_and_rates():
         ChannelSpec(kind="gain", g=-1.0).evolve_cms(s, np.array([0.1]))
     with pytest.raises(InvalidArgumentError):
         ChannelSpec(kind="phase-sensitive", nbar=1.0, m=1.5).evolve_cms(s, np.array([0.1]))
+
+
+def test_evolve_rejects_a_mean_that_overflows():
+    # Gain scales the mean by e^{g t} ~ 148; the covariance matrix stays in range.
+    s = TwoModeGaussianState([1e307, 0.0, 0.0, 0.0], make_tmsv(0.3).cm)
+    with pytest.raises(InvalidArgumentError, match="mean must be finite"):
+        ChannelSpec(kind="gain", side=ChannelSide.A).evolve(s, 5.0)

@@ -178,6 +178,20 @@ def test_threshold_thermal_example(capsys):
     assert rows[0]["t_closed"] == pytest.approx(0.143841, abs=1e-6)
 
 
+@pytest.mark.xfail(strict=True, reason="two_way_thermal_threshold(nbar, r) ignores --kappa (ROADMAP item 4)")
+def test_threshold_thermal_two_way_time_scales_with_kappa(capsys):
+    def t_closed(kappa):
+        code, out, _ = run_cli(
+            capsys,
+            "threshold", "--channel", "thermal", "--kappa", kappa, "--nbar", "0.5", "--r", "1",
+            "--quantity", "two-way", "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)[0]["t_closed"]
+
+    assert t_closed("2") == pytest.approx(t_closed("1") / 2, rel=1e-12)
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "pdf")
     assert code == 0
@@ -208,6 +222,20 @@ def test_exp_overflow_exits_2_without_warnings(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "overflow" in err
+
+
+@pytest.mark.parametrize("stop", ["1", "1.5"])
+def test_sweep_one_minus_t_outside_unit_interval_exits_2(capsys, stop):
+    # 1 - T = 1 - e^{-2t} < 1 for every finite duration; log1p(-x) fails at x >= 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--var", "one-minus-T", "--start", "0", "--stop", stop, "--steps", "3", "--channel", "loss",
+        )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: one-minus-T must be in [0, 1), got {float(stop):.12g}\n"
 
 
 @pytest.mark.parametrize(("content", "message"), [("[1,2", "not a JSON state file"), ("[1,2]", "must be an object")])
