@@ -7,6 +7,11 @@ Richardson-extrapolated finite differences of the CF at the origin, and
 symplectic spectra by dense eigendecomposition.  Nothing here reuses the
 Gaussian closed forms being checked.
 
+``numeric_symplectic`` takes one 4x4 matrix or a (..., 4, 4) stack, so a
+suite checks all its samples in one call; every other function works on one
+state or one table.  ``pdf_from_cf`` builds its CF grid by broadcasting the
+two grid axes, without an (n^2, 4) array of CF arguments.
+
 Scaling note: quadrature eigenvalues carry a sqrt(2) (Q|qbar> = sqrt(2) qbar
 |qbar>), which is why the inversion kernel is exp(-i sqrt(2) (qbar1 p1 +
 qbar2 p2)).  Dropping that factor is the classic off-by-sqrt(2) bug.
@@ -25,7 +30,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalPairingError,
 )
-from .states import SYMPLECTIC_FORM, CfPoint, TwoModeGaussianState, cf_eval
+from .states import SYMPLECTIC_FORM, CfPoint, TwoModeGaussianState, _any, cf_eval
 
 __all__ = [
     "Grid2D",
@@ -87,25 +92,21 @@ def _integration_grid(state: TwoModeGaussianState, variables: str, n: int) -> Gr
 
 def _cf_grid(state: TwoModeGaussianState, variables: str, u: np.ndarray) -> np.ndarray:
     """cf_eval batched over a square grid of one conjugate-variable pair."""
-    n = len(u)
-    u1, u2 = np.meshgrid(u, u, indexing="ij")
-    xi = np.zeros((n * n, 4))
-    if variables == "q":
-        xi[:, 1], xi[:, 3] = u1.ravel(), u2.ravel()
-    else:
-        xi[:, 0], xi[:, 2] = u1.ravel(), u2.ravel()
-    eta = xi @ SYMPLECTIC_FORM.T
+    # eta = Omega xi has two nonzero components, one per grid axis: the grid
+    # of (p1, p2) gives eta_Q = (p1, p2), that of (q1, q2) eta_P = -(q1, q2).
+    # Mode 1's is the column u[:, None] (table axis 0), mode 2's the row
+    # u[None, :] (axis 1).
+    cols, axis = ((0, 2), u) if variables == "q" else ((1, 3), -u)
+    eta = dict(zip(cols, (axis[:, None], axis[None, :])))
     # eta^T V eta per point, accumulated i major, j minor like the unoptimized
     # np.einsum("ni,ij,nj->n"), so the values equal it bit for bit at a
-    # fraction of its cost.  Only the two columns of eta that carry the grid
-    # are nonzero; the other terms would add exact zeros and are skipped.
-    cols = (0, 2) if variables == "q" else (1, 3)
-    quad = np.zeros(n * n)
+    # fraction of its cost; the terms of the zero components are skipped.
+    quad = np.zeros((len(u), len(u)))
     for i in cols:
         for j in cols:
-            quad += eta[:, i] * state.cm[i, j] * eta[:, j]
-    vals = np.exp(-0.5 * quad) * np.exp(1j * (eta @ state.mean))
-    return vals.reshape(n, n)
+            quad += eta[i] * state.cm[i, j] * eta[j]
+    phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
+    return np.exp(-0.5 * quad) * np.exp(1j * phase)
 
 
 def pdf_from_cf(state: TwoModeGaussianState, variables: str, grid: Grid2D | None = None) -> tuple[np.ndarray, Grid2D]:
@@ -257,21 +258,29 @@ def numeric_moments(state: TwoModeGaussianState) -> tuple[np.ndarray, np.ndarray
     return mean, cm
 
 
-def numeric_symplectic(cm: np.ndarray) -> tuple[float, float]:
+def numeric_symplectic(cm: np.ndarray):
     """Symplectic eigenvalues by dense eigendecomposition of Omega @ cm.
 
     Eigenvalues come in +-(i nu) pairs; their moduli are paired up and the two
-    distinct values returned sorted descending.
+    distinct values returned sorted descending: a tuple of floats for one
+    matrix, arrays (nu1, nu2) for a (..., 4, 4) stack, which raises if any
+    member fails a check.
     """
     cm = np.asarray(cm, dtype=float)
-    if cm.shape != (4, 4):
+    if cm.ndim < 2 or cm.shape[-2:] != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 matrix, got shape {cm.shape}")
-    if np.max(np.abs(cm - cm.T)) > 1e-9:
+    if np.max(np.abs(cm - cm.mT)) > 1e-9:
         raise InvalidArgumentError("matrix is not symmetric")
     eigs = np.linalg.eigvals(SYMPLECTIC_FORM @ cm)
-    if float(np.max(np.abs(eigs.real))) > 1e-8 * float(np.max(np.abs(eigs))):
+    if _any(np.max(np.abs(eigs.real), axis=-1) > 1e-8 * np.max(np.abs(eigs), axis=-1)):
         raise NumericalPairingError("eigenvalues of Omega V are not purely imaginary")
-    mods = np.sort(np.abs(eigs.imag))
-    if abs(mods[0] - mods[1]) > 1e-8 * max(1.0, mods[1]) or abs(mods[2] - mods[3]) > 1e-8 * max(1.0, mods[3]):
-        raise NumericalPairingError(f"symplectic moduli failed to pair: {mods}")
-    return float(0.5 * (mods[2] + mods[3])), float(0.5 * (mods[0] + mods[1]))
+    mods = np.sort(np.abs(eigs.imag), axis=-1)
+    # Pairs (mods[0], mods[1]) and (mods[2], mods[3]) of each member.
+    first, second = mods[..., 0::2], mods[..., 1::2]
+    unpaired = (np.abs(first - second) > 1e-8 * np.maximum(1.0, second)).any(axis=-1)
+    if _any(unpaired):
+        raise NumericalPairingError(f"symplectic moduli failed to pair: {mods[unpaired][0]}")
+    nu2, nu1 = np.moveaxis(0.5 * (first + second), -1, 0)
+    if cm.ndim == 2:
+        return float(nu1), float(nu2)
+    return nu1, nu2

@@ -254,24 +254,28 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     return cms
 
 
-def symplectic_eigenvalues(cm: np.ndarray) -> tuple[float, float]:
+def symplectic_eigenvalues(cm: np.ndarray):
     """The two symplectic eigenvalues (nu1 >= nu2 > 0) of a 4x4 covariance matrix.
 
     Uses the closed form 2 nu^2 = Delta +- sqrt(Delta^2 - 4 det V) with
     Delta = det A + det B + 2 det C for the blocks of V.  These are the moduli
-    of the eigenvalues of i Omega V, each with multiplicity two.
+    of the eigenvalues of i Omega V, each with multiplicity two.  One matrix
+    gives a tuple of floats; a (..., 4, 4) stack gives arrays (nu1, nu2), and
+    raises if any member fails the input checks.
     """
     cm = np.asarray(cm, dtype=float)
-    if cm.shape != (4, 4):
+    if cm.ndim < 2 or cm.shape[-2:] != (4, 4):
         raise InvalidArgumentError(f"expected a 4x4 matrix, got shape {cm.shape}")
-    if np.max(np.abs(cm - cm.T)) > SYMMETRY_TOL:
+    if np.max(np.abs(cm - cm.mT)) > SYMMETRY_TOL:
         raise InvalidArgumentError("matrix is not symmetric")
     eigs = np.linalg.eigvalsh(cm)
-    if eigs[0] <= -1e-9 * max(1.0, eigs[-1]):
+    if _any(eigs[..., 0] <= -1e-9 * np.maximum(1.0, eigs[..., -1])):
         raise InvalidArgumentError("matrix is not positive definite")
-    _check_scale(eigs[-1])
+    _check_scale(eigs[..., -1])
     nu1, nu2 = _symplectic_spectra(cm)
-    return float(nu1), float(nu2)
+    if cm.ndim == 2:
+        return float(nu1), float(nu2)
+    return nu1, nu2
 
 
 def _symplectic_spectra(cms: np.ndarray):

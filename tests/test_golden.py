@@ -3,7 +3,8 @@
 ``tests/golden/cli_digests.json`` holds, per case, the argument vector, the
 exit code and the sha256 of stdout.  The cases cover every figure preset in
 CSV and JSON, generic sweeps over every swept variable, channel kind and
-side, sweeps without a channel, single-state reports and threshold tables.
+side, sweeps without a channel, single-state reports, threshold tables and
+the printed deviations and worst cases of every `verify` suite.
 A refactor that changes one printed digit fails here.
 
 Regenerate (only when an output change is intended) with
@@ -82,6 +83,8 @@ def cases() -> dict[str, list[str]]:
     for kind in ("loss", "gain", "thermal", "laser"):
         out[f"threshold-{kind}-json"] = ["threshold", "--channel", kind, "--r", "0.6"] + _RATES[kind] + ["--format", "json"]
     out["threshold-laser-table"] = ["threshold", "--channel", "laser", "--r", "0.6"] + _RATES["laser"]
+    for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds"):
+        out[f"verify-{suite}"] = ["verify", suite]
     return out
 
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from cvsteer.errors import InvalidArgumentError
+from cvsteer.errors import InvalidArgumentError, NumericalPairingError
 from cvsteer.oracle import (
     Grid2D,
     _cf_grid,
@@ -18,8 +19,27 @@ from cvsteer.oracle import (
     numeric_symplectic,
     pdf_from_cf,
 )
-from cvsteer.states import SYMPLECTIC_FORM, TwoModeGaussianState, make_tmsv, symplectic_eigenvalues, vacuum
-from cvsteer.verify import SUITES, _decohered_family, random_physical_state, run_suite, run_suites
+from cvsteer.states import (
+    SYMPLECTIC_FORM,
+    ModeLabel,
+    TwoModeGaussianState,
+    _partial_transpose_cms,
+    make_tmsv,
+    partial_transpose,
+    symplectic_eigenvalues,
+    vacuum,
+)
+from cvsteer.verify import (
+    SUITES,
+    SuiteResult,
+    _decohered_family,
+    _moment_states,
+    _random_physical_cms,
+    _suite_symplectic,
+    random_physical_state,
+    run_suite,
+    run_suites,
+)
 
 
 def test_grid_properties():
@@ -135,13 +155,18 @@ def test_run_single_suite():
 
 
 def test_cf_grid_equals_einsum_reference():
-    # The accumulated quadratic form must equal np.einsum("ni,ij,nj->n") bit
-    # for bit, so every oracle table is unchanged.
+    # The accumulated quadratic form must equal np.einsum("ni,ij,nj->n") on the
+    # full (n^2, 4) eta, and the phase its matrix-vector product with the
+    # mean, bit for bit, so every oracle table is unchanged.
     rng = np.random.default_rng(5)
-    states = [c[1] for c in _decohered_family()[::4]] + [random_physical_state(rng, with_mean=True) for _ in range(3)]
+    states = (
+        [c[1] for c in _decohered_family()]
+        + [s for _, s in _moment_states()]
+        + [random_physical_state(rng, with_mean=True) for _ in range(3)]
+    )
     for state in states:
         for variables, cols in (("q", (1, 3)), ("p", (0, 2))):
-            u = _integration_grid(state, variables, 64).axis
+            u = _integration_grid(state, variables, 256).axis
             u1, u2 = np.meshgrid(u, u, indexing="ij")
             xi = np.zeros((u.size**2, 4))
             xi[:, cols[0]], xi[:, cols[1]] = u1.ravel(), u2.ravel()
@@ -149,3 +174,81 @@ def test_cf_grid_equals_einsum_reference():
             quad = np.einsum("ni,ij,nj->n", eta, state.cm, eta)
             expected = np.exp(-0.5 * quad) * np.exp(1j * (eta @ state.mean))
             assert np.array_equal(_cf_grid(state, variables, u), expected.reshape(u.size, u.size))
+
+
+def _random_symmetric_stack(seed=13, n=40):
+    rng = np.random.default_rng(seed)
+    _, cms = _random_physical_cms(rng, n)
+    return np.concatenate([cms, _partial_transpose_cms(cms, ModeLabel.B)])
+
+
+def test_numeric_symplectic_of_a_stack_matches_one_matrix_bit_for_bit():
+    stack = _random_symmetric_stack()
+    nu1, nu2 = numeric_symplectic(stack)
+    assert nu1.shape == nu2.shape == (len(stack),)
+    for cm, pair in zip(stack, zip(nu1.tolist(), nu2.tolist())):
+        assert numeric_symplectic(cm) == pair
+    nu1, nu2 = numeric_symplectic(stack.reshape(2, -1, 4, 4))
+    assert nu1.shape == (2, len(stack) // 2)
+
+
+def test_numeric_symplectic_rejects_a_stack_with_one_bad_member(monkeypatch):
+    stack = _random_symmetric_stack()
+    asymmetric = stack.copy()
+    asymmetric[5, 0, 1] += 1e-6
+    with pytest.raises(InvalidArgumentError, match="not symmetric"):
+        numeric_symplectic(asymmetric)
+    indefinite = stack.copy()
+    indefinite[5] = np.diag([1.0, -1.0, 1.0, 1.0])  # Omega V has eigenvalues +-1
+    with pytest.raises(NumericalPairingError, match="purely imaginary"):
+        numeric_symplectic(indefinite)
+    with pytest.raises(InvalidArgumentError):
+        numeric_symplectic(np.eye(3))
+
+    # A real matrix has conjugate eigenvalue pairs, so the moduli always pair
+    # up; an eigensolver that broke one member's pairs must still be caught.
+    eigvals = np.linalg.eigvals
+
+    def unpaired(m):
+        eigs = eigvals(m)
+        eigs[5] = [2j, -2j, 1j, -1.5j]
+        return eigs
+
+    monkeypatch.setattr(np.linalg, "eigvals", unpaired)
+    with pytest.raises(NumericalPairingError, match="failed to pair"):
+        numeric_symplectic(stack)
+
+
+def _reference_random_state(rng, with_mean=False):
+    """The per-state Williamson draw, written out one matrix at a time."""
+    h = rng.normal(scale=0.35, size=(4, 4))
+    h = h + h.T
+    s = expm(SYMPLECTIC_FORM @ h)
+    nus = rng.uniform(1.0, 3.0, size=2)
+    d = np.diag(np.repeat(nus, 2))
+    mean = rng.normal(scale=1.0, size=4) if with_mean else np.zeros(4)
+    return TwoModeGaussianState(mean, s @ d @ s.T)
+
+
+@pytest.mark.parametrize("with_mean", [False, True])
+def test_batched_drawer_matches_random_physical_state_bit_for_bit(with_mean):
+    means, cms = _random_physical_cms(np.random.default_rng(17), 60, with_mean=with_mean)
+    one, reference = np.random.default_rng(17), np.random.default_rng(17)
+    for mean, cm in zip(means, cms):
+        state, expected = random_physical_state(one, with_mean=with_mean), _reference_random_state(reference, with_mean)
+        assert state == expected
+        assert np.array_equal(mean, expected.mean) and np.array_equal(cm, expected.cm)
+
+
+def test_batched_symplectic_suite_equals_per_sample_loop():
+    rng = np.random.default_rng(20240817)
+    worst, worst_case = 0.0, ""
+    for k in range(1000):
+        state = _reference_random_state(rng)
+        for label, cm in (("cm", state.cm), ("pt", partial_transpose(state, ModeLabel.B))):
+            closed = symplectic_eigenvalues(cm)
+            numeric = numeric_symplectic(cm)
+            dev = max(abs(closed[0] - numeric[0]), abs(closed[1] - numeric[1]))
+            if dev > worst:
+                worst, worst_case = dev, f"sample {k} [{label}]"
+    assert _suite_symplectic() == SuiteResult("symplectic", worst, 1e-9, worst_case)

@@ -211,3 +211,46 @@ def test_overflowing_scale_is_degenerate_without_warnings():
             TwoModeGaussianState(np.zeros(4), cm)
         with pytest.raises(DegenerateInputError, match="overflow"):
             symplectic_eigenvalues(cm)
+
+
+def test_symplectic_eigenvalues_of_a_stack_match_one_matrix_bit_for_bit():
+    stack = _valid_stack()
+    nu1, nu2 = symplectic_eigenvalues(stack)
+    assert nu1.shape == nu2.shape == (4,)
+    for cm, pair in zip(stack, zip(nu1.tolist(), nu2.tolist())):
+        assert symplectic_eigenvalues(cm) == pair
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.diag([1.0, 1.0, 1.0, -1.0]),  # not positive definite
+        np.eye(4) + np.diag([1e-3, 0.0, 0.0], k=1),  # asymmetric
+    ],
+)
+def test_symplectic_eigenvalues_rejects_a_stack_with_one_bad_member(bad):
+    stack = _valid_stack()
+    stack[2] = bad
+    with pytest.raises(InvalidArgumentError):
+        symplectic_eigenvalues(stack)
+    with pytest.raises(InvalidArgumentError):
+        symplectic_eigenvalues(np.eye(3))
+
+
+# Open physicality bugs (ROADMAP item 4): the correct behaviour, pinned until
+# the scale-invariant check lands.
+
+
+@pytest.mark.xfail(strict=True, reason="uncertainty slack 1e-7 * max_eig**2 admits nu_min = 0.316 (ROADMAP item 4)")
+def test_rejects_unphysical_state_with_a_large_entry():
+    with pytest.raises(UnphysicalStateError):
+        TwoModeGaussianState(np.zeros(4), np.diag([1e4, 1e-5, 1.0, 1.0]))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=DegenerateInputError,
+    reason="np.linalg.det loses det V = 1 at entries near 1e8 (ROADMAP item 4)",
+)
+def test_accepts_strongly_squeezed_tmsv():
+    assert np.array_equal(make_tmsv(10.0).cm, _tmsv_cms(10.0))
