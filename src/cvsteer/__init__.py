@@ -34,6 +34,7 @@ from .measures import (
     numeric_threshold,
     one_side_thresholds,
     steering_report,
+    threshold_table,
     two_way_laser_threshold,
     two_way_thermal_threshold,
 )

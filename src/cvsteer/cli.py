@@ -20,14 +20,7 @@ import numpy as np
 
 from .channels import ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import (
-    _steering_reports,
-    inseparability_threshold,
-    one_side_thresholds,
-    steering_report,
-    two_way_laser_threshold,
-    two_way_thermal_threshold,
-)
+from .measures import _steering_reports, one_side_thresholds, steering_report, threshold_table, two_way_thermal_threshold
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
 
@@ -399,32 +392,8 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # threshold
 
-def _threshold_results(args):
-    channel = _channel_from_args(args)
-    rates = channel.laser_params(0.0)
-    g, kappa, r = rates.g, rates.kappa, args.r
-    results = []
-    want = args.quantity
-    if want in ("two-way", "all"):
-        if channel.kind == "thermal":
-            results.append(two_way_thermal_threshold(channel.nbar, r))
-        else:
-            results.append(two_way_laser_threshold(g, kappa, r))
-    if want in ("a-to-b", "b-to-a", "all"):
-        t_ab, t_ba = one_side_thresholds(g, kappa, r)
-        if want in ("a-to-b", "all"):
-            results.append(t_ab)
-        if want in ("b-to-a", "all"):
-            results.append(t_ba)
-    if want in ("inseparability", "all"):
-        sides = [ChannelSide.B, ChannelSide.BOTH] if want == "all" else [channel.side]
-        for side in sides:
-            results.append(inseparability_threshold(g, kappa, r, side))
-    return results
-
-
 def _cmd_threshold(args) -> int:
-    results = _threshold_results(args)
+    results = threshold_table(_channel_from_args(args), args.r, args.quantity)
     if args.format == "json":
         print(json.dumps(_json_ready([res.as_dict() for res in results]), indent=2))
         return 0

@@ -11,7 +11,7 @@ across parameter space).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,6 +44,7 @@ __all__ = [
     "two_way_thermal_threshold",
     "one_side_thresholds",
     "inseparability_threshold",
+    "threshold_table",
     "steering_report",
 ]
 
@@ -246,49 +247,56 @@ def _scan_grid(t_max: float) -> np.ndarray:
     )
 
 
-def numeric_threshold(channel: ChannelSpec, r: float, quantity: str, t_max: float) -> float:
+def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str, ...], t_max: float):
     """Smallest t in (0, t_max] where the signed quantity hits zero.
 
-    The quantity of the evolved TMSV is scanned on an 800-point grid as one
+    ``quantity`` is one name, giving a float, or a tuple of names, giving a
+    tuple of floats.  The evolved TMSV is scanned on an 800-point grid as one
     stacked batch: a single channel map builds the (800, 4, 4) covariance
-    matrices, they are validated once with the state constructor's checks,
-    and the quantity comes from closed-form 2x2 determinants on the stack.
-    ``brentq`` then refines the one bracketing pair on the N = 1 view of the
-    same function, whose values equal the per-state quantifiers bit for bit.
-    No closed-form threshold expression enters, so the bisected value is an
-    independent check on them.
+    matrices once per call, whatever the number of quantities, and validates
+    them once with the state constructor's checks.  Each quantity then takes
+    its own sign scan of that stack, noise floor and bracket, and ``brentq``
+    refines the one bracketing pair on one 4x4 matrix per evaluation; both
+    equal the per-state quantifiers bit for bit.  No closed-form threshold
+    expression enters, so the bisected value is an independent check on them.
 
-    Returns the infinite sentinel when the quantity stays positive on the
-    whole interval.  A non-monotone sign pattern (several crossings) raises
-    MultiRootError carrying every bracket found.
+    A quantity that stays positive on the whole interval gives the infinite
+    sentinel.  A non-monotone sign pattern (several crossings) raises
+    MultiRootError carrying every bracket found.  A tuple call raises what the
+    first failing quantity's own call would raise.
     """
+    single = isinstance(quantity, str)
+    shared = {}  # the TMSV and its t = 0 and scan stacks, built when first needed
+    roots = tuple(_bisected_root(channel, r, name, t_max, shared) for name in ([quantity] if single else quantity))
+    return roots[0] if single else roots
+
+
+def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, shared: dict) -> float:
+    """``numeric_threshold`` of one quantity, with the stacks in ``shared``."""
     if quantity not in _QUANTITIES:
         raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
-    state0 = make_tmsv(r)
+    if not shared:
+        shared["state0"] = make_tmsv(r)
+    state0 = shared["state0"]
 
-    def signed(ts):
-        return _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+    def signed(key, ts):
+        if key not in shared:
+            shared[key] = channel.evolve_cms(state0, ts)
+        return _signed_quantity(shared[key], quantity)
 
     def f(t):
-        return signed([t])[0]
+        return _signed_quantity(channel.evolve_cms(state0, float(t)), quantity)
 
-    if f(0.0) <= 0.0:
+    if signed("t0", [0.0])[0] <= 0.0:
         raise InvalidArgumentError(f"{quantity} must be positive at t = 0")
     ts = _scan_grid(t_max)
-    values = signed(ts)
+    values = signed("scan", ts)
     # Quantities that decay towards zero without crossing it jitter at the
     # rounding level for large t; values inside the noise band carry no sign.
     signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
-    brackets = []
-    prev_t, prev_s = 0.0, 1.0
-    for t, s in zip(ts, signs):
-        if s == 0.0:
-            continue
-        if s != prev_s:
-            brackets.append((prev_t, t))
-        prev_t, prev_s = t, s
+    brackets = _brackets(ts, signs)
     if not brackets:
         return INFINITE_THRESHOLD
     if len(brackets) > 1:
@@ -301,6 +309,14 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str, t_max: floa
         if f(lo) <= 0.0:
             lo = 0.0  # root essentially at the origin; brentq still needs f(lo) > 0
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=1e-12))
+
+
+def _brackets(ts: np.ndarray, signs: np.ndarray) -> list[tuple[float, float]]:
+    """(previous signed t, t) at each t whose sign differs from that of the
+    signed point before it.  Zeros carry no sign; the origin is positive."""
+    signed_ts, signs = ts[signs != 0.0], signs[signs != 0.0]
+    change = signs != np.concatenate([[1.0], signs[:-1]])
+    return list(zip(np.concatenate([[0.0], signed_ts[:-1]])[change].tolist(), signed_ts[change].tolist()))
 
 
 def _default_t_max(g: float, kappa: float) -> float:
@@ -333,11 +349,8 @@ def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = 
         c = sh2
         arg = 1.0 + (b - math.sqrt(b * b + 4.0 * a * c)) / (2.0 * omega * a)
         t_closed = math.log(1.0 / arg) / (2.0 * (kappa - g))
-    channel = ChannelSpec(kind="laser", side=ChannelSide.BOTH, g=g, kappa=kappa)
-    if not bisect:
-        return ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, status="closed-form-only")
-    t_numeric = numeric_threshold(channel, r, "G_twoway", t_max=_default_t_max(g, kappa))
-    return ThresholdResult(channel.describe(), "two-way", t_closed, t_numeric)
+    results = _closed_forms(ChannelSide.BOTH, g, kappa, ("two-way", t_closed))
+    return (_with_roots(results, r) if bisect else results)[0]
 
 
 def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> ThresholdResult:
@@ -361,10 +374,8 @@ def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> 
     t_closed = 0.5 * math.log(
         2.0 * abs(alpha) / (beta + math.sqrt(beta * beta + 4.0 * abs(alpha) * delta))
     )
-    if not bisect:
-        return ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, status="closed-form-only")
-    t_numeric = numeric_threshold(channel, r, "G_twoway", t_max=50.0)
-    return ThresholdResult(channel.describe(), "two-way", t_closed, t_numeric)
+    result = ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, "closed-form-only")
+    return _with_roots((result,), r)[0] if bisect else result
 
 
 def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True) -> tuple[ThresholdResult, ThresholdResult]:
@@ -392,20 +403,8 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
         t_ba = 1.0 / (4.0 * kappa)
     else:
         t_ba = math.log(2.0 * kappa / (kappa + g)) / (2.0 * (kappa - g))
-    channel = ChannelSpec(kind="laser", side=ChannelSide.B, g=g, kappa=kappa)
-    desc = channel.describe()
-    if not bisect:
-        return (
-            ThresholdResult(desc, "a_to_b", t_ab, math.nan, status="closed-form-only"),
-            ThresholdResult(desc, "b_to_a", t_ba, math.nan, status="closed-form-only"),
-        )
-    t_max = _default_t_max(g, kappa)
-    num_ab = numeric_threshold(channel, r, "G_AtoB", t_max)
-    num_ba = numeric_threshold(channel, r, "G_BtoA", t_max)
-    return (
-        ThresholdResult(desc, "a_to_b", t_ab, num_ab),
-        ThresholdResult(desc, "b_to_a", t_ba, num_ba),
-    )
+    results = _closed_forms(ChannelSide.B, g, kappa, ("a_to_b", t_ab), ("b_to_a", t_ba))
+    return _with_roots(results, r) if bisect else results
 
 
 def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide, *, bisect: bool = True) -> ThresholdResult:
@@ -432,11 +431,8 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
             t_closed = 1.0 / (2.0 * kappa)
         else:
             t_closed = math.log(kappa / g) / (2.0 * (kappa - g))
-    channel = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa)
-    if not bisect:
-        return ThresholdResult(channel.describe(), "inseparability", t_closed, math.nan, status="closed-form-only")
-    t_numeric = numeric_threshold(channel, r, "E_N", t_max=_default_t_max(g, kappa))
-    return ThresholdResult(channel.describe(), "inseparability", t_closed, t_numeric)
+    results = _closed_forms(side, g, kappa, ("inseparability", t_closed))
+    return (_with_roots(results, r) if bisect else results)[0]
 
 
 def _check_threshold_args(g: float, kappa: float, r: float) -> None:
@@ -446,3 +442,57 @@ def _check_threshold_args(g: float, kappa: float, r: float) -> None:
         raise InvalidArgumentError("g and kappa cannot both be zero")
     if not (np.isfinite(r) and r > 0):
         raise InvalidArgumentError(f"r must be finite and > 0, got {r}")
+
+
+def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> list[ThresholdResult]:
+    """The rows of ``cvsteer threshold`` for a loss, gain, thermal or laser
+    channel: "two-way", "a-to-b", "b-to-a", "inseparability" on
+    ``channel.side``, or "all" of them with inseparability on side B and on
+    both sides.  Every closed form comes first, then one scan per distinct
+    (channel, t_max); "a-to-b" and "b-to-a" each bisect both directions."""
+    rates = channel.laser_params(0.0)
+    g, kappa = rates.g, rates.kappa
+    rows = []
+    if quantity in ("two-way", "all"):
+        if channel.kind == "thermal":
+            rows.append(two_way_thermal_threshold(channel.nbar, r, bisect=False))
+        else:
+            rows.append(two_way_laser_threshold(g, kappa, r, bisect=False))
+    if quantity in ("a-to-b", "b-to-a", "all"):
+        rows += one_side_thresholds(g, kappa, r, bisect=False)
+    if quantity in ("inseparability", "all"):
+        for side in [ChannelSide.B, ChannelSide.BOTH] if quantity == "all" else [channel.side]:
+            rows.append(inseparability_threshold(g, kappa, r, side, bisect=False))
+    direction = {"a-to-b": "a_to_b", "b-to-a": "b_to_a"}.get(quantity)
+    return [res for res in _with_roots(tuple(rows), r) if direction in (None, res.direction)]
+
+
+def _closed_forms(side: ChannelSide, g: float, kappa: float, *times) -> tuple[ThresholdResult, ...]:
+    """Laser-channel results before bisection, one per (direction, t_closed)."""
+    desc = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa).describe()
+    return tuple([ThresholdResult(desc, direction, t, math.nan, "closed-form-only") for direction, t in times])
+
+
+_ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA", "inseparability": "E_N"}
+
+
+def _with_roots(results: tuple[ThresholdResult, ...], r: float) -> tuple[ThresholdResult, ...]:
+    """``results`` with each closed-form-only one given its bisected root:
+    one ``numeric_threshold`` call, so one scan, per distinct channel.  The
+    thermal channel (kappa = 1) scans 50 time units, the laser channel
+    ``_default_t_max``.  An infinite root short of a finite closed form
+    beyond the scan is "beyond-scan-horizon", not "ok"."""
+    groups = {}
+    for i, res in enumerate(results):
+        if res.status == "closed-form-only":
+            groups.setdefault(tuple(res.channel.items()), []).append(i)
+    out = list(results)
+    for key, rows in groups.items():
+        rates = dict(key)  # ChannelSpec.describe() of the channel to scan
+        channel = ChannelSpec(rates.pop("kind"), ChannelSide(rates.pop("side")), **rates)
+        t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
+        roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[out[i].direction] for i in rows), t_max)
+        for i, t_numeric in zip(rows, roots):
+            beyond = math.isinf(t_numeric) and t_max < out[i].t_closed < math.inf
+            out[i] = replace(out[i], t_numeric=t_numeric, status="beyond-scan-horizon" if beyond else "ok")
+    return tuple(out)

@@ -264,7 +264,9 @@ def numeric_symplectic(cm: np.ndarray):
     Eigenvalues come in +-(i nu) pairs; their moduli are paired up and the two
     distinct values returned sorted descending: a tuple of floats for one
     matrix, arrays (nu1, nu2) for a (..., 4, 4) stack, which raises if any
-    member fails a check.
+    member fails a check.  The moduli-pairing check is reachable only through
+    a patched eigensolver: ``np.linalg.eigvals`` of a real matrix returns exact
+    conjugate pairs, and real eigenvalues fail the purely-imaginary check first.
     """
     cm = np.asarray(cm, dtype=float)
     if cm.ndim < 2 or cm.shape[-2:] != (4, 4):

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import cvsteer
 from cvsteer.cli import FIGURE_PRESETS, main, state_from_dict, state_to_dict
 from cvsteer.states import make_tmsv
 
@@ -190,6 +195,30 @@ def test_threshold_thermal_two_way_time_scales_with_kappa(capsys):
         return json.loads(out)[0]["t_closed"]
 
     assert t_closed("2") == pytest.approx(t_closed("1") / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(("g", "beyond"), [("1e-300", {"a_to_b", "inseparability"}), ("1e300", {"b_to_a", "inseparability"})])
+def test_threshold_closed_form_beyond_scan_horizon_is_flagged(capsys, g, beyond):
+    # t_max = 50 / (g + kappa); each flagged row has an infinite bisected root
+    # and a finite closed form past t_max, which the scan cannot confirm.
+    code, out, _ = run_cli(capsys, "threshold", "--channel", "laser", "--g", g, "--kappa", "1", "--r", "0.5")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    t_max = 50.0 / (float(g) + 1.0)
+    for direction, t_closed, t_numeric, _, status in rows:
+        flagged = t_numeric == "inf" and t_max < float(t_closed) < math.inf
+        assert status == ("beyond-scan-horizon" if flagged else "ok")
+    assert {row[0] for row in rows if row[-1] != "ok"} == beyond
+
+
+def test_python_m_cvsteer_runs_the_cli(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--r", "0.5")
+    src = str(Path(cvsteer.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvsteer", "eval", "--r", "0.5"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_verify_single_suite(capsys):

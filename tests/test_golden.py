@@ -44,6 +44,7 @@ _SPANS = {
     "nbar": ("0.5", "1.5", ["--kt", "0.4"]),
 }
 _R_BY_SIDE = {"a": "0.4", "b": "0.7", "two": "1.1"}
+_QUANTITIES = ("a-to-b", "b-to-a", "two-way", "inseparability", "all")
 
 
 def _sweep_argv(var, kind, side, steps="11"):
@@ -83,6 +84,22 @@ def cases() -> dict[str, list[str]]:
     for kind in ("loss", "gain", "thermal", "laser"):
         out[f"threshold-{kind}-json"] = ["threshold", "--channel", kind, "--r", "0.6"] + _RATES[kind] + ["--format", "json"]
     out["threshold-laser-table"] = ["threshold", "--channel", "laser", "--r", "0.6"] + _RATES["laser"]
+    # Threshold tables share one scan per channel: every quantity on every
+    # channel, inseparability on each side, degenerate rates (kappa = g), a
+    # thermal point with nbar >= (e^{2r} - 1)/2 and strong gain.
+    tables = {}
+    for kind in ("loss", "gain", "thermal", "laser"):
+        for quantity in _QUANTITIES:
+            tables[f"{kind}-{quantity}"] = ["--channel", kind, "--r", "0.9", "--quantity", quantity] + _RATES[kind]
+    for side in _SIDES:
+        tables[f"inseparability-{side}"] = ["--channel", "laser", "--r", "0.8", "--quantity", "inseparability",
+                                            "--side", side] + _RATES["laser"]
+    tables["degenerate-rates"] = ["--channel", "laser", "--r", "0.7", "--g", "1", "--kappa", "1"]
+    tables["thermal-window"] = ["--channel", "thermal", "--r", "0.1", "--nbar", "0.2"]
+    tables["strong-gain"] = ["--channel", "gain", "--r", "1.5", "--g", "3"]
+    for name, flags in tables.items():
+        out[f"threshold-{name}-table"] = ["threshold", *flags]
+        out[f"threshold-{name}-json"] = ["threshold", *flags, "--format", "json"]
     for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds"):
         out[f"verify-{suite}"] = ["verify", suite]
     return out

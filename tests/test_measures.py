@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvsteer import channels
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError
 from cvsteer.criteria import entropic_sum, reid_product
 from cvsteer.measures import (
     SteeringReport,
+    _brackets,
+    _default_t_max,
     _scan_grid,
     _steering_reports,
     _signed_quantity,
@@ -25,6 +28,7 @@ from cvsteer.measures import (
     one_side_thresholds,
     steerability_exponent,
     steering_report,
+    threshold_table,
     two_way_laser_threshold,
     two_way_thermal_threshold,
 )
@@ -186,6 +190,107 @@ def test_threshold_result_serialization():
     t_ab, _ = one_side_thresholds(0.0, 1.0, 0.5)
     assert t_ab.as_dict()["t_closed"] == "inf"
     assert t_ab.as_dict()["t_numeric"] == "inf"
+
+
+def _outcome(call):
+    """("ok", float bits) or ("raise", exception type, message) of one call."""
+    try:
+        value = call()
+    except Exception as exc:  # the tuple call must raise the same
+        return ("raise", type(exc), str(exc))
+    return ("ok", [v.hex() for v in value] if isinstance(value, tuple) else value.hex())
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    names=st.lists(st.sampled_from(["G_AtoB", "G_BtoA", "G_twoway", "E_N", "nonsense"]), min_size=1, max_size=5),
+    r=st.floats(0.0, 1.5),
+    g=st.floats(0.0, 3.0),
+    kappa=st.floats(0.0, 3.0),
+    nbar=st.floats(0.0, 1.5),
+    m_fraction=st.floats(-1.0, 1.0),
+    t_max=st.floats(-1.0, 200.0),
+)
+@example(kind="gain", side=ChannelSide.BOTH, names=["E_N", "G_twoway"], r=0.5, g=3.0, kappa=1.0, nbar=0.0,
+         m_fraction=0.0, t_max=200.0)  # the shared scan overflows
+@example(kind="laser", side=ChannelSide.B, names=["G_AtoB", "nonsense"], r=0.0, g=1.0, kappa=1.0, nbar=0.0,
+         m_fraction=0.0, t_max=10.0)  # not positive at t = 0 before the unknown name
+@settings(max_examples=40, deadline=None)
+def test_tuple_call_equals_one_quantity_calls(kind, side, names, r, g, kappa, nbar, m_fraction, t_max):
+    m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    singles = [_outcome(lambda: numeric_threshold(channel, r, name, t_max)) for name in names]
+    failed = [single for single in singles if single[0] == "raise"]
+    expected = failed[0] if failed else ("ok", [single[1] for single in singles])
+    assert _outcome(lambda: numeric_threshold(channel, r, tuple(names), t_max)) == expected
+
+
+def _brackets_loop(ts, signs):
+    # The scan's bracket rule as a loop over the grid: the reference.
+    brackets, prev_t, prev_s = [], 0.0, 1.0
+    for t, s in zip(ts, signs):
+        if s == 0.0:
+            continue
+        if s != prev_s:
+            brackets.append((prev_t, t))
+        prev_t, prev_s = t, s
+    return brackets
+
+
+@given(signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=60))
+def test_brackets_equal_the_loop_over_the_grid(signs):
+    ts = np.cumsum(np.full(len(signs), 0.25))
+    assert _brackets(ts, np.array(signs)) == _brackets_loop(ts, signs)
+
+
+def _scan_stacks(monkeypatch):
+    """A list that counts every multi-duration stack the channel driver builds."""
+    built, evolve = [], channels._evolve_stack
+
+    def counting(cms, specs, t):
+        if np.size(t) > 1:
+            built.append(specs[0])
+        return evolve(cms, specs, t)
+
+    monkeypatch.setattr(channels, "_evolve_stack", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    ("channel", "r", "scans"),
+    [
+        (ChannelSpec("loss", kappa=0.7), 0.6, 2),
+        (ChannelSpec("gain", g=0.8), 0.6, 2),
+        (ChannelSpec("laser", g=0.5, kappa=1.3), 0.6, 2),
+        (ChannelSpec("thermal", kappa=0.9, nbar=0.6), 0.6, 3),
+        (ChannelSpec("thermal", nbar=0.2), 0.1, 2),  # the two-way row is never-steerable: no thermal scan
+    ],
+)
+def test_threshold_table_scans_each_channel_once(monkeypatch, channel, r, scans):
+    built = _scan_stacks(monkeypatch)
+    rows = threshold_table(channel, r, "all")
+    assert len(rows) == 5 and len(built) == scans
+    assert len(set(built)) == scans
+
+
+def test_one_side_thresholds_share_one_scan(monkeypatch):
+    built = _scan_stacks(monkeypatch)
+    t_ab, t_ba = one_side_thresholds(0.5, 1.0, 0.5)
+    assert len(built) == 1
+    t_max = _default_t_max(0.5, 1.0)
+    assert [t_ab.t_numeric, t_ba.t_numeric] == [numeric_threshold(built[0], 0.5, q, t_max) for q in ("G_AtoB", "G_BtoA")]
+
+
+@pytest.mark.parametrize(("g", "direction"), [(1e-300, "a_to_b"), (1e300, "b_to_a")])
+def test_closed_form_beyond_the_scan_is_not_ok(g, direction):
+    rows = {res.direction: res for res in one_side_thresholds(g, 1.0, 0.5)}
+    res = rows[direction]
+    t_max = _default_t_max(g, 1.0)
+    assert t_max < res.t_closed < math.inf and math.isinf(res.t_numeric)
+    assert res.status == "beyond-scan-horizon"
+    other = rows[({"a_to_b", "b_to_a"} - {direction}).pop()]
+    assert other.status == "ok" and math.isfinite(other.t_numeric)
 
 
 def _per_state_quantity(state, quantity):
