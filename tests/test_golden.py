@@ -7,6 +7,11 @@ side, sweeps without a channel, single-state reports, threshold tables and
 the printed deviations and worst cases of every `verify` suite.
 A refactor that changes one printed digit fails here.
 
+``tests/golden/cli_usage_digests.json`` pins the argument parser the same
+way: help text, usage errors and unrecognized arguments, with the sha256 of
+stdout and of stderr and the exit code (of ``SystemExit`` where argparse
+exits), rendered at a fixed terminal width of 80 columns.
+
 Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -15,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -22,6 +28,7 @@ import pytest
 from cvsteer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_digests.json"
+USAGE_GOLDEN = Path(__file__).parent / "golden" / "cli_usage_digests.json"
 
 _FIGURES = ("1", "2a", "2b", "3", "4", "5")
 _KINDS = ("loss", "gain", "thermal", "laser", "phase-sensitive")
@@ -105,40 +112,93 @@ def cases() -> dict[str, list[str]]:
     return out
 
 
-def run(argv) -> tuple[int, str]:
-    """(exit code, stdout) of one in-process CLI call; stderr is discarded."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(argv))
-    return code, out.getvalue()
+def usage_cases() -> dict[str, list[str]]:
+    """Case id -> argument vector of a help or usage-error call."""
+    out = {
+        "no-arguments": [],
+        "help-short": ["-h"],
+        "help-long": ["--help"],
+        "help-before-command": ["-h", "eval"],
+        "unknown-command": ["foo"],
+    }
+    for command in ("eval", "sweep", "threshold", "verify"):
+        out[f"{command}-help"] = [command, "-h"]
+    out.update({
+        "verify-no-suite": ["verify"],
+        "verify-unknown-suite": ["verify", "nope"],
+        "threshold-no-flags": ["threshold"],
+        "threshold-missing-r": ["threshold", "--channel", "loss"],
+        "eval-unknown-flag": ["eval", "--bogus", "1"],
+        "eval-bad-float": ["eval", "--r", "x"],
+        "eval-missing-value": ["eval", "--r"],
+        "eval-bad-choice": ["eval", "--side", "c"],
+        "sweep-bad-choice": ["sweep", "--figure", "9"],
+        "eval-trailing-positional": ["eval", "--r", "0.5", "extra"],
+        "verify-trailing-flag": ["verify", "pdf", "--x"],
+        "eval-after-double-dash": ["eval", "--r", "1", "--", "x"],
+        "eval-abbreviated-flag": ["eval", "--chan", "loss", "--r", "0.3", "--kt", "0.2"],
+    })
+    return out
+
+
+def run(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process CLI call; an argparse
+    exit counts with the code of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+def _golden(path=GOLDEN) -> dict:
+    return json.loads(path.read_text())
 
 
 def test_golden_cases_are_current():
     assert sorted(_golden()) == sorted(cases())
+    assert sorted(_golden(USAGE_GOLDEN)) == sorted(usage_cases())
 
 
 @pytest.mark.parametrize("case", sorted(cases()))
 def test_cli_reproduces_golden_output(case):
     expected = _golden()[case]
     assert expected["argv"] == cases()[case]
-    code, stdout = run(expected["argv"])
+    code, stdout, _ = run(expected["argv"])
     assert code == expected["exit"]
     assert _digest(stdout) == expected["sha256"], f"stdout of {' '.join(expected['argv'])} changed"
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("case", sorted(usage_cases()))
+def test_cli_reproduces_golden_help_and_usage_errors(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _golden(USAGE_GOLDEN)[case]
+    assert expected["argv"] == usage_cases()[case]
+    code, stdout, stderr = run(expected["argv"])
+    assert code == expected["exit"]
+    assert _digest(stdout) == expected["sha256"], f"stdout of {' '.join(expected['argv'])} changed"
+    assert _digest(stderr) == expected["stderr_sha256"], f"stderr of {' '.join(expected['argv'])} changed"
+
+
+def _record(path, table, with_stderr=False):
     records = {}
-    for name, argv in sorted(cases().items()):
-        code, stdout = run(argv)
+    for name, argv in sorted(table.items()):
+        code, stdout, stderr = run(argv)
         records[name] = {"argv": argv, "exit": code, "sha256": _digest(stdout)}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} cases to {GOLDEN}")
+        if with_stderr:
+            records[name]["stderr_sha256"] = _digest(stderr)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} cases to {path}")
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    _record(GOLDEN, cases())
+    _record(USAGE_GOLDEN, usage_cases(), with_stderr=True)
