@@ -425,65 +425,85 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _eval_args(p):
+    p.add_argument("--r", type=float, default=0.0, help="TMSV squeezing parameter")
+    p.add_argument("--state", help="JSON file with {'mean': [...], 'cm': [[...]]}")
+    p.add_argument("--include-state", action="store_true", help="embed the evolved state in the report")
+    _add_channel_flags(p)
+    p.set_defaults(func=_cmd_eval)
+
+
+def _sweep_args(p):
+    p.add_argument("--figure", choices=sorted(FIGURE_PRESETS))
+    p.add_argument("--explain", action="store_true", help="print preset definitions and exit")
+    p.add_argument("--var", choices=_SWEEP_VARS, help="swept variable for a generic sweep")
+    p.add_argument("--start", type=float, default=0.0)
+    p.add_argument("--stop", type=float, default=1.0)
+    p.add_argument("--steps", type=int, default=51)
+    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--provenance", action="store_true", help="prepend a provenance comment to CSV")
+    _add_channel_flags(p)
+    p.set_defaults(func=_cmd_sweep)
+
+
+def _threshold_args(p):
+    p.add_argument("--channel", choices=["loss", "gain", "thermal", "laser"], required=True)
+    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--g", type=float)
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--nbar", type=float)
+    p.add_argument("--side", choices=["a", "b", "two"], default="two", help="side for inseparability")
+    p.add_argument("--quantity", choices=["a-to-b", "b-to-a", "two-way", "inseparability", "all"], default="all")
+    p.add_argument("--format", choices=["table", "json"], default="table")
+    p.set_defaults(func=_cmd_threshold)
+
+
+def _verify_args(p):
+    p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.set_defaults(func=_cmd_verify)
+
+
+# Subcommand -> (help line, function that adds its arguments and its func).
+_COMMANDS = {
+    "eval": ("steering report for one state", _eval_args),
+    "sweep": ("parameter sweeps, figure presets included", _sweep_args),
+    "threshold": ("closed-form vs bisected threshold times", _threshold_args),
+    "verify": ("run the brute-force oracle suites", _verify_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvsteer",
         description="EPR steering and entanglement of two-mode Gaussian states in noisy channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="steering report for one state")
-    p_eval.add_argument("--r", type=float, default=0.0, help="TMSV squeezing parameter")
-    p_eval.add_argument("--state", help="JSON file with {'mean': [...], 'cm': [[...]]}")
-    p_eval.add_argument("--include-state", action="store_true", help="embed the evolved state in the report")
-    _add_channel_flags(p_eval)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweeps, figure presets included")
-    p_sweep.add_argument("--figure", choices=sorted(FIGURE_PRESETS))
-    p_sweep.add_argument("--explain", action="store_true", help="print preset definitions and exit")
-    p_sweep.add_argument("--var", choices=_SWEEP_VARS, help="swept variable for a generic sweep")
-    p_sweep.add_argument("--start", type=float, default=0.0)
-    p_sweep.add_argument("--stop", type=float, default=1.0)
-    p_sweep.add_argument("--steps", type=int, default=51)
-    p_sweep.add_argument("--r", type=float, default=0.5)
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--out", help="output file (default stdout)")
-    p_sweep.add_argument("--provenance", action="store_true", help="prepend a provenance comment to CSV")
-    _add_channel_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_thr = sub.add_parser("threshold", help="closed-form vs bisected threshold times")
-    p_thr.add_argument("--channel", choices=["loss", "gain", "thermal", "laser"], required=True)
-    p_thr.add_argument("--r", type=float, required=True)
-    p_thr.add_argument("--g", type=float)
-    p_thr.add_argument("--kappa", type=float)
-    p_thr.add_argument("--nbar", type=float)
-    p_thr.add_argument("--side", choices=["a", "b", "two"], default="two", help="side for inseparability")
-    p_thr.add_argument(
-        "--quantity",
-        choices=["a-to-b", "b-to-a", "two-way", "inseparability", "all"],
-        default="all",
-    )
-    p_thr.add_argument("--format", choices=["table", "json"], default="table")
-    p_thr.set_defaults(func=_cmd_threshold)
-
-    p_ver = sub.add_parser("verify", help="run the brute-force oracle suites")
-    p_ver.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    p_ver.set_defaults(func=_cmd_verify)
-
+    for name, (summary, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI call on argv (default sys.argv[1:]).
+
+    A named subcommand is parsed by its own parser alone, exactly as the tree
+    would parse it, since the tree costs more to build than most calls take.
+    Top-level help, a missing or unknown command and leftover arguments still
+    go to the tree from build_parser(): only it prints their usage and errors.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"cvsteer {argv[0]}")
+        command[1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CvSteerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CvSteerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

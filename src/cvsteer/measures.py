@@ -20,6 +20,7 @@ from .channels import ChannelSide, ChannelSpec
 from .criteria import SteeringDirection, _entropic_sums, _reid_products
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from .states import (
+    _MAX_SCALE,
     ModeLabel,
     TwoModeGaussianState,
     _any,
@@ -62,6 +63,13 @@ _RATE_DEGENERACY_TOL = 1e-12
 # square root of a near-cancelling discriminant, which amplifies rounding
 # error of order eps to sqrt(eps) ~ 1e-8 when the eigenvalue sits near 1.
 _SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N": 1e-7}
+
+# The squeezing r a threshold accepts: below _R_MIN the TMSV's steerability at
+# t = 0, ln cosh 2r, lies inside the scan's noise floor (and the two-way
+# closed form's coefficients cancel); above _R_MAX its covariance scale e^{2r}
+# exceeds the limit of the state's validation.
+_R_MIN = 0.5 * math.acosh(math.exp(_SIGN_NOISE_FLOOR["G_twoway"]))
+_R_MAX = 0.5 * math.log(_MAX_SCALE)
 
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _ADJUGATE_SIGNS.setflags(write=False)
@@ -324,7 +332,10 @@ def _default_t_max(g: float, kappa: float) -> float:
     rate = g + kappa
     if rate <= 0.0:
         raise InvalidArgumentError("g and kappa cannot both be zero")
-    return 50.0 * (1.0 / rate)
+    t_max = 50.0 * (1.0 / rate)
+    if not 0.0 < t_max < math.inf:  # the sum under- or overflowed
+        raise InvalidArgumentError(f"g + kappa = {rate:.6g} is out of range: the scan horizon 50 / (g + kappa) is {t_max}")
+    return t_max
 
 
 def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = True) -> ThresholdResult:
@@ -362,8 +373,7 @@ def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> 
     """
     if not np.isfinite(nbar) or nbar < 0:
         raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
-    if not (np.isfinite(r) and r > 0):
-        raise InvalidArgumentError(f"r must be finite and > 0, got {r}")
+    _check_r(r)
     channel = ChannelSpec(kind="thermal", side=ChannelSide.BOTH, kappa=1.0, nbar=nbar)
     if nbar >= 0.5 * math.expm1(2.0 * r):
         return ThresholdResult(channel.describe(), "two-way", 0.0, 0.0, status="never-steerable")
@@ -396,13 +406,13 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
     elif degenerate:
         t_ab = sh_sq / (2.0 * kappa * ch)
     else:
-        t_ab = math.log((kappa * sh_sq + g * ch_sq) / (g * ch)) / (2.0 * (kappa - g))
+        t_ab = _log_ratio(kappa * sh_sq + g * ch_sq, g * ch) / (2.0 * (kappa - g))
     if kappa == 0.0:
         t_ba = INFINITE_THRESHOLD
     elif degenerate:
         t_ba = 1.0 / (4.0 * kappa)
     else:
-        t_ba = math.log(2.0 * kappa / (kappa + g)) / (2.0 * (kappa - g))
+        t_ba = _log_ratio(2.0 * kappa, kappa + g) / (2.0 * (kappa - g))
     results = _closed_forms(ChannelSide.B, g, kappa, ("a_to_b", t_ab), ("b_to_a", t_ba))
     return _with_roots(results, r) if bisect else results
 
@@ -423,14 +433,14 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
         elif degenerate:
             t_closed = th / (2.0 * kappa * (1.0 + th))
         else:
-            t_closed = math.log((g + kappa * th) / (g * (1.0 + th))) / (2.0 * (kappa - g))
+            t_closed = _log_ratio(g + kappa * th, g * (1.0 + th)) / (2.0 * (kappa - g))
     else:
         if g == 0.0 or kappa == 0.0:
             t_closed = INFINITE_THRESHOLD
         elif degenerate:
             t_closed = 1.0 / (2.0 * kappa)
         else:
-            t_closed = math.log(kappa / g) / (2.0 * (kappa - g))
+            t_closed = _log_ratio(kappa, g) / (2.0 * (kappa - g))
     results = _closed_forms(side, g, kappa, ("inseparability", t_closed))
     return (_with_roots(results, r) if bisect else results)[0]
 
@@ -440,8 +450,22 @@ def _check_threshold_args(g: float, kappa: float, r: float) -> None:
         raise InvalidArgumentError(f"rates must be finite and >= 0, got g={g}, kappa={kappa}")
     if g == 0.0 and kappa == 0.0:
         raise InvalidArgumentError("g and kappa cannot both be zero")
-    if not (np.isfinite(r) and r > 0):
-        raise InvalidArgumentError(f"r must be finite and > 0, got {r}")
+    _check_r(r)
+
+
+def _check_r(r: float) -> None:
+    if not _R_MIN < r <= _R_MAX:  # NaN fails too
+        raise InvalidArgumentError(
+            f"r = {r} is outside ({_R_MIN:.3g}, {_R_MAX:.4g}]: below, the threshold scan cannot resolve the "
+            "TMSV's steering; above, its covariance scale overflows"
+        )
+
+
+def _log_ratio(num: float, den: float) -> float:
+    """ln(num / den), also where the quotient of two finite rates under- or
+    overflows."""
+    ratio = num / den
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(num) - math.log(den)
 
 
 def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> list[ThresholdResult]:

@@ -211,14 +211,17 @@ def test_threshold_closed_form_beyond_scan_horizon_is_flagged(capsys, g, beyond)
     assert {row[0] for row in rows if row[-1] != "ok"} == beyond
 
 
-def test_python_m_cvsteer_runs_the_cli(capsys):
-    code, out, _ = run_cli(capsys, "eval", "--r", "0.5")
+def fresh_cli(*argv):
+    """(exit code, stdout, stderr) of ``python -m cvsteer`` in a new interpreter."""
     src = str(Path(cvsteer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cvsteer", "eval", "--r", "0.5"], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (proc.returncode, proc.stdout) == (code, out)
+    proc = subprocess.run([sys.executable, "-m", "cvsteer", *argv], capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_m_cvsteer_runs_the_cli(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--r", "0.5")
+    assert fresh_cli("eval", "--r", "0.5")[:2] == (code, out)
 
 
 def test_verify_single_suite(capsys):
@@ -276,3 +279,73 @@ def test_eval_malformed_state_file_exits_2(tmp_path, capsys, content, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_keeps_no_state_between_calls(capsys):
+    # A flag given to one call must not leak into the next, whatever ran between.
+    assert run_cli(capsys, "eval", "--channel", "loss", "--kt", "0.2")[0] == 0
+    assert run_cli(capsys, "sweep", "--var", "r", "--steps", "3", "--channel", "gain", "--gt", "0.1")[0] == 0
+    assert run_cli(capsys, "eval", "--r", "0.3") == fresh_cli("eval", "--r", "0.3")
+
+
+@pytest.mark.parametrize("argv", [("eval", "--r", "0.5"), ("threshold", "--channel", "loss", "--r", "0.5", "--side", "b")])
+def test_main_without_arguments_reads_sys_argv(capsys, monkeypatch, argv):
+    # The console script calls main() with no arguments.
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["cvsteer", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+
+
+def test_main_without_arguments_reports_usage_errors_of_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cvsteer", "eval", "--r", "0.5", "extra"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("cvsteer: error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("--channel", "loss", "--r", "1e-9", "--kappa", "0.23"), "error: r = 1e-09 is outside ("),
+        (("--channel", "loss", "--r", "400", "--kappa", "1"), "error: r = 400.0 is outside ("),
+        (("--channel", "laser", "--g", "1e-320", "--kappa", "1e-320", "--r", "0.5"), "error: g + kappa = "),
+    ],
+    ids=["tiny-r", "huge-r", "underflowing-rate-sum"],
+)
+def test_threshold_out_of_range_input_exits_2_naming_it(capsys, argv, message):
+    # 1e-9: the two-way closed form divided 0 by 0; 400: cosh 2r overflowed;
+    # an underflowing g + kappa reported the internal t_max instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "threshold", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert "t_max" not in err
+
+
+@pytest.mark.parametrize(
+    ("g", "kappa", "flags", "direction", "num", "den"),
+    [
+        (7.2514e164, 2.47608e-253, ("--quantity", "inseparability", "--side", "b"), "inseparability", 2.47608e-253,
+         7.2514e164),
+        (1e300, 1e-300, ("--quantity", "b-to-a"), "b_to_a", 2e-300, 1e300),
+    ],
+    ids=["inseparability-kappa-over-g", "b-to-a-2kappa-over-sum"],
+)
+def test_threshold_closed_form_of_an_underflowing_rate_ratio(capsys, g, kappa, flags, direction, num, den):
+    # num / den underflows to 0, so ln(num / den) failed; the closed form is
+    # ln(num) - ln(den) over 2 (kappa - g), past the scan horizon 50 / (g + kappa).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_cli(
+            capsys, "threshold", "--channel", "laser", "--g", str(g), "--kappa", str(kappa), "--r", "0.94", *flags
+        )
+    assert code == 0
+    row, = [line.split() for line in out.splitlines()[1:] if line.startswith(direction)]
+    _, t_closed, t_numeric, _, status = row
+    assert float(t_closed) == pytest.approx((math.log(num) - math.log(den)) / (2.0 * (kappa - g)), rel=1e-11)
+    assert float(t_closed) > 50.0 / (g + kappa)
+    assert (t_numeric, status) == ("inf", "beyond-scan-horizon")
