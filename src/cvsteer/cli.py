@@ -105,17 +105,15 @@ def _write_table(columns, rows, fmt, out, provenance=None):
 # ---------------------------------------------------------------------------
 # channel construction from flags
 
-def _channel_from_args(args) -> ChannelSpec | None:
+def _channel_from_args(args) -> ChannelSpec:
     """The --channel on --side with the rates given as flags; ChannelSpec's
-    defaults fill in the others."""
-    if args.channel is None:
-        return None
+    defaults fill in the others.  No --channel is the identity channel."""
     rates = {"g": args.g, "kappa": args.kappa, "nbar": args.nbar, "m": getattr(args, "M", None)}
     given = {name: value for name, value in rates.items() if value is not None}
-    return ChannelSpec(kind=args.channel, side=ChannelSide(args.side), **given)
+    return ChannelSpec(kind=args.channel or "identity", side=ChannelSide(args.side), **given)
 
 
-def _durations(args, channel: ChannelSpec | None, swept: np.ndarray | None = None):
+def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
     """Durations in the channel: of the swept values of --var t, kt, gt or
     one-minus-T, or else the one duration of --t, --kt or --gt (0 if none).
 
@@ -135,7 +133,7 @@ def _durations(args, channel: ChannelSpec | None, swept: np.ndarray | None = Non
     if var == "t":
         return values
     gain = var == "gt"
-    rate = 0.0 if channel is None else channel.g if gain else channel.kappa
+    rate = 0.0 if channel.kind == "identity" else channel.g if gain else channel.kappa
     if rate <= 0:
         raise CvSteerError(f"{source} needs a channel with a positive {'gain' if gain else 'loss'} rate")
     if var == "one-minus-T":
@@ -172,9 +170,7 @@ def _cmd_eval(args) -> int:
     else:
         state = make_tmsv(args.r)
     channel = _channel_from_args(args)
-    t = _durations(args, channel)
-    if channel is not None:
-        state = channel.evolve(state, t)
+    state = channel.evolve(state, _durations(args, channel))
     report = steering_report(state).as_dict()
     if args.include_state:
         report["state"] = state_to_dict(state)
@@ -354,19 +350,14 @@ def _generic_sweep_rows(args):
         # the TMSV with the i-th r, or the channel with the i-th nbar.
         ts = np.full(len(values), _durations(args, channel))
         if args.var == "r":
-            cms = _validate_cms(_tmsv_cms(values))
+            cms = _validate_cms(_tmsv_cms(values))  # checks each TMSV, as make_tmsv does
         else:
             cms = make_tmsv(args.r).cm
-            if channel is not None:
-                channels = [replace(channel, nbar=v) for v in values.tolist()]
+            channels = [replace(channel, nbar=v) for v in values.tolist()]
     else:
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
-    if channel is None:  # every duration leaves the state as it is
-        cms = np.broadcast_to(cms, (len(values), 4, 4))
-    else:
-        cms = _evolve_stack(cms, channels, ts)[0]
-    report = _steering_reports(cms)
+    report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 
 

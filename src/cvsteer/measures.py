@@ -274,13 +274,13 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     first failing quantity's own call would raise.
     """
     single = isinstance(quantity, str)
-    shared = {}  # the TMSV and its t = 0 and scan stacks, built when first needed
+    shared = {}  # the TMSV and its scan stack, built when first needed
     roots = tuple(_bisected_root(channel, r, name, t_max, shared) for name in ([quantity] if single else quantity))
     return roots[0] if single else roots
 
 
 def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, shared: dict) -> float:
-    """``numeric_threshold`` of one quantity, with the stacks in ``shared``."""
+    """``numeric_threshold`` of one quantity, with the TMSV and scan in ``shared``."""
     if quantity not in _QUANTITIES:
         raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
     if not (t_max > 0.0 and math.isfinite(t_max)):
@@ -289,18 +289,15 @@ def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, 
         shared["state0"] = make_tmsv(r)
     state0 = shared["state0"]
 
-    def signed(key, ts):
-        if key not in shared:
-            shared[key] = channel.evolve_cms(state0, ts)
-        return _signed_quantity(shared[key], quantity)
-
     def f(t):
         return _signed_quantity(channel.evolve_cms(state0, float(t)), quantity)
 
-    if signed("t0", [0.0])[0] <= 0.0:
+    if _signed_quantity(state0.cm, quantity) <= 0.0:
         raise InvalidArgumentError(f"{quantity} must be positive at t = 0")
     ts = _scan_grid(t_max)
-    values = signed("scan", ts)
+    if "scan" not in shared:
+        shared["scan"] = channel.evolve_cms(state0, ts)
+    values = _signed_quantity(shared["scan"], quantity)
     # Quantities that decay towards zero without crossing it jitter at the
     # rounding level for large t; values inside the noise band carry no sign.
     signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
@@ -504,8 +501,9 @@ def _with_roots(results: tuple[ThresholdResult, ...], r: float) -> tuple[Thresho
     """``results`` with each closed-form-only one given its bisected root:
     one ``numeric_threshold`` call, so one scan, per distinct channel.  The
     thermal channel (kappa = 1) scans 50 time units, the laser channel
-    ``_default_t_max``.  An infinite root short of a finite closed form
-    beyond the scan is "beyond-scan-horizon", not "ok"."""
+    ``_default_t_max``.  An infinite root against a finite closed form is
+    not "ok": "beyond-scan-horizon" when the closed form lies past the scan,
+    else "unresolved"."""
     groups = {}
     for i, res in enumerate(results):
         if res.status == "closed-form-only":
@@ -517,6 +515,8 @@ def _with_roots(results: tuple[ThresholdResult, ...], r: float) -> tuple[Thresho
         t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
         roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[out[i].direction] for i in rows), t_max)
         for i, t_numeric in zip(rows, roots):
-            beyond = math.isinf(t_numeric) and t_max < out[i].t_closed < math.inf
-            out[i] = replace(out[i], t_numeric=t_numeric, status="beyond-scan-horizon" if beyond else "ok")
+            status = "ok"
+            if math.isinf(t_numeric) and math.isfinite(out[i].t_closed):  # no root to compare with
+                status = "beyond-scan-horizon" if out[i].t_closed > t_max else "unresolved"
+            out[i] = replace(out[i], t_numeric=t_numeric, status=status)
     return tuple(out)

@@ -176,7 +176,8 @@ def _tmsv_cms(r) -> np.ndarray:
     for bad, rule in ((~np.isfinite(r), "finite"), (r < 0, ">= 0")):
         if _any(bad):
             raise InvalidArgumentError(f"squeezing parameter must be {rule}, got {r[bad][0]}")
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    with np.errstate(over="ignore"):  # an overflow is an inf entry, which validation rejects
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
     cms = np.zeros(r.shape + (4, 4))
     for i in range(4):
         cms[..., i, i] = ch

@@ -25,6 +25,7 @@ from .channels import (
 from .criteria import SteeringDirection, entropic_sum, reid_inferred_variance, Quadrature
 from .errors import InvalidArgumentError
 from .measures import (
+    _with_roots,
     inseparability_threshold,
     one_side_thresholds,
     two_way_laser_threshold,
@@ -211,26 +212,22 @@ def _suite_symplectic(n_states: int = 1000) -> SuiteResult:
 
 
 def _threshold_results():
+    """The grid's rows; each r's are rooted together, as ``threshold_table`` does."""
     for r in (0.3, 0.5, 1.0):
-        yield two_way_laser_threshold(0.0, 1.0, r)
-        yield two_way_laser_threshold(1.0, 0.0, r)
-        for gamma in (0.5, 1.0, 2.0):
-            yield two_way_laser_threshold(gamma, 1.0, r)
-        for res in one_side_thresholds(0.0, 1.0, r):
-            yield res
-        for res in one_side_thresholds(1.0, 0.0, r):
-            yield res
-        for res in one_side_thresholds(0.5, 1.0, r):
-            yield res
-        yield inseparability_threshold(1.0, 0.0, r, ChannelSide.BOTH)
-        yield inseparability_threshold(0.5, 1.0, r, ChannelSide.BOTH)
-        yield inseparability_threshold(0.5, 1.0, r, ChannelSide.B)
+        rates = ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0))
+        rows = [two_way_laser_threshold(g, kappa, r, bisect=False) for g, kappa in rates]
+        for g, kappa in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0)):
+            rows += one_side_thresholds(g, kappa, r, bisect=False)
+        for g, kappa, side in ((1.0, 0.0, ChannelSide.BOTH), (0.5, 1.0, ChannelSide.BOTH), (0.5, 1.0, ChannelSide.B)):
+            rows.append(inseparability_threshold(g, kappa, r, side, bisect=False))
+        yield from _with_roots(tuple(rows), r)
     for nbar, r in ((0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
-        yield two_way_thermal_threshold(nbar, r)
+        rows = [two_way_thermal_threshold(nbar, r, bisect=False)]
         preset = thermal_preset(1.0, nbar, 0.0)
         if nbar > 0:
-            yield inseparability_threshold(preset.g, preset.kappa, r, ChannelSide.BOTH)
-            yield inseparability_threshold(preset.g, preset.kappa, r, ChannelSide.B)
+            for side in (ChannelSide.BOTH, ChannelSide.B):
+                rows.append(inseparability_threshold(preset.g, preset.kappa, r, side, bisect=False))
+        yield from _with_roots(tuple(rows), r)
 
 
 def _suite_thresholds() -> SuiteResult:

@@ -22,7 +22,9 @@ from cvsteer.channels import (
     v_infinity,
 )
 from cvsteer.errors import InvalidArgumentError
+from cvsteer.measures import log_negativity, steering_report
 from cvsteer.states import TwoModeGaussianState, _tmsv_cms, make_tmsv, symplectic_eigenvalues, vacuum
+from cvsteer.verify import random_physical_state
 
 
 def test_identity_at_zero_time():
@@ -129,6 +131,62 @@ def test_laser_semigroup_property():
     sequential = spec.evolve(spec.evolve(s, 0.17), 0.29)
     direct = spec.evolve(s, 0.46)
     assert np.allclose(sequential.cm, direct.cm, atol=1e-12)
+
+
+_KINDS = ("identity", "loss", "gain", "thermal", "laser", "phase-sensitive")
+
+
+@st.composite
+def _channels(draw):
+    """Every channel kind and side, with rates up to 3 and any admissible real m."""
+    nbar = draw(st.floats(0.0, 1.5))
+    m = draw(st.floats(-1.0, 1.0)) * math.sqrt(nbar * (nbar + 1.0))
+    kind, side = draw(st.sampled_from(_KINDS)), draw(st.sampled_from(list(ChannelSide)))
+    return ChannelSpec(kind=kind, side=side, g=draw(st.floats(0.0, 3.0)), kappa=draw(st.floats(0.0, 3.0)), nbar=nbar, m=m)
+
+
+@st.composite
+def _states(draw):
+    """A TMSV with r <= 1.5, or a seeded random mixed state with a mean."""
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    if seed is None:
+        return make_tmsv(draw(st.floats(0.0, 1.5)))
+    return random_physical_state(np.random.default_rng(seed), with_mean=True)
+
+
+@given(channel=_channels(), state=_states(), t1=st.floats(0.0, 1.0), t2=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_evolution_is_a_semigroup(channel, state, t1, t2):
+    twice, once = channel.evolve(channel.evolve(state, t1), t2), channel.evolve(state, t1 + t2)
+    for a, b in ((twice.cm, once.cm), (twice.mean, once.mean)):
+        assert np.allclose(a, b, rtol=1e-11, atol=1e-11 * np.abs(b).max())
+
+
+_MIRROR = {ChannelSide.A: ChannelSide.B, ChannelSide.B: ChannelSide.A, ChannelSide.BOTH: ChannelSide.BOTH}
+
+
+@given(channel=_channels(), state=_states(), t=st.floats(0.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_channel_commutes_with_the_mode_swap(channel, state, t):
+    # The channel on A of the swapped state is the swap of the channel on B.
+    mirrored = replace(channel, side=_MIRROR[channel.side]).evolve(state.swapped(), t)
+    evolved = channel.evolve(state, t)
+    assert mirrored == evolved.swapped()
+    report, swapped = steering_report(evolved), steering_report(mirrored)
+    for field in ("reid", "entropic", "g"):
+        assert getattr(swapped, f"{field}_a_to_b") == getattr(report, f"{field}_b_to_a")
+        assert getattr(swapped, f"{field}_b_to_a") == getattr(report, f"{field}_a_to_b")
+    # E_N takes a square root of a near-cancelling discriminant: its rounding
+    # error reaches sqrt(eps) ~ 1e-8, the scan's E_N noise floor is 1e-7.
+    assert swapped.e_n == pytest.approx(report.e_n, rel=1e-9, abs=1e-7)
+
+
+@given(channel=_channels(), state=_states(), ts=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_log_negativity_never_grows_along_a_channel(channel, state, ts):
+    # Each channel is a local operation, and evolve(s, t2) = evolve(evolve(s, t1), t2 - t1).
+    values = [log_negativity(channel.evolve(state, t)) for t in sorted(ts)]
+    assert all(later <= earlier + 1e-7 for earlier, later in zip(values, values[1:]))
 
 
 @given(

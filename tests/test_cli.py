@@ -349,3 +349,64 @@ def test_threshold_closed_form_of_an_underflowing_rate_ratio(capsys, g, kappa, f
     assert float(t_closed) == pytest.approx((math.log(num) - math.log(den)) / (2.0 * (kappa - g)), rel=1e-11)
     assert float(t_closed) > 50.0 / (g + kappa)
     assert (t_numeric, status) == ("inf", "beyond-scan-horizon")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("eval", "--r", "0.5", "--kt", "0.3"), "error: --kt needs a channel with a positive loss rate\n"),
+        (("eval", "--r", "0.5", "--gt", "0.3", "--g", "2"), "error: --gt needs a channel with a positive gain rate\n"),
+        (("sweep", "--var", "kt", "--steps", "3"), "error: sweeping kt needs a channel with a positive loss rate\n"),
+        # The TMSV is built before the duration is read, so a bad --r is reported first.
+        (("eval", "--r", "-1", "--kt", "0.3"), "error: squeezing parameter must be >= 0, got -1.0\n"),
+        (("eval", "--r", "nan", "--t", "1", "--kt", "1"), "error: squeezing parameter must be finite, got nan\n"),
+        # An r sweep reads its duration first.
+        (("sweep", "--var", "r", "--start", "-1", "--steps", "3", "--kt", "0.3"),
+         "error: --kt needs a channel with a positive loss rate\n"),
+        # The identity channel checks its durations as every other channel does.
+        (("eval", "--r", "0.5", "--t", "-1"), "error: durations must be finite and >= 0\n"),
+        (("sweep", "--var", "t", "--start", "-1", "--steps", "3"), "error: durations must be finite and >= 0\n"),
+    ],
+)
+def test_duration_without_channel_exits_2(capsys, argv, message):
+    # No --channel is the identity channel: it checks durations as any channel
+    # does, and it has no rate to scale kt or gt by.
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def test_r_sweep_checks_each_tmsv_before_the_channel(capsys):
+    # The channel shrinks the state back under the scale limit, so only the
+    # TMSV's own check rejects r = 90, as eval --r 90 does.
+    code, out, err = run_cli(
+        capsys, "sweep", "--var", "r", "--start", "88.5", "--stop", "90", "--steps", "2", "--channel", "loss", "--kt", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: covariance scale 1.489e+78 exceeds") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--r", "400"),
+        ("eval", "--r", "1e308"),
+        ("sweep", "--var", "r", "--start", "0", "--stop", "1e3", "--steps", "3"),
+    ],
+)
+def test_overflowing_squeezing_exits_2_without_warnings(capsys, argv):
+    # cosh 2r and sinh 2r (and 2r itself at 1e308) overflow to inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: covariance matrix must be finite\n"
+
+
+def test_threshold_row_without_a_root_inside_the_scan_is_unresolved(capsys):
+    # At r = 1e-6 the one-side E_N sinks into the scan's noise band: the scan
+    # finds no root although the closed form ln 2 lies inside t_max = 50 / 1.5.
+    code, out, _ = run_cli(capsys, "threshold", "--channel", "laser", "--r", "1e-6", "--g", "0.5", "--kappa", "1",
+                           "--quantity", "inseparability", "--side", "b")
+    assert code == 0
+    (direction, t_closed, t_numeric, _, status), = [line.split() for line in out.splitlines()[1:]]
+    assert (direction, t_numeric, status) == ("inseparability", "inf", "unresolved")
+    assert float(t_closed) == pytest.approx(math.log(2.0), rel=1e-11)

@@ -3,7 +3,8 @@
 ``tests/golden/cli_digests.json`` holds, per case, the argument vector, the
 exit code and the sha256 of stdout.  The cases cover every figure preset in
 CSV and JSON, generic sweeps over every swept variable, channel kind and
-side, sweeps without a channel, single-state reports, threshold tables and
+side, sweeps and reports without a channel, single-state reports from flags
+and from a state file (``golden/displaced-state.json``), threshold tables and
 the printed deviations and worst cases of every `verify` suite.
 A refactor that changes one printed digit fails here.
 
@@ -79,6 +80,7 @@ def cases() -> dict[str, list[str]]:
         out[f"sweep-{var}-{kind}-json"] = _sweep_argv(var, kind, "two", steps="5") + ["--format", "json"]
     for var, start, stop in (("t", "0", "1"), ("r", "0", "1.2"), ("nbar", "0", "1"), ("kt", "0", "1")):
         out[f"sweep-{var}-no-channel"] = ["sweep", "--var", var, "--start", start, "--stop", stop, "--steps", "7"]
+    out["sweep-r-no-channel-duration"] = ["sweep", "--var", "r", "--start", "0", "--stop", "1.2", "--steps", "7", "--t", "0.3"]
     # Zero duration is the identity channel: the rates are never consulted.
     out["sweep-r-zero-duration"] = ["sweep", "--var", "r", "--steps", "5", "--channel", "loss", "--kappa", "-1"]
     out["sweep-one-minus-T-provenance"] = _sweep_argv("one-minus-T", "thermal", "b") + ["--provenance"]
@@ -87,6 +89,10 @@ def cases() -> dict[str, list[str]]:
             out[f"eval-{kind}-{side}"] = ["eval", "--r", _R_BY_SIDE[side], "--channel", kind, "--side", side] + _RATES[
                 kind
             ] + ["--t", "0.35"]
+    # Without --channel a duration leaves the state as it is; state files
+    # resolve against the tests directory.
+    out["eval-no-channel"] = ["eval", "--r", "0.5", "--t", "0.3"]
+    out["eval-state-file"] = ["eval", "--state", "golden/displaced-state.json", "--include-state"]
     out["eval-include-state"] = ["eval", "--r", "0.9", "--channel", "laser", "--g", "2", "--kt", "0.2", "--include-state"]
     for kind in ("loss", "gain", "thermal", "laser"):
         out[f"threshold-{kind}-json"] = ["threshold", "--channel", kind, "--r", "0.6"] + _RATES[kind] + ["--format", "json"]
@@ -145,7 +151,7 @@ def run(argv) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process CLI call; an argparse
     exit counts with the code of its SystemExit."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.chdir(Path(__file__).parent), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvsteer import channels
+from cvsteer import channels, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError
@@ -280,6 +280,39 @@ def test_one_side_thresholds_share_one_scan(monkeypatch):
     assert len(built) == 1
     t_max = _default_t_max(0.5, 1.0)
     assert [t_ab.t_numeric, t_ba.t_numeric] == [numeric_threshold(built[0], 0.5, q, t_max) for q in ("G_AtoB", "G_BtoA")]
+
+
+def _per_helper_threshold_rows():
+    """The ``verify thresholds`` rows, bisected one helper call at a time."""
+    for r in (0.3, 0.5, 1.0):
+        yield two_way_laser_threshold(0.0, 1.0, r)
+        yield two_way_laser_threshold(1.0, 0.0, r)
+        for gamma in (0.5, 1.0, 2.0):
+            yield two_way_laser_threshold(gamma, 1.0, r)
+        for g, kappa in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0)):
+            yield from one_side_thresholds(g, kappa, r)
+        yield inseparability_threshold(1.0, 0.0, r, ChannelSide.BOTH)
+        yield inseparability_threshold(0.5, 1.0, r, ChannelSide.BOTH)
+        yield inseparability_threshold(0.5, 1.0, r, ChannelSide.B)
+    for nbar, r in ((0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
+        yield two_way_thermal_threshold(nbar, r)
+        if nbar > 0:
+            yield inseparability_threshold(nbar, nbar + 1.0, r, ChannelSide.BOTH)
+            yield inseparability_threshold(nbar, nbar + 1.0, r, ChannelSide.B)
+
+
+def _bits(rows):
+    return [(res.channel, res.direction, res.t_closed.hex(), res.t_numeric.hex(), res.status) for res in rows]
+
+
+def test_verify_thresholds_scans_each_channel_once_per_r(monkeypatch):
+    # 8 distinct channels per laser r and 1, 3, 3 at the thermal points: 31
+    # scans; one helper call at a time takes 11 per laser r, 40 in all.
+    built = _scan_stacks(monkeypatch)
+    rows = list(verify._threshold_results())
+    assert len(rows) == 49 and len(built) == 31
+    monkeypatch.undo()
+    assert _bits(rows) == _bits(_per_helper_threshold_rows())
 
 
 @pytest.mark.parametrize(("g", "direction"), [(1e-300, "a_to_b"), (1e300, "b_to_a")])
