@@ -20,7 +20,8 @@ import numpy as np
 
 from .channels import ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import _steering_reports, one_side_thresholds, steering_report, threshold_table, two_way_thermal_threshold
+from .measures import _check_r, _check_rates, _one_side_times, _steering_reports, _two_way_thermal_time
+from .measures import steering_report, threshold_table
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
 
@@ -95,8 +96,11 @@ def _write_table(columns, rows, fmt, out, provenance=None):
             if provenance:
                 stream.write(f"# {provenance}\n")
             stream.write(",".join(columns) + "\n")
-            for row in rows:
-                stream.write(",".join(_fmt(v) for v in row) + "\n")
+            # One %.12g template per table.  Every column holds floats or
+            # bools, which it prints as _fmt does; only -inf would differ
+            # ("-inf", not "inf"), and no column can hold -inf.
+            template = ",".join(["%.12g"] * len(columns)) + "\n"
+            stream.write("".join([template % row for row in rows]))
     finally:
         if close:
             stream.close()
@@ -111,6 +115,16 @@ def _channel_from_args(args) -> ChannelSpec:
     rates = {"g": args.g, "kappa": args.kappa, "nbar": args.nbar, "m": getattr(args, "M", None)}
     given = {name: value for name, value in rates.items() if value is not None}
     return ChannelSpec(kind=args.channel or "identity", side=ChannelSide(args.side), **given)
+
+
+def _check_rates_have_channel(args) -> None:
+    """Refuse a rate flag without --channel: the identity channel has no
+    rates.  Called once the durations are read, so that a duration flag's own
+    error (--gt without a gain rate, say) is reported first."""
+    if args.channel is None:
+        given = [f"--{name}" for name in ("g", "kappa", "nbar", "M") if getattr(args, name) is not None]
+        if given:
+            raise CvSteerError(f"{', '.join(given)} given without --channel")
 
 
 def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
@@ -170,7 +184,9 @@ def _cmd_eval(args) -> int:
     else:
         state = make_tmsv(args.r)
     channel = _channel_from_args(args)
-    state = channel.evolve(state, _durations(args, channel))
+    t = _durations(args, channel)
+    _check_rates_have_channel(args)
+    state = channel.evolve(state, t)
     report = steering_report(state).as_dict()
     if args.include_state:
         report["state"] = state_to_dict(state)
@@ -276,17 +292,20 @@ _PRESET_QUANTITIES = {
 def _preset_rows(name: str):
     preset = FIGURE_PRESETS[name]
     if name == "1":
-        nb_lo, nb_hi = preset["nbar_range"]
-        r_lo, r_hi = preset["r_range"]
-        n = preset["grid"]
-        rows = []
+        # The grid is checked once, as the threshold functions check each
+        # argument; each cell then calls their closed forms directly.
+        nbars = np.linspace(*preset["nbar_range"], preset["grid"]).tolist()
+        rs = np.linspace(*preset["r_range"], preset["grid"]).tolist()
+        for r in rs:
+            _check_r(r)
         exp2 = lambda t: math.inf if math.isinf(t) else math.exp(2.0 * t)
-        for nbar in np.linspace(nb_lo, nb_hi, n):
-            for r in np.linspace(r_lo, r_hi, n):
-                rates = thermal_preset(1.0, nbar, 0.0)
-                t_ab, t_ba = one_side_thresholds(rates.g, rates.kappa, r, bisect=False)
-                two = two_way_thermal_threshold(nbar, r, bisect=False)
-                rows.append((float(nbar), float(r), exp2(t_ab.t_closed), exp2(t_ba.t_closed), exp2(two.t_closed)))
+        rows = []
+        for nbar in nbars:
+            rates = thermal_preset(1.0, nbar, 0.0)
+            _check_rates(rates.g, rates.kappa)
+            for r in rs:
+                t_ab, t_ba = _one_side_times(rates.g, rates.kappa, r)
+                rows.append((nbar, r, exp2(t_ab), exp2(t_ba), exp2(_two_way_thermal_time(nbar, r))))
         return preset["columns"], rows
 
     xs = np.linspace(*preset["x_range"], preset["steps"])
@@ -342,6 +361,8 @@ _SWEEP_COLUMNS = (
 def _generic_sweep_rows(args):
     if args.steps < 2:
         raise CvSteerError("--steps must be >= 2")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise CvSteerError(f"--start and --stop must be finite, got {args.start} and {args.stop}")
     values = np.linspace(args.start, args.stop, args.steps)
     channel = _channel_from_args(args)
     channels = (channel,)
@@ -357,6 +378,7 @@ def _generic_sweep_rows(args):
     else:
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
+    _check_rates_have_channel(args)
     report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 

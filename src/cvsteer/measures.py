@@ -342,7 +342,8 @@ def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = 
     the added-noise coefficient, mapped back to time.  Degenerates at
     kappa = g, where the analytic limit in the noise coefficient is used.
     """
-    _check_threshold_args(g, kappa, r)
+    _check_rates(g, kappa)
+    _check_r(r)
     ch, sh2 = math.cosh(2.0 * r), 2.0 * math.sinh(r) ** 2
     if abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g):
         # Omega -> infinity; the condition reduces to A^2 + (2 cosh2r - 1) A = 2 sinh^2 r
@@ -372,17 +373,24 @@ def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> 
         raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
     _check_r(r)
     channel = ChannelSpec(kind="thermal", side=ChannelSide.BOTH, kappa=1.0, nbar=nbar)
-    if nbar >= 0.5 * math.expm1(2.0 * r):
+    if nbar >= 0.5 * math.expm1(2.0 * r):  # the window test of _two_way_thermal_time
         return ThresholdResult(channel.describe(), "two-way", 0.0, 0.0, status="never-steerable")
+    result = ThresholdResult(channel.describe(), "two-way", _two_way_thermal_time(nbar, r), math.nan, "closed-form-only")
+    return _with_roots((result,), r)[0] if bisect else result
+
+
+def _two_way_thermal_time(nbar: float, r: float) -> float:
+    """The closed form of ``two_way_thermal_threshold`` on checked floats: 0
+    in the never-steerable window nbar >= (e^{2r} - 1)/2.  Just outside the
+    window the formula itself can give 0 too, so the window is not read off
+    the result."""
+    if nbar >= 0.5 * math.expm1(2.0 * r):
+        return 0.0
     n = 2.0 * nbar + 1.0
     alpha = (n + 1.0) ** 2 - 4.0 * n * math.cosh(r) ** 2
     beta = (2.0 * n - 1.0) * (math.cosh(2.0 * r) - n)
     delta = n * (n - 1.0)
-    t_closed = 0.5 * math.log(
-        2.0 * abs(alpha) / (beta + math.sqrt(beta * beta + 4.0 * abs(alpha) * delta))
-    )
-    result = ThresholdResult(channel.describe(), "two-way", t_closed, math.nan, "closed-form-only")
-    return _with_roots((result,), r)[0] if bisect else result
+    return 0.5 * math.log(2.0 * abs(alpha) / (beta + math.sqrt(beta * beta + 4.0 * abs(alpha) * delta)))
 
 
 def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True) -> tuple[ThresholdResult, ThresholdResult]:
@@ -394,7 +402,16 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
     with the pure-loss (g = 0) A->B threshold infinite, the pure-gain
     (kappa = 0) B->A threshold infinite, and analytic limits at kappa = g.
     """
-    _check_threshold_args(g, kappa, r)
+    _check_rates(g, kappa)
+    _check_r(r)
+    t_ab, t_ba = _one_side_times(g, kappa, r)
+    results = _closed_forms(ChannelSide.B, g, kappa, ("a_to_b", t_ab), ("b_to_a", t_ba))
+    return _with_roots(results, r) if bisect else results
+
+
+def _one_side_times(g: float, kappa: float, r: float) -> tuple[float, float]:
+    """The closed forms (t_AtoB, t_BtoA) of ``one_side_thresholds`` on
+    checked floats."""
     ch = math.cosh(2.0 * r)
     sh_sq, ch_sq = math.sinh(r) ** 2, math.cosh(r) ** 2
     degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
@@ -410,8 +427,7 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
         t_ba = 1.0 / (4.0 * kappa)
     else:
         t_ba = _log_ratio(2.0 * kappa, kappa + g) / (2.0 * (kappa - g))
-    results = _closed_forms(ChannelSide.B, g, kappa, ("a_to_b", t_ab), ("b_to_a", t_ba))
-    return _with_roots(results, r) if bisect else results
+    return t_ab, t_ba
 
 
 def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide, *, bisect: bool = True) -> ThresholdResult:
@@ -421,7 +437,8 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
     infinite for pure loss.  One-side: t_c = ln(kappa / g) / (2 (kappa - g)),
     independent of r, infinite for pure loss and pure gain.
     """
-    _check_threshold_args(g, kappa, r)
+    _check_rates(g, kappa)
+    _check_r(r)
     th = math.tanh(r)
     degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
     if side is ChannelSide.BOTH:
@@ -442,12 +459,11 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
     return (_with_roots(results, r) if bisect else results)[0]
 
 
-def _check_threshold_args(g: float, kappa: float, r: float) -> None:
+def _check_rates(g: float, kappa: float) -> None:
     if not (np.isfinite(g) and np.isfinite(kappa) and g >= 0 and kappa >= 0):
         raise InvalidArgumentError(f"rates must be finite and >= 0, got g={g}, kappa={kappa}")
     if g == 0.0 and kappa == 0.0:
         raise InvalidArgumentError("g and kappa cannot both be zero")
-    _check_r(r)
 
 
 def _check_r(r: float) -> None:

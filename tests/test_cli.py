@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import cvsteer
-from cvsteer.cli import FIGURE_PRESETS, main, state_from_dict, state_to_dict
+from cvsteer.channels import ChannelSpec, thermal_preset
+from cvsteer.cli import FIGURE_PRESETS, _fmt, _preset_rows, _write_table, main, state_from_dict, state_to_dict
+from cvsteer.criteria import SteeringDirection, _entropic_sums
+from cvsteer.errors import DegenerateInputError
+from cvsteer.measures import ThresholdResult, one_side_thresholds, two_way_thermal_threshold
 from cvsteer.states import make_tmsv
 
 
@@ -410,3 +419,110 @@ def test_threshold_row_without_a_root_inside_the_scan_is_unresolved(capsys):
     (direction, t_closed, t_numeric, _, status), = [line.split() for line in out.splitlines()[1:]]
     assert (direction, t_numeric, status) == ("inseparability", "inf", "unresolved")
     assert float(t_closed) == pytest.approx(math.log(2.0), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("eval", "--r", "0.5", "--kappa", "2", "--t", "1"), "error: --kappa given without --channel\n"),
+        (("eval", "--r", "0.5", "--g", "2"), "error: --g given without --channel\n"),
+        (("eval", "--r", "0.5", "--nbar", "1", "--M", "0.5"), "error: --nbar, --M given without --channel\n"),
+        (("sweep", "--var", "t", "--steps", "3", "--kappa", "2"), "error: --kappa given without --channel\n"),
+        (("sweep", "--var", "r", "--steps", "3", "--g", "1", "--t", "0.2"), "error: --g given without --channel\n"),
+        (("sweep", "--var", "nbar", "--steps", "3", "--nbar", "1"), "error: --nbar given without --channel\n"),
+    ],
+)
+def test_rate_flags_without_channel_exit_2(capsys, argv, message):
+    # The identity channel has no rates: a rate flag without --channel is a
+    # mistake, not a no-op.
+    assert run_cli(capsys, *argv) == (2, "", message)
+
+
+def _exp2(t):
+    return math.inf if math.isinf(t) else math.exp(2.0 * t)
+
+
+def test_figure_1_cells_equal_the_public_closed_forms_bit_for_bit():
+    columns, rows = _preset_rows("1")
+    assert len(rows) == FIGURE_PRESETS["1"]["grid"] ** 2
+    window = 0
+    for nbar, r, ab, ba, two in rows:
+        rates = thermal_preset(1.0, nbar, 0.0)
+        t_ab, t_ba = one_side_thresholds(rates.g, rates.kappa, r, bisect=False)
+        t_two = two_way_thermal_threshold(nbar, r, bisect=False)
+        assert (ab, ba, two) == (_exp2(t_ab.t_closed), _exp2(t_ba.t_closed), _exp2(t_two.t_closed))
+        window += t_two.status == "never-steerable"
+    assert window > 0  # the never-steerable window is covered, where the cell reads 1
+    assert sum(row[4] == 1.0 for row in rows) == window
+
+
+def test_figure_1_builds_no_per_cell_objects(monkeypatch):
+    counts = {"ChannelSpec": 0, "ThresholdResult": 0, "describe": 0}
+
+    def counting(cls, name, attr):
+        original = getattr(cls, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counting(ChannelSpec, "ChannelSpec", "__post_init__")
+    counting(ChannelSpec, "describe", "describe")
+    counting(ThresholdResult, "ThresholdResult", "__init__")
+    assert main(["sweep", "--figure", "1", "--out", os.devnull]) == 0
+    # 625 cells; one object per cell (or per grid row) would exceed this.
+    assert max(counts.values()) <= 2, counts
+
+
+def _csv_lines(columns, rows):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _write_table(columns, rows, "csv", None)
+    return buffer.getvalue().splitlines()
+
+
+def _fmt_lines(columns, rows):
+    return [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+
+
+_CSV_VALUES = st.one_of(st.floats(allow_infinity=False), st.booleans(), st.sampled_from([math.inf, math.nan]))
+
+
+@given(rows=st.lists(st.tuples(_CSV_VALUES, _CSV_VALUES, _CSV_VALUES), max_size=8))
+@example(rows=[(0.0, -0.0, 1e-300), (1e300, -1e300, -1e-300), (True, False, math.inf), (math.nan, 5e-324, 0.1)])
+def test_csv_template_prints_what_fmt_prints(rows):
+    columns = ("x", "y", "z")
+    assert _csv_lines(columns, rows) == _fmt_lines(columns, rows)
+
+
+def test_csv_template_prints_negative_infinity_as_such():
+    # The one value where the two differ: _fmt prints -inf as "inf".  No CSV
+    # column can hold it, as the tests below pin.
+    assert _csv_lines(("x",), [(-math.inf,)]) == ["x", "-inf"]
+    assert _fmt_lines(("x",), [(-math.inf,)]) == ["x", "inf"]
+
+
+@pytest.mark.parametrize("var", ["t", "kt", "gt", "nbar", "r", "one-minus-T"])
+@pytest.mark.parametrize("bounds", [("--start=-inf",), ("--stop=-inf",), ("--start=inf",), ("--stop=nan",)])
+def test_non_finite_sweep_bounds_exit_2(capsys, var, bounds):
+    # The swept column is the only CSV column taken from user input; the
+    # report columns are clamped at 0 (Reid, steerability, E_N), 0/1 (verdicts)
+    # or logs of inferred variances checked to be positive (entropic sums).
+    code, out, err = run_cli(capsys, "sweep", "--var", var, "--steps", "3", "--channel", "laser", "--kt", "0.1", *bounds)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --start and --stop must be finite, got ")
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+def test_figure_presets_hold_no_negative_infinity(name):
+    _, rows = _preset_rows(name)
+    assert all(v != -math.inf for row in rows for v in row)
+
+
+def test_entropic_sum_refuses_a_zero_inferred_variance():
+    # The guard that keeps the entropic columns finite: ln 0 would be -inf.
+    cm = np.array([[2.0, 0, 2.0, 0], [0, 2.0, 0, -2.0], [2.0, 0, 2.0, 0], [0, -2.0, 0, 2.0]])
+    with pytest.raises(DegenerateInputError):
+        _entropic_sums(cm[None], SteeringDirection.A_TO_B)

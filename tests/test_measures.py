@@ -112,6 +112,16 @@ def test_thermal_threshold_outside_window_is_never_steerable():
     assert res.t_closed == 0.0
 
 
+def test_thermal_threshold_status_comes_from_the_window_not_the_time():
+    # Just inside the closed form's range its time rounds to exactly 0; the
+    # row is still bisected, not reported as never-steerable.
+    nbar, r = 0.7517950634612653, 0.45886287625418065
+    assert nbar < 0.5 * math.expm1(2 * r)
+    res = two_way_thermal_threshold(nbar, r)
+    assert res.status == "ok"
+    assert res.t_numeric == pytest.approx(0.0566386615628, rel=1e-9)
+
+
 def test_one_side_loss_thresholds():
     t_ab, t_ba = one_side_thresholds(0.0, 1.0, 0.5)
     assert math.isinf(t_ab.t_closed) and math.isinf(t_ab.t_numeric)
