@@ -219,21 +219,24 @@ def apply_phase_sensitive(
     return spec.evolve(state, params.t)
 
 
-_CHANNEL_KINDS = ("identity", "loss", "gain", "thermal", "laser", "phase-sensitive")
+# The rates each channel kind reads, in ``ChannelSpec.describe()`` order.
+_KIND_RATES = {
+    "identity": (),
+    "loss": ("kappa",),
+    "gain": ("g",),
+    "thermal": ("kappa", "nbar"),
+    "laser": ("g", "kappa"),
+    "phase-sensitive": ("kappa", "nbar", "m"),
+}
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """A channel family with fixed rates, evaluated at varying durations.
 
-    ``kind`` selects the map; only the rates it uses are consulted:
-        loss            kappa
-        gain            g
-        thermal         kappa, nbar
-        laser           g, kappa
-        phase-sensitive kappa, nbar, m
-    Rates default to 1 so durations read as dimensionless products (kappa*t
-    or g*t).
+    ``kind`` selects the map; only the rates ``_KIND_RATES`` lists for it
+    are consulted.  Rates default to 1 so durations read as dimensionless
+    products (kappa*t or g*t).
     """
 
     kind: str
@@ -244,8 +247,8 @@ class ChannelSpec:
     m: complex = 0.0
 
     def __post_init__(self):
-        if self.kind not in _CHANNEL_KINDS:
-            raise InvalidArgumentError(f"unknown channel kind {self.kind!r}; expected one of {_CHANNEL_KINDS}")
+        if self.kind not in _KIND_RATES:
+            raise InvalidArgumentError(f"unknown channel kind {self.kind!r}; expected one of {tuple(_KIND_RATES)}")
 
     def laser_params(self, t: float) -> LaserChannelParams:
         if self.kind == "loss":
@@ -290,14 +293,9 @@ class ChannelSpec:
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""
         out = {"kind": self.kind, "side": self.side.value}
-        if self.kind in ("gain", "laser"):
-            out["g"] = self.g
-        if self.kind in ("loss", "thermal", "laser", "phase-sensitive"):
-            out["kappa"] = self.kappa
-        if self.kind in ("thermal", "phase-sensitive"):
-            out["nbar"] = self.nbar
-        if self.kind == "phase-sensitive":
-            out["m"] = {"re": complex(self.m).real, "im": complex(self.m).imag}
+        for name in _KIND_RATES[self.kind]:
+            value = getattr(self, name)
+            out[name] = {"re": complex(value).real, "im": complex(value).imag} if name == "m" else value
         return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
+from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
 from .measures import _check_r, _check_rates, _one_side_times, _steering_reports, _two_way_thermal_time
 from .measures import steering_report, threshold_table
@@ -159,7 +159,7 @@ def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
 
 
 def _add_channel_flags(parser):
-    parser.add_argument("--channel", choices=["loss", "gain", "thermal", "laser", "phase-sensitive"])
+    parser.add_argument("--channel", choices=[kind for kind in _KIND_RATES if kind != "identity"])
     parser.add_argument("--side", choices=["a", "b", "two"], default="two")
     parser.add_argument("--g", type=float, help="gain rate (default 1 when the channel uses it)")
     parser.add_argument("--kappa", type=float, help="loss rate (default 1 when the channel uses it)")

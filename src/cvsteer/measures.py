@@ -71,6 +71,10 @@ _SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N":
 _R_MIN = 0.5 * math.acosh(math.exp(_SIGN_NOISE_FLOOR["G_twoway"]))
 _R_MAX = 0.5 * math.log(_MAX_SCALE)
 
+# A closed form whose ``ThresholdResult.relative_gap`` to its bisected root
+# exceeds this disagrees with it; also the ``verify thresholds`` tolerance.
+_THRESHOLD_REL_TOL = 1e-6
+
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _ADJUGATE_SIGNS.setflags(write=False)
 
@@ -200,7 +204,7 @@ def _steering_reports(cms: np.ndarray) -> dict[str, list]:
 class ThresholdResult:
     """Closed-form and bisected threshold times for one channel/quantity."""
 
-    channel: dict
+    channel: ChannelSpec
     direction: str
     t_closed: float
     t_numeric: float
@@ -212,10 +216,17 @@ class ThresholdResult:
             return 0.0
         return abs(self.t_closed - self.t_numeric)
 
+    @property
+    def relative_gap(self) -> float:
+        """agreement / max(1, |t_closed|); infinite when exactly one time is."""
+        if math.isinf(self.t_closed) or math.isinf(self.t_numeric):
+            return 0.0 if self.agreement == 0.0 else math.inf
+        return self.agreement / max(1.0, abs(self.t_closed))
+
     def as_dict(self) -> dict:
         fmt = lambda v: "inf" if math.isinf(v) else v
         return {
-            "channel": self.channel,
+            "channel": self.channel.describe(),
             "direction": self.direction,
             "t_closed": fmt(self.t_closed),
             "t_numeric": fmt(self.t_numeric),
@@ -325,10 +336,8 @@ def _brackets(ts: np.ndarray, signs: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _default_t_max(g: float, kappa: float) -> float:
-    """Scan horizon of 50 time units of 1/(g + kappa)."""
+    """Scan horizon of 50 / (g + kappa), for rates that pass ``_check_rates``."""
     rate = g + kappa
-    if rate <= 0.0:
-        raise InvalidArgumentError("g and kappa cannot both be zero")
     t_max = 50.0 * (1.0 / rate)
     if not 0.0 < t_max < math.inf:  # the sum under- or overflowed
         raise InvalidArgumentError(f"g + kappa = {rate:.6g} is out of range: the scan horizon 50 / (g + kappa) is {t_max}")
@@ -374,8 +383,8 @@ def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> 
     _check_r(r)
     channel = ChannelSpec(kind="thermal", side=ChannelSide.BOTH, kappa=1.0, nbar=nbar)
     if nbar >= 0.5 * math.expm1(2.0 * r):  # the window test of _two_way_thermal_time
-        return ThresholdResult(channel.describe(), "two-way", 0.0, 0.0, status="never-steerable")
-    result = ThresholdResult(channel.describe(), "two-way", _two_way_thermal_time(nbar, r), math.nan, "closed-form-only")
+        return ThresholdResult(channel, "two-way", 0.0, 0.0, status="never-steerable")
+    result = ThresholdResult(channel, "two-way", _two_way_thermal_time(nbar, r), math.nan, "closed-form-only")
     return _with_roots((result,), r)[0] if bisect else result
 
 
@@ -506,8 +515,8 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
 
 def _closed_forms(side: ChannelSide, g: float, kappa: float, *times) -> tuple[ThresholdResult, ...]:
     """Laser-channel results before bisection, one per (direction, t_closed)."""
-    desc = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa).describe()
-    return tuple([ThresholdResult(desc, direction, t, math.nan, "closed-form-only") for direction, t in times])
+    channel = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa)
+    return tuple([ThresholdResult(channel, direction, t, math.nan, "closed-form-only") for direction, t in times])
 
 
 _ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA", "inseparability": "E_N"}
@@ -519,20 +528,20 @@ def _with_roots(results: tuple[ThresholdResult, ...], r: float) -> tuple[Thresho
     thermal channel (kappa = 1) scans 50 time units, the laser channel
     ``_default_t_max``.  An infinite root against a finite closed form is
     not "ok": "beyond-scan-horizon" when the closed form lies past the scan,
-    else "unresolved"."""
+    else "unresolved".  Any other relative gap above the tolerance is
+    "disagree"."""
     groups = {}
     for i, res in enumerate(results):
         if res.status == "closed-form-only":
-            groups.setdefault(tuple(res.channel.items()), []).append(i)
+            groups.setdefault(res.channel, []).append(i)
     out = list(results)
-    for key, rows in groups.items():
-        rates = dict(key)  # ChannelSpec.describe() of the channel to scan
-        channel = ChannelSpec(rates.pop("kind"), ChannelSide(rates.pop("side")), **rates)
+    for channel, rows in groups.items():
         t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
         roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[out[i].direction] for i in rows), t_max)
         for i, t_numeric in zip(rows, roots):
-            status = "ok"
-            if math.isinf(t_numeric) and math.isfinite(out[i].t_closed):  # no root to compare with
-                status = "beyond-scan-horizon" if out[i].t_closed > t_max else "unresolved"
-            out[i] = replace(out[i], t_numeric=t_numeric, status=status)
+            res = replace(out[i], t_numeric=t_numeric)
+            status = "disagree" if res.relative_gap > _THRESHOLD_REL_TOL else "ok"
+            if math.isinf(t_numeric) and math.isfinite(res.t_closed):  # no root to compare with
+                status = "beyond-scan-horizon" if res.t_closed > t_max else "unresolved"
+            out[i] = replace(res, status=status)
     return tuple(out)

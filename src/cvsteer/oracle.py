@@ -73,9 +73,9 @@ class Grid2D:
         return (np.arange(self.n) - self.n / 2 + 0.5) * self.spacing
 
 
-def default_grid(state: TwoModeGaussianState, n: int = 256) -> Grid2D:
+def default_grid(state: TwoModeGaussianState) -> Grid2D:
     """Output grid sized so Gaussian tails fall below ~1e-14 at the edge."""
-    return Grid2D(length=8.0 * math.sqrt(float(np.max(np.diag(state.cm)))), n=n)
+    return Grid2D(length=8.0 * math.sqrt(float(np.max(np.diag(state.cm)))))
 
 
 def _integration_grid(state: TwoModeGaussianState, variables: str, n: int) -> Grid2D:
@@ -109,18 +109,17 @@ def _cf_grid(state: TwoModeGaussianState, variables: str, u: np.ndarray) -> np.n
     return np.exp(-0.5 * quad) * np.exp(1j * phase)
 
 
-def pdf_from_cf(state: TwoModeGaussianState, variables: str, grid: Grid2D | None = None) -> tuple[np.ndarray, Grid2D]:
+def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray, Grid2D]:
     """Tabulated joint PDF of (qbar1, qbar2) or (pbar1, pbar2) by CF inversion.
 
     P(qbar1, qbar2) = (1/2 pi^2) * integral dp1 dp2
         exp(-i sqrt(2) (qbar1 p1 + qbar2 p2)) chi(0, p1; 0, p2),
     and the momentum PDF uses the conjugate kernel on chi(q1, 0; q2, 0).
-    Returns (table, grid); table[i, j] is the density at (axis[i], axis[j]).
+    Returns (table, default_grid(state)); table[i, j] is the density at (axis[i], axis[j]).
     """
     if variables not in ("q", "p"):
         raise InvalidArgumentError(f"variables must be 'q' or 'p', got {variables!r}")
-    if grid is None:
-        grid = default_grid(state)
+    grid = default_grid(state)
     inner = _integration_grid(state, variables, grid.n)
     u = inner.axis
     chi = _cf_grid(state, variables, u)

@@ -25,6 +25,7 @@ from .channels import (
 from .criteria import SteeringDirection, entropic_sum, reid_inferred_variance, Quadrature
 from .errors import InvalidArgumentError
 from .measures import (
+    _THRESHOLD_REL_TOL,
     _with_roots,
     inseparability_threshold,
     one_side_thresholds,
@@ -41,7 +42,7 @@ from .states import (
     symplectic_eigenvalues,
 )
 
-__all__ = ["SuiteResult", "SUITES", "run_suite", "run_suites", "random_physical_state"]
+__all__ = ["SuiteResult", "SUITES", "run_suites", "random_physical_state"]
 
 _R_GRID = (0.3, 0.5, 0.88)
 _KT_GRID = (0.1, 0.3, 0.6)
@@ -196,8 +197,8 @@ def _suite_moments() -> SuiteResult:
     return SuiteResult("moments", worst, 1e-7, worst_case)
 
 
-def _suite_symplectic(n_states: int = 1000) -> SuiteResult:
-    _, cms = _random_physical_cms(np.random.default_rng(20240817), n_states)
+def _suite_symplectic() -> SuiteResult:
+    _, cms = _random_physical_cms(np.random.default_rng(20240817), 1000)
     # Sample k's matrix and its partial transpose are rows 2k and 2k + 1, so
     # the first maximum is the worst case a per-sample loop would report.
     stack = np.stack([cms, _partial_transpose_cms(cms, ModeLabel.B)], axis=1).reshape(-1, 4, 4)
@@ -233,13 +234,9 @@ def _threshold_results():
 def _suite_thresholds() -> SuiteResult:
     worst, worst_case = 0.0, ""
     for res in _threshold_results():
-        if math.isinf(res.t_closed) or math.isinf(res.t_numeric):
-            rel = 0.0 if res.agreement == 0.0 else math.inf
-        else:
-            rel = res.agreement / max(1.0, abs(res.t_closed))
-        if rel > worst:
-            worst, worst_case = rel, f"{res.channel} {res.direction}"
-    return SuiteResult("thresholds", worst, 1e-6, worst_case)
+        if res.relative_gap > worst:
+            worst, worst_case = res.relative_gap, f"{res.channel.describe()} {res.direction}"
+    return SuiteResult("thresholds", worst, _THRESHOLD_REL_TOL, worst_case)
 
 
 SUITES = {
@@ -252,13 +249,9 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> SuiteResult:
-    if name not in SUITES:
-        raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
-
-
-def run_suites(name: str = "all") -> list[SuiteResult]:
+def run_suites(name: str) -> list[SuiteResult]:
     if name == "all":
         return [fn() for fn in SUITES.values()]
-    return [run_suite(name)]
+    if name not in SUITES:
+        raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
+    return [SUITES[name]()]

@@ -244,6 +244,22 @@ def test_channel_spec_validation_and_describe():
         ChannelSpec(kind="phase-sensitive").laser_params(0.1)
 
 
+@pytest.mark.parametrize(
+    ("kind", "rates"),
+    [
+        ("identity", {}),
+        ("loss", {"kappa": 1.3}),
+        ("gain", {"g": 0.7}),
+        ("thermal", {"kappa": 1.3, "nbar": 0.8}),
+        ("laser", {"g": 0.7, "kappa": 1.3}),
+        ("phase-sensitive", {"kappa": 1.3, "nbar": 0.8, "m": {"re": 0.3, "im": -0.5}}),
+    ],
+)
+def test_describe_lists_the_rates_of_its_kind_in_order(kind, rates):
+    desc = ChannelSpec(kind=kind, side=ChannelSide.A, g=0.7, kappa=1.3, nbar=0.8, m=0.3 - 0.5j).describe()
+    assert list(desc.items()) == [("kind", kind), ("side", "a"), *rates.items()]
+
+
 def test_channel_spec_identity_kind():
     s = make_tmsv(0.4)
     assert ChannelSpec(kind="identity").evolve(s, 5.0) is s

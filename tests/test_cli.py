@@ -421,6 +421,18 @@ def test_threshold_row_without_a_root_inside_the_scan_is_unresolved(capsys):
     assert float(t_closed) == pytest.approx(math.log(2.0), rel=1e-11)
 
 
+def test_threshold_row_whose_closed_form_misses_the_root_disagrees(capsys):
+    # Near r = 2.3e-7 the bisected b_to_a root is 1.6e-3 off ln 2 / (2 kappa),
+    # which the closed form gives (ROADMAP item 2): the row must not read ok.
+    code, out, _ = run_cli(capsys, "threshold", "--channel", "loss", "--kappa", "0.23", "--r", "2.3e-7",
+                           "--quantity", "b-to-a", "--side", "b")
+    assert code == 0
+    (direction, t_closed, t_numeric, _, status), = [line.split() for line in out.splitlines()[1:]]
+    assert (direction, status) == ("b_to_a", "disagree")
+    assert float(t_closed) == pytest.approx(math.log(2.0) / 0.46, rel=1e-11)
+    assert float(t_numeric) == pytest.approx(1.50839, rel=1e-5)
+
+
 @pytest.mark.parametrize(
     ("argv", "message"),
     [

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvsteer import channels, verify
+from cvsteer import channels, measures, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError
 from cvsteer.criteria import entropic_sum, reid_product
 from cvsteer.measures import (
     SteeringReport,
+    ThresholdResult,
     _brackets,
     _default_t_max,
     _scan_grid,
@@ -114,12 +115,108 @@ def test_thermal_threshold_outside_window_is_never_steerable():
 
 def test_thermal_threshold_status_comes_from_the_window_not_the_time():
     # Just inside the closed form's range its time rounds to exactly 0; the
-    # row is still bisected, not reported as never-steerable.
+    # row is still bisected, not reported as never-steerable, and its status
+    # shows that the closed form misses the root.
     nbar, r = 0.7517950634612653, 0.45886287625418065
     assert nbar < 0.5 * math.expm1(2 * r)
     res = two_way_thermal_threshold(nbar, r)
-    assert res.status == "ok"
+    assert res.status == "disagree"
     assert res.t_numeric == pytest.approx(0.0566386615628, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    ("row", "t_closed", "t_numeric"),
+    [
+        (lambda: two_way_thermal_threshold(38.2846049402939, 2.1755852842809364), -0.0477, 0.00317130076579),
+        (lambda: two_way_laser_threshold(0.7517950634612653, 1.7517950634612653, 0.45886287625418065),
+         0.1877, 0.0566386615628),
+        (lambda: two_way_laser_threshold(38.2846049402939, 39.2846049402939, 2.1755852842809364),
+         0.0, 0.00317130076579),
+    ],
+    ids=["thermal-38.28", "laser-0.7518", "laser-38.28"],
+)
+def test_closed_form_that_misses_a_finite_root_disagrees(row, t_closed, t_numeric):
+    # Window-edge cancellation in both two-way closed forms (ROADMAP item 2);
+    # the thermal 0.7518 row is test_thermal_threshold_status_comes_from_the_window_not_the_time.
+    res = row()
+    assert res.status == "disagree"
+    assert res.t_closed == pytest.approx(t_closed, abs=1e-4)
+    assert res.t_numeric == pytest.approx(t_numeric, rel=1e-9)
+    assert res.relative_gap > measures._THRESHOLD_REL_TOL
+
+
+def test_relative_gap_is_the_verify_thresholds_rule():
+    row = lambda t_closed, t_numeric: ThresholdResult(ChannelSpec("loss"), "two-way", t_closed, t_numeric)
+    assert row(0.5, 0.5 + 1e-7).relative_gap == pytest.approx(1e-7)  # absolute below 1
+    assert row(4.0, 4.0 + 1e-6).relative_gap == pytest.approx(2.5e-7)  # relative above 1
+    assert row(math.inf, math.inf).relative_gap == 0.0
+    assert row(math.inf, 2.0).relative_gap == math.inf
+    assert row(2.0, math.inf).relative_gap == math.inf
+
+
+def _two_way_thermal(nbar, r):
+    """(closed form, bisected root) of the two-way thermal row."""
+    closed = two_way_thermal_threshold(nbar, r, bisect=False).t_closed
+    return closed, numeric_threshold(ChannelSpec("thermal", nbar=nbar), r, "G_twoway", 50.0)
+
+
+def _two_way_laser(g, kappa, r):
+    """(closed form, bisected root) of the two-way laser row."""
+    closed = two_way_laser_threshold(g, kappa, r, bisect=False).t_closed
+    return closed, numeric_threshold(ChannelSpec("laser", g=g, kappa=kappa), r, "G_twoway", _default_t_max(g, kappa))
+
+
+# Loss at kappa = 0.23, r = 2.3e-7: the two-way and b_to_a times are both
+# ln 2 / (2 kappa) there.
+_LOSS_KAPPA, _TINY_R = 0.23, 2.3e-7
+_LOSS_EXACT = math.log(2.0) / (2.0 * _LOSS_KAPPA)
+
+
+def _item(n, why):
+    return pytest.mark.xfail(strict=True, reason=f"{why} (ROADMAP item {n})")
+
+
+_EDGE = "two-way closed form cancels at the thermal window edge"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _two_way_thermal(0.11070137908008487, 0.1), marks=_item(2, "ZeroDivisionError"),
+                     id="thermal-0.1107"),
+        pytest.param(lambda: _two_way_thermal(0.143, 0.1), marks=_item(2, "never-steerable, root 0.02873"),
+                     id="thermal-0.143"),
+        pytest.param(lambda: _two_way_thermal(0.7517950634612653, 0.45886287625418065), marks=_item(2, _EDGE),
+                     id="thermal-0.7518"),
+        pytest.param(lambda: _two_way_thermal(38.2846049402939, 2.1755852842809364), marks=_item(2, _EDGE),
+                     id="thermal-38.28"),
+        pytest.param(lambda: _two_way_laser(0.11070137908008487, 1.11070137908008487, 0.1),
+                     marks=_item(2, "ZeroDivisionError"), id="laser-0.1107"),
+        # The laser twin of the 0.143 thermal row already agrees (ROADMAP item 2).
+        pytest.param(lambda: _two_way_laser(0.143, 1.143, 0.1), id="laser-0.143"),
+        pytest.param(lambda: _two_way_laser(0.7517950634612653, 1.7517950634612653, 0.45886287625418065),
+                     marks=_item(2, _EDGE), id="laser-0.7518"),
+        pytest.param(lambda: _two_way_laser(38.2846049402939, 39.2846049402939, 2.1755852842809364),
+                     marks=_item(2, _EDGE), id="laser-38.28"),
+        pytest.param(lambda: (two_way_laser_threshold(0.0, _LOSS_KAPPA, _TINY_R, bisect=False).t_closed, _LOSS_EXACT),
+                     marks=_item(2, "gives 1.51125"), id="loss-tiny-r-two-way"),
+        pytest.param(lambda: (numeric_threshold(ChannelSpec("loss", side=ChannelSide.B, kappa=_LOSS_KAPPA), _TINY_R,
+                                                "G_BtoA", 50.0 / _LOSS_KAPPA), _LOSS_EXACT),
+                     marks=_item(2, "bisected root 1.6e-3 off"), id="loss-tiny-r-b_to_a"),
+        pytest.param(lambda: _two_way_laser(1e300, 1.0, 0.5), marks=_item(2, "brentq's absolute xtol: root 1.2% off"),
+                     id="laser-g1e300"),
+    ],
+)
+def test_threshold_meets_its_reference(case):
+    value, reference = case()
+    assert math.isclose(value, reference, rel_tol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="E_N loses its sign below the discriminant's precision floor (ROADMAP item 4)")
+def test_log_negativity_sign_near_separability():
+    # 60-digit arithmetic gives E_N = +3.6e-12 here; the float exponent is -1.67e-10.
+    channel = ChannelSpec("phase-sensitive", nbar=1.0, m=math.sqrt(2.0))
+    assert log_negativity_exponent(channel.evolve(make_tmsv(0.6), 12.0)) > 0.0
 
 
 def test_one_side_loss_thresholds():

@@ -37,7 +37,6 @@ from cvsteer.verify import (
     _random_physical_cms,
     _suite_symplectic,
     random_physical_state,
-    run_suite,
     run_suites,
 )
 
@@ -136,7 +135,7 @@ def test_random_physical_state_is_physical():
 
 def test_run_suite_name_validation():
     with pytest.raises(InvalidArgumentError):
-        run_suite("bogus")
+        run_suites("bogus")
     assert set(SUITES) == {
         "pdf",
         "inferred-variance",
