@@ -331,16 +331,23 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     return _validate_cms(cms), sq
 
 
+def _rate_params(channels) -> list:
+    """Each channel's rates, validated: a PhaseSensitiveParams or a
+    LaserChannelParams at t = 0 per channel, all of the first one's kind."""
+    if channels[0].kind == "phase-sensitive":
+        return [PhaseSensitiveParams(kappa=c.kappa, nbar=c.nbar, m=c.m, t=0.0) for c in channels]
+    return [c.laser_params(0.0) for c in channels]
+
+
 def _stack_terms(channels, t):
     """The (keep, added) arguments of ``_channel_map`` for durations t, a
     float or an (N, 1, 1) array: each channel's rates are validated on their
     own, then the terms of every row are computed once, elementwise."""
+    params = _rate_params(channels)
     if channels[0].kind == "phase-sensitive":
-        baths = [PhaseSensitiveParams(kappa=c.kappa, nbar=c.nbar, m=c.m, t=0.0) for c in channels]
-        transmission, mixing = _bath_factors(_column([p.kappa for p in baths]), t)
-        return transmission, mixing * _column([v_infinity(p) for p in baths])
-    rates = [c.laser_params(0.0) for c in channels]
-    survival, noise = _laser_factors(_column([p.g for p in rates]), _column([p.kappa for p in rates]), t)
+        transmission, mixing = _bath_factors(_column([p.kappa for p in params]), t)
+        return transmission, mixing * _column([v_infinity(p) for p in params])
+    survival, noise = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)
     return survival, noise * _EYE2
 
 

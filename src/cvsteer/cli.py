@@ -9,6 +9,7 @@ Set CVSTEER_OUT_DIR to redirect relative --out paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
+from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, _rate_params, thermal_preset
 from .errors import CvSteerError
 from .measures import _check_r, _check_rates, _one_side_times, _steering_reports, _two_way_thermal_time
 from .measures import steering_report, threshold_table
@@ -127,6 +128,15 @@ def _check_rates_have_channel(args) -> None:
             raise CvSteerError(f"{', '.join(given)} given without --channel")
 
 
+def _check_rates_at_zero_duration(channels, t) -> None:
+    """Check the rates of channels built from flags when every duration in t
+    is 0.  The library consults no rates then, since a zero duration is the
+    identity whatever they are, but a bad rate flag is an error at any
+    duration: this raises what a positive duration raises in the channel."""
+    if channels[0].kind != "identity" and not np.any(t):
+        _rate_params(channels)
+
+
 def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
     """Durations in the channel: of the swept values of --var t, kt, gt or
     one-minus-T, or else the one duration of --t, --kt or --gt (0 if none).
@@ -186,6 +196,7 @@ def _cmd_eval(args) -> int:
     channel = _channel_from_args(args)
     t = _durations(args, channel)
     _check_rates_have_channel(args)
+    _check_rates_at_zero_duration((channel,), t)
     state = channel.evolve(state, t)
     report = steering_report(state).as_dict()
     if args.include_state:
@@ -343,6 +354,8 @@ def _preset_rows(name: str):
 
 
 _SWEEP_VARS = ("t", "kt", "gt", "nbar", "r", "one-minus-T")
+# The most rows a generic sweep computes: its (N, 4, 4) stack is then 12.8 MB.
+_MAX_STEPS = 100_000
 _SWEEP_COLUMNS = (
     "reid_a_to_b",
     "reid_b_to_a",
@@ -361,6 +374,8 @@ _SWEEP_COLUMNS = (
 def _generic_sweep_rows(args):
     if args.steps < 2:
         raise CvSteerError("--steps must be >= 2")
+    if args.steps > _MAX_STEPS:
+        raise CvSteerError(f"--steps must be <= {_MAX_STEPS}, got {args.steps}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise CvSteerError(f"--start and --stop must be finite, got {args.start} and {args.stop}")
     values = np.linspace(args.start, args.stop, args.steps)
@@ -379,6 +394,7 @@ def _generic_sweep_rows(args):
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
     _check_rates_have_channel(args)
+    _check_rates_at_zero_duration(channels, ts)
     report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 
@@ -498,20 +514,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built once per process.  Reusing it
+    carries nothing from one call to the next: every default is a scalar and
+    each parse fills a fresh Namespace."""
+    parser = argparse.ArgumentParser(prog=f"cvsteer {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv=None) -> int:
     """Run one CLI call on argv (default sys.argv[1:]).
 
     A named subcommand is parsed by its own parser alone, exactly as the tree
-    would parse it, since the tree costs more to build than most calls take.
+    would parse it, since the tree costs more to build than most calls take;
+    that parser is built on the command's first call in the process.
     Top-level help, a missing or unknown command and leftover arguments still
     go to the tree from build_parser(): only it prints their usage and errors.
     """
     argv = sys.argv[1:] if argv is None else argv
-    command = _COMMANDS.get(argv[0]) if argv else None
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     if command is not None:
-        parser = argparse.ArgumentParser(prog=f"cvsteer {argv[0]}")
-        command[1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _command_parser(command).parse_known_args(argv[1:])
     if command is None or extra:
         args = build_parser().parse_args(argv)
     try:

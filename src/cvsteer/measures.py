@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channels import ChannelSide, ChannelSpec
 from .criteria import SteeringDirection, _entropic_sums, _reid_products
@@ -325,6 +324,15 @@ def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, 
         if f(lo) <= 0.0:
             lo = 0.0  # root essentially at the origin; brentq still needs f(lo) > 0
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=1e-12))
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on the first call: scipy.optimize
+    takes longer to import than most CLI calls take to run, and only a
+    bisected root needs it."""
+    import scipy.optimize
+
+    return scipy.optimize.brentq(f, a, b, **kwargs)
 
 
 def _brackets(ts: np.ndarray, signs: np.ndarray) -> list[tuple[float, float]]:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import oracle
 from .channels import (
@@ -75,8 +74,11 @@ def _random_physical_cms(rng: np.random.Generator, n: int, *, with_mean: bool = 
     a validated (n, 4, 4) stack, bit for bit the states of n calls in a row.
 
     The draws keep the per-state order (H, then nu, then the mean); the
-    matrix work is done once on the stack.
+    matrix work is done once on the stack.  scipy.linalg is imported here,
+    not with the module, so that only the random states pay for it.
     """
+    from scipy.linalg import expm
+
     hs, nus, means = np.empty((n, 4, 4)), np.empty((n, 2)), np.zeros((n, 4))
     for k in range(n):
         hs[k] = rng.normal(scale=0.35, size=(4, 4))

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import cvsteer
 from cvsteer.channels import ChannelSpec, thermal_preset
-from cvsteer.cli import FIGURE_PRESETS, _fmt, _preset_rows, _write_table, main, state_from_dict, state_to_dict
+from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _command_parser, _fmt, _preset_rows, _write_table, main
+from cvsteer.cli import state_from_dict, state_to_dict
 from cvsteer.criteria import SteeringDirection, _entropic_sums
 from cvsteer.errors import DegenerateInputError
 from cvsteer.measures import ThresholdResult, one_side_thresholds, two_way_thermal_threshold
@@ -220,12 +221,47 @@ def test_threshold_closed_form_beyond_scan_horizon_is_flagged(capsys, g, beyond)
     assert {row[0] for row in rows if row[-1] != "ok"} == beyond
 
 
-def fresh_cli(*argv):
-    """(exit code, stdout, stderr) of ``python -m cvsteer`` in a new interpreter."""
+def fresh_python(*args):
+    """(exit code, stdout, stderr) of ``python *args`` in a new interpreter
+    that imports this cvsteer."""
     src = str(Path(cvsteer.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "cvsteer", *argv], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def fresh_cli(*argv):
+    """(exit code, stdout, stderr) of ``python -m cvsteer`` in a new interpreter."""
+    return fresh_python("-m", "cvsteer", *argv)
+
+
+def scipy_modules_after(*calls):
+    """In a new interpreter, import cvsteer.cli and run each argv through
+    ``main``; after each call, the scipy modules of interest then loaded."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from cvsteer import cli\n"
+        f"for argv in {calls!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "    print(' '.join(m for m in ('scipy', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    code, out, err = fresh_python("-c", script)
+    assert code == 0, err
+    return [line.split() for line in out.splitlines()]
+
+
+def test_eval_and_sweep_load_no_scipy():
+    # scipy takes longer to import than these calls take to run.
+    calls = (("eval", "--r", "0.5", "--channel", "thermal", "--nbar", "0.5", "--t", "0.3"), ("sweep", "--figure", "1"))
+    assert scipy_modules_after(*calls) == [[], []]
+
+
+def test_threshold_and_random_states_load_their_scipy_module():
+    threshold = ("threshold", "--channel", "loss", "--r", "0.6", "--quantity", "b-to-a", "--side", "b")
+    after_threshold, after_verify = scipy_modules_after(threshold, ("verify", "symplectic"))
+    assert "scipy.optimize" in after_threshold
+    assert "scipy.linalg" in after_verify
 
 
 def test_python_m_cvsteer_runs_the_cli(capsys):
@@ -448,6 +484,41 @@ def test_rate_flags_without_channel_exit_2(capsys, argv, message):
     # The identity channel has no rates: a rate flag without --channel is a
     # mistake, not a no-op.
     assert run_cli(capsys, *argv) == (2, "", message)
+
+
+_BAD_RATES = [
+    (("eval", "--r", "0.5", "--channel", "thermal", "--kappa", "1", "--nbar", "-1"),
+     "error: nbar must be finite and >= 0, got -1.0\n"),
+    (("eval", "--r", "0.5", "--channel", "laser", "--kappa", "-2"), "error: kappa must be finite and >= 0, got -2.0\n"),
+    (("eval", "--r", "0.5", "--channel", "phase-sensitive", "--nbar", "1", "--M", "3"),
+     "error: |m|^2 = 9 exceeds nbar(nbar+1) = 2\n"),
+    (("sweep", "--var", "nbar", "--channel", "thermal", "--kappa", "1", "--start", "-1", "--stop", "1", "--steps", "3"),
+     "error: nbar must be finite and >= 0, got -1.0\n"),
+    (("sweep", "--var", "nbar", "--channel", "phase-sensitive", "--M", "1", "--start", "0", "--stop", "1", "--steps", "3"),
+     "error: |m|^2 = 1 exceeds nbar(nbar+1) = 0\n"),
+    (("sweep", "--var", "r", "--channel", "gain", "--g", "nan", "--steps", "3"), "error: g must be finite and >= 0, got nan\n"),
+]
+
+
+@pytest.mark.parametrize("duration", [(), ("--t", "1")], ids=["zero-duration", "positive-duration"])
+@pytest.mark.parametrize(("argv", "message"), _BAD_RATES)
+def test_bad_rate_flags_exit_2_at_every_duration(capsys, argv, message, duration):
+    # A zero duration consults no rates in the channel itself; the CLI still
+    # rejects a bad rate flag there, with the message a positive duration gives.
+    assert run_cli(capsys, *argv, *duration) == (2, "", message)
+
+
+def test_steps_above_the_cap_exit_2_before_allocating(capsys):
+    argv = ("sweep", "--var", "t", "--channel", "loss", "--kappa", "1", "--stop", "1", "--steps", str(_MAX_STEPS + 1))
+    assert run_cli(capsys, *argv) == (2, "", f"error: --steps must be <= {_MAX_STEPS}, got {_MAX_STEPS + 1}\n")
+
+
+def test_subcommand_parser_is_built_once_and_keeps_no_state(capsys):
+    assert _command_parser("eval") is _command_parser("eval")
+    code, out, _ = run_cli(capsys, "sweep", "--var", "r", "--steps", "3")
+    assert (code, len(out.splitlines())) == (0, 1 + 3)
+    code, out, _ = run_cli(capsys, "sweep", "--var", "r")
+    assert (code, len(out.splitlines())) == (0, 1 + 51)
 
 
 def _exp2(t):

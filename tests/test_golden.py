@@ -81,8 +81,8 @@ def cases() -> dict[str, list[str]]:
     for var, start, stop in (("t", "0", "1"), ("r", "0", "1.2"), ("nbar", "0", "1"), ("kt", "0", "1")):
         out[f"sweep-{var}-no-channel"] = ["sweep", "--var", var, "--start", start, "--stop", stop, "--steps", "7"]
     out["sweep-r-no-channel-duration"] = ["sweep", "--var", "r", "--start", "0", "--stop", "1.2", "--steps", "7", "--t", "0.3"]
-    # Zero duration is the identity channel: the rates are never consulted.
-    out["sweep-r-zero-duration"] = ["sweep", "--var", "r", "--steps", "5", "--channel", "loss", "--kappa", "-1"]
+    # Zero duration is the identity channel: any valid rate prints the TMSV.
+    out["sweep-r-zero-duration"] = ["sweep", "--var", "r", "--steps", "5", "--channel", "loss", "--kappa", "2"]
     out["sweep-one-minus-T-provenance"] = _sweep_argv("one-minus-T", "thermal", "b") + ["--provenance"]
     for kind in _KINDS:
         for side in _SIDES:

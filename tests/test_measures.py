@@ -282,6 +282,27 @@ def test_numeric_threshold_infinite_sentinel():
     assert math.isinf(numeric_threshold(spec, 0.5, "G_AtoB", t_max=10.0))
 
 
+def test_each_finite_root_goes_once_through_measures_brentq(monkeypatch):
+    # measures.brentq imports scipy's on first use; the benchmark tracer wraps
+    # it by name, so every bisected root must call that module global.
+    from scipy.optimize import brentq as scipy_brentq
+
+    calls, lazy = [], measures.brentq
+
+    def counting(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return lazy(f, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "brentq", counting)
+    spec = ChannelSpec(kind="loss", side=ChannelSide.B)
+    roots = numeric_threshold(spec, 0.6, ("G_AtoB", "G_BtoA", "G_twoway", "E_N"), t_max=50.0)
+    finite = [t for t in roots if math.isfinite(t)]
+    assert len(finite) == len(calls) == 2
+    for root, (f, a, b, kwargs) in zip(finite, calls):
+        assert kwargs == {"xtol": 1e-15, "rtol": 1e-12}
+        assert root == scipy_brentq(f, a, b, **kwargs)
+
+
 def test_closed_form_only_mode_skips_bisection():
     res = two_way_laser_threshold(0.5, 1.0, 0.5, bisect=False)
     assert res.status == "closed-form-only"
