@@ -118,14 +118,16 @@ def _channel_from_args(args) -> ChannelSpec:
     return ChannelSpec(kind=args.channel or "identity", side=ChannelSide(args.side), **given)
 
 
-def _check_rates_have_channel(args) -> None:
-    """Refuse a rate flag without --channel: the identity channel has no
-    rates.  Called once the durations are read, so that a duration flag's own
-    error (--gt without a gain rate, say) is reported first."""
-    if args.channel is None:
-        given = [f"--{name}" for name in ("g", "kappa", "nbar", "M") if getattr(args, name) is not None]
-        if given:
-            raise CvSteerError(f"{', '.join(given)} given without --channel")
+def _check_rates_read(args) -> None:
+    """Refuse a rate flag (--M sets m) that ``_KIND_RATES`` does not list for the
+    channel kind; the identity channel, no --channel, reads none.  Called once
+    the durations are read, so that a duration flag's own error (--gt without
+    a gain rate, say) is reported first."""
+    kind, flags = args.channel or "identity", ("g", "kappa", "nbar", "M")
+    unread = [f"--{f}" for f in flags if getattr(args, f, None) is not None and f.lower() not in _KIND_RATES[kind]]
+    if unread:
+        where = "given without --channel" if args.channel is None else f"not read by --channel {kind}"
+        raise CvSteerError(f"{', '.join(unread)} {where}")
 
 
 def _check_rates_at_zero_duration(channels, t) -> None:
@@ -195,7 +197,7 @@ def _cmd_eval(args) -> int:
         state = make_tmsv(args.r)
     channel = _channel_from_args(args)
     t = _durations(args, channel)
-    _check_rates_have_channel(args)
+    _check_rates_read(args)
     _check_rates_at_zero_duration((channel,), t)
     state = channel.evolve(state, t)
     report = steering_report(state).as_dict()
@@ -393,7 +395,7 @@ def _generic_sweep_rows(args):
     else:
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
-    _check_rates_have_channel(args)
+    _check_rates_read(args)
     _check_rates_at_zero_duration(channels, ts)
     report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
@@ -422,6 +424,7 @@ def _cmd_sweep(args) -> int:
 # threshold
 
 def _cmd_threshold(args) -> int:
+    _check_rates_read(args)
     results = threshold_table(_channel_from_args(args), args.r, args.quantity)
     if args.format == "json":
         print(json.dumps(_json_ready([res.as_dict() for res in results]), indent=2))

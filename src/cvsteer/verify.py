@@ -1,12 +1,16 @@
 """Cross-validation suites: closed forms against the brute-force oracle.
 
-Each suite walks a standard parameter grid, records the worst deviation and
-compares it with the suite tolerance.  Used by ``cvsteer verify`` and by the
-acceptance tests.
+Each suite makes a (deviation, case) pair per check on a standard grid;
+``_worst`` keeps the first largest, or a NaN, and compares it with the suite
+tolerance.  The CF suites (pdf, inferred-variance, entropy) share one walk,
+``_cf_suites``, that inverts each family state's q and p tables once, so
+``verify all`` inverts 24 tables, as does each CF suite alone.  Used by
+``cvsteer verify`` and by the acceptance tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,10 +47,6 @@ from .states import (
 
 __all__ = ["SuiteResult", "SUITES", "run_suites", "random_physical_state"]
 
-_R_GRID = (0.3, 0.5, 0.88)
-_KT_GRID = (0.1, 0.3, 0.6)
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -57,6 +57,22 @@ class SuiteResult:
     @property
     def passed(self) -> bool:
         return self.max_deviation < self.tolerance
+
+
+def _worst(name: str, tolerance: float, deviations) -> SuiteResult:
+    """The first largest (deviation, case) pair, or the first NaN one, so that a broken check fails."""
+    worst, worst_case = 0.0, ""
+    for dev, case in deviations:
+        if math.isnan(dev):
+            return SuiteResult(name, math.nan, tolerance, case)
+        if dev > worst:
+            worst, worst_case = dev, case
+    return SuiteResult(name, worst, tolerance, worst_case)
+
+
+def _max_abs(*diffs) -> float:
+    """The largest |entry| of the differences, NaN if any entry is NaN."""
+    return float(np.max([np.max(np.abs(d)) for d in diffs]))
 
 
 def random_physical_state(rng: np.random.Generator, *, with_mean: bool = False) -> TwoModeGaussianState:
@@ -93,20 +109,18 @@ def _random_physical_cms(rng: np.random.Generator, n: int, *, with_mean: bool = 
 
 def _decohered_family():
     """(label, state, B, C) for the two-side laser family on the standard grid."""
-    cases = []
-    for r in _R_GRID:
-        cases.append((f"tmsv r={r}", make_tmsv(r), math.cosh(2 * r), math.sinh(2 * r)))
-    for r in (0.5,):
-        for kt in _KT_GRID:
-            for label, params in (
-                ("loss", LaserChannelParams(0.0, 1.0, kt)),
-                ("thermal nbar=1", thermal_preset(1.0, 1.0, kt)),
-                ("gain", LaserChannelParams(1.0, 0.0, 0.25 * kt)),
-            ):
-                state = apply_laser(make_tmsv(r), params, ChannelSide.BOTH)
-                b = params.noise + params.survival * math.cosh(2 * r)
-                c = params.survival * math.sinh(2 * r)
-                cases.append((f"{label} r={r} t={params.t}", state, b, c))
+    cases = [(f"tmsv r={r}", make_tmsv(r), math.cosh(2 * r), math.sinh(2 * r)) for r in (0.3, 0.5, 0.88)]
+    r = 0.5
+    for kt in (0.1, 0.3, 0.6):
+        for label, params in (
+            ("loss", LaserChannelParams(0.0, 1.0, kt)),
+            ("thermal nbar=1", thermal_preset(1.0, 1.0, kt)),
+            ("gain", LaserChannelParams(1.0, 0.0, 0.25 * kt)),
+        ):
+            state = apply_laser(make_tmsv(r), params, ChannelSide.BOTH)
+            b = params.noise + params.survival * math.cosh(2 * r)
+            c = params.survival * math.sinh(2 * r)
+            cases.append((f"{label} r={r} t={params.t}", state, b, c))
     return cases
 
 
@@ -119,84 +133,71 @@ def _closed_form_joint_pdf(x: np.ndarray, b: float, c: float, variables: str) ->
     return np.exp(-(b * (x1**2 + x2**2) - sign * 2.0 * c * x1 * x2) / det) / (math.pi * math.sqrt(det))
 
 
-def _suite_pdf() -> SuiteResult:
-    worst, worst_case = 0.0, ""
+def _pdf_deviations(label, state, b, c, tables):
+    for variables, (table, grid) in tables.items():
+        yield _max_abs(table - _closed_form_joint_pdf(grid.axis, b, c, variables)), f"{label} [{variables}]"
+
+
+def _inferred_variance_deviations(label, state, b, c, tables):
+    closed = (b * b - c * c) / (2.0 * b)
+    for variables, (table, grid) in tables.items():
+        numeric = oracle.numeric_inferred_variance(table, grid, "a_to_b")
+        module_value = reid_inferred_variance(state, SteeringDirection.A_TO_B, Quadrature(variables))
+        yield _max_abs(numeric - closed, numeric - module_value), f"{label} [{variables}]"
+
+
+def _entropy_deviations(label, state, b, c, tables):
+    det = b * b - c * c
+    closed = {"joint": math.log(math.e * math.pi * math.sqrt(det)), "marginal": 0.5 * math.log(math.pi * math.e * b)}
+    cond_sum = 0.0
+    for variables, (table, grid) in tables.items():
+        numeric = {part: oracle.numeric_entropy(table, grid, part) for part in closed}
+        cond_sum += numeric["joint"] - numeric["marginal"]
+        for part, value in numeric.items():
+            yield abs(value - closed[part]), f"{label} [{variables} {part}]"
+    yield abs(cond_sum - math.log(math.pi * math.e * det / b)), f"{label} [conditional-sum]"
+    yield abs(cond_sum - entropic_sum(state, SteeringDirection.A_TO_B)), f"{label} [entropic-criterion]"
+
+
+# name -> (tolerance, one family state's (deviation, case) pairs), in SUITES order.
+_CF_SUITES = {
+    "pdf": (1e-7, _pdf_deviations),
+    "inferred-variance": (1e-6, _inferred_variance_deviations),
+    "entropy": (1e-5, _entropy_deviations),
+}
+
+
+def _cf_suites(names) -> list[SuiteResult]:
+    """The named CF suites from one walk over ``_decohered_family``: each state's
+    q and p tables are inverted once, shared, and kept until the next state's
+    replace them (freeing them first doubles the next inversion's page faults)."""
+    deviations = {name: [] for name in names}
     for label, state, b, c in _decohered_family():
-        for variables in ("q", "p"):
-            table, grid = oracle.pdf_from_cf(state, variables)
-            exact = _closed_form_joint_pdf(grid.axis, b, c, variables)
-            dev = float(np.max(np.abs(table - exact)))
-            if dev > worst:
-                worst, worst_case = dev, f"{label} [{variables}]"
-    return SuiteResult("pdf", worst, 1e-7, worst_case)
+        tables = {variables: oracle.pdf_from_cf(state, variables) for variables in ("q", "p")}
+        for name in names:
+            deviations[name] += _CF_SUITES[name][1](label, state, b, c, tables)
+    return [_worst(name, _CF_SUITES[name][0], deviations[name]) for name in names]
 
 
-def _suite_inferred_variance() -> SuiteResult:
-    worst, worst_case = 0.0, ""
-    for label, state, b, c in _decohered_family():
-        closed = (b * b - c * c) / (2.0 * b)
-        for variables, quad in (("q", Quadrature.Q), ("p", Quadrature.P)):
-            table, grid = oracle.pdf_from_cf(state, variables)
-            numeric = oracle.numeric_inferred_variance(table, grid, "a_to_b")
-            module_value = reid_inferred_variance(state, SteeringDirection.A_TO_B, quad)
-            dev = max(abs(numeric - closed), abs(numeric - module_value))
-            if dev > worst:
-                worst, worst_case = dev, f"{label} [{variables}]"
-    return SuiteResult("inferred-variance", worst, 1e-6, worst_case)
-
-
-def _suite_entropy() -> SuiteResult:
-    worst, worst_case = 0.0, ""
-    for label, state, b, c in _decohered_family():
-        det = b * b - c * c
-        closed_joint = math.log(math.e * math.pi * math.sqrt(det))
-        closed_marginal = 0.5 * math.log(math.pi * math.e * b)
-        closed_cond_sum = math.log(math.pi * math.e * det / b)
-        cond_sum = 0.0
-        for variables in ("q", "p"):
-            table, grid = oracle.pdf_from_cf(state, variables)
-            joint = oracle.numeric_entropy(table, grid, "joint")
-            marginal = oracle.numeric_entropy(table, grid, "marginal")
-            cond_sum += joint - marginal
-            for name, numeric, closed in (
-                ("joint", joint, closed_joint),
-                ("marginal", marginal, closed_marginal),
-            ):
-                dev = abs(numeric - closed)
-                if dev > worst:
-                    worst, worst_case = dev, f"{label} [{variables} {name}]"
-        for name, closed in (
-            ("conditional-sum", closed_cond_sum),
-            ("entropic-criterion", entropic_sum(state, SteeringDirection.A_TO_B)),
-        ):
-            dev = abs(cond_sum - closed)
-            if dev > worst:
-                worst, worst_case = dev, f"{label} [{name}]"
-    return SuiteResult("entropy", worst, 1e-5, worst_case)
+def _cf_suite(name: str) -> SuiteResult:
+    return _cf_suites((name,))[0]
 
 
 def _moment_states():
     yield "tmsv r=0.3", make_tmsv(0.3)
     yield "tmsv r=3", make_tmsv(3.0)
-    yield "one-side laser", apply_laser(
-        make_tmsv(0.8), LaserChannelParams(0.4, 1.0, 0.3), ChannelSide.B
-    )
-    yield "phase-sensitive", apply_phase_sensitive(
-        make_tmsv(0.6),
-        PhaseSensitiveParams(kappa=1.0, nbar=1.0, m=1.0 + 0.4j, t=0.3),
-        ChannelSide.B,
-    )
+    yield "one-side laser", apply_laser(make_tmsv(0.8), LaserChannelParams(0.4, 1.0, 0.3), ChannelSide.B)
+    params = PhaseSensitiveParams(kappa=1.0, nbar=1.0, m=1.0 + 0.4j, t=0.3)
+    yield "phase-sensitive", apply_phase_sensitive(make_tmsv(0.6), params, ChannelSide.B)
     yield "displaced tmsv", TwoModeGaussianState([0.3, -0.2, 0.1, 0.4], make_tmsv(0.5).cm)
 
 
 def _suite_moments() -> SuiteResult:
-    worst, worst_case = 0.0, ""
+    deviations = []
     for label, state in _moment_states():
         mean, cm = oracle.numeric_moments(state)
-        dev = max(float(np.max(np.abs(mean - state.mean))), float(np.max(np.abs(cm - state.cm))))
-        if dev > worst:
-            worst, worst_case = dev, label
-    return SuiteResult("moments", worst, 1e-7, worst_case)
+        deviations.append((_max_abs(mean - state.mean, cm - state.cm), label))
+    return _worst("moments", 1e-7, deviations)
 
 
 def _suite_symplectic() -> SuiteResult:
@@ -207,11 +208,9 @@ def _suite_symplectic() -> SuiteResult:
     closed = symplectic_eigenvalues(stack)
     numeric = oracle.numeric_symplectic(stack)
     dev = np.maximum(np.abs(closed[0] - numeric[0]), np.abs(closed[1] - numeric[1]))
-    worst = int(np.argmax(dev))
-    if not dev[worst] > 0.0:
-        return SuiteResult("symplectic", 0.0, 1e-9, "")
+    worst = int(np.argmax(dev))  # the first maximum, or the first NaN
     k, is_pt = divmod(worst, 2)
-    return SuiteResult("symplectic", float(dev[worst]), 1e-9, f"sample {k} [{'pt' if is_pt else 'cm'}]")
+    return _worst("symplectic", 1e-9, [(float(dev[worst]), f"sample {k} [{'pt' if is_pt else 'cm'}]")])
 
 
 def _threshold_results():
@@ -234,17 +233,12 @@ def _threshold_results():
 
 
 def _suite_thresholds() -> SuiteResult:
-    worst, worst_case = 0.0, ""
-    for res in _threshold_results():
-        if res.relative_gap > worst:
-            worst, worst_case = res.relative_gap, f"{res.channel.describe()} {res.direction}"
-    return SuiteResult("thresholds", worst, _THRESHOLD_REL_TOL, worst_case)
+    deviations = ((res.relative_gap, f"{res.channel.describe()} {res.direction}") for res in _threshold_results())
+    return _worst("thresholds", _THRESHOLD_REL_TOL, deviations)
 
 
 SUITES = {
-    "pdf": _suite_pdf,
-    "inferred-variance": _suite_inferred_variance,
-    "entropy": _suite_entropy,
+    **{name: functools.partial(_cf_suite, name) for name in _CF_SUITES},
     "moments": _suite_moments,
     "symplectic": _suite_symplectic,
     "thresholds": _suite_thresholds,
@@ -252,8 +246,9 @@ SUITES = {
 
 
 def run_suites(name: str) -> list[SuiteResult]:
-    if name == "all":
-        return [fn() for fn in SUITES.values()]
+    """The named suite's result, or every suite's in SUITES order for "all"."""
+    if name == "all":  # the CF suites come first in SUITES and share one walk
+        return _cf_suites(_CF_SUITES) + [suite() for key, suite in SUITES.items() if key not in _CF_SUITES]
     if name not in SUITES:
         raise InvalidArgumentError(f"unknown suite {name!r}; expected one of {sorted(SUITES)} or 'all'")
     return [SUITES[name]()]

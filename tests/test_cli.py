@@ -478,11 +478,21 @@ def test_threshold_row_whose_closed_form_misses_the_root_disagrees(capsys):
         (("sweep", "--var", "t", "--steps", "3", "--kappa", "2"), "error: --kappa given without --channel\n"),
         (("sweep", "--var", "r", "--steps", "3", "--g", "1", "--t", "0.2"), "error: --g given without --channel\n"),
         (("sweep", "--var", "nbar", "--steps", "3", "--nbar", "1"), "error: --nbar given without --channel\n"),
+        (("eval", "--r", "0.5", "--channel", "loss", "--nbar", "5", "--M", "2", "--kt", "0.3"),
+         "error: --nbar, --M not read by --channel loss\n"),
+        (("eval", "--r", "0.5", "--channel", "gain", "--kappa", "2", "--gt", "0.3"),
+         "error: --kappa not read by --channel gain\n"),
+        (("eval", "--r", "0.5", "--channel", "thermal", "--M", "0.5"), "error: --M not read by --channel thermal\n"),
+        (("sweep", "--var", "t", "--steps", "3", "--channel", "laser", "--nbar", "1"),
+         "error: --nbar not read by --channel laser\n"),
+        (("sweep", "--var", "r", "--steps", "3", "--channel", "phase-sensitive", "--g", "1", "--kt", "0.2"),
+         "error: --g not read by --channel phase-sensitive\n"),
+        (("threshold", "--channel", "loss", "--r", "0.5", "--g", "2"), "error: --g not read by --channel loss\n"),
     ],
 )
 def test_rate_flags_without_channel_exit_2(capsys, argv, message):
-    # The identity channel has no rates: a rate flag without --channel is a
-    # mistake, not a no-op.
+    # A rate flag that the channel kind does not read is a mistake, not a
+    # no-op; the identity channel (no --channel) reads no rates at all.
     assert run_cli(capsys, *argv) == (2, "", message)
 
 

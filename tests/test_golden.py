@@ -113,7 +113,7 @@ def cases() -> dict[str, list[str]]:
     for name, flags in tables.items():
         out[f"threshold-{name}-table"] = ["threshold", *flags]
         out[f"threshold-{name}-json"] = ["threshold", *flags, "--format", "json"]
-    for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds"):
+    for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds", "all"):
         out[f"verify-{suite}"] = ["verify", suite]
     return out
 

@@ -1,11 +1,15 @@
 """The brute-force verification path itself: sanity and error handling."""
 
+import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cvsteer import oracle, verify
+from cvsteer.cli import main
 from cvsteer.errors import InvalidArgumentError, NumericalPairingError
 from cvsteer.oracle import (
     Grid2D,
@@ -251,3 +255,103 @@ def test_batched_symplectic_suite_equals_per_sample_loop():
             if dev > worst:
                 worst, worst_case = dev, f"sample {k} [{label}]"
     assert _suite_symplectic() == SuiteResult("symplectic", worst, 1e-9, worst_case)
+
+
+def _count_tables(monkeypatch):
+    """Patch ``oracle.pdf_from_cf`` to count its calls and to check, at every
+    call, that no table older than the previous state's two is still held."""
+    inverted, calls = [], [0]
+    original = oracle.pdf_from_cf
+
+    def counted(state, variables):
+        held = 2 + len(inverted) % 2  # the previous state's q and p, and this state's q
+        assert all(ref() is None for ref in inverted[: len(inverted) - held])
+        table, grid = original(state, variables)
+        inverted.append(weakref.ref(table))
+        calls[0] += 1
+        return table, grid
+
+    monkeypatch.setattr(oracle, "pdf_from_cf", counted)
+    return calls
+
+
+def test_all_equals_the_single_suites_and_inverts_each_table_once(monkeypatch):
+    calls = _count_tables(monkeypatch)
+    together = run_suites("all")
+    assert calls[0] == 2 * len(_decohered_family()) == 24
+    alone = []
+    for name in SUITES:
+        calls[0] = 0
+        alone += run_suites(name)
+        assert calls[0] == (24 if name in ("pdf", "inferred-variance", "entropy") else 0)
+    assert together == alone
+    assert [res.name for res in together] == list(SUITES)
+
+
+def _nan_table(monkeypatch):
+    original = oracle.pdf_from_cf
+
+    def patched(state, variables):
+        table, grid = original(state, variables)
+        table = table.copy()
+        table[0, 0] = math.nan
+        return table, grid
+
+    monkeypatch.setattr(oracle, "pdf_from_cf", patched)
+
+
+def _nan_moment(monkeypatch):
+    original = oracle.numeric_moments
+
+    def patched(state):
+        mean, cm = original(state)
+        cm = cm.copy()
+        cm[3, 3] = math.nan  # the mean agrees, so max(mean dev, cm dev) would drop the NaN
+        return mean, cm
+
+    monkeypatch.setattr(oracle, "numeric_moments", patched)
+
+
+def _nan_symplectic_entry(monkeypatch):
+    original = oracle.numeric_symplectic
+
+    def patched(cm):
+        nu1, nu2 = original(cm)
+        nu2 = nu2.copy()
+        nu2[7] = math.nan  # row 7 is the partial transpose of sample 3
+        return nu1, nu2
+
+    monkeypatch.setattr(oracle, "numeric_symplectic", patched)
+
+
+def _nan_threshold_row(monkeypatch):
+    rows = list(verify._threshold_results())
+    rows[4] = dataclasses.replace(rows[4], t_numeric=math.nan)
+    monkeypatch.setattr(verify, "_threshold_results", lambda: iter(rows))
+    return f"{rows[4].channel.describe()} {rows[4].direction}"
+
+
+_NAN_PATCHES = {
+    "pdf": (_nan_table, "tmsv r=0.3 [q]"),
+    "inferred-variance": (
+        lambda mp: mp.setattr(oracle, "numeric_inferred_variance", lambda *args: math.nan), "tmsv r=0.3 [q]"
+    ),
+    "entropy": (lambda mp: mp.setattr(oracle, "numeric_entropy", lambda *args: math.nan), "tmsv r=0.3 [q joint]"),
+    "moments": (_nan_moment, "tmsv r=0.3"),
+    "symplectic": (_nan_symplectic_entry, "sample 3 [pt]"),
+    "thresholds": (_nan_threshold_row, None),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_NAN_PATCHES))
+def test_a_nan_deviation_fails_its_suite(monkeypatch, capsys, suite):
+    # NaN compares false with everything, so a `dev > worst` reduction would
+    # skip it and report a pass with max deviation 0: the NaN must be the worst.
+    patch, worst_case = _NAN_PATCHES[suite]
+    worst_case = patch(monkeypatch) or worst_case
+    (result,) = run_suites(suite)
+    assert math.isnan(result.max_deviation) and not result.passed
+    assert result.worst_case == worst_case
+    assert main(["verify", suite]) == 1
+    out = capsys.readouterr().out
+    assert f"max deviation nan (tolerance {result.tolerance:.0e}) worst: {worst_case} [FAIL]" in out
