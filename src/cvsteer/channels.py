@@ -266,7 +266,8 @@ class ChannelSpec:
 
         The one-state case of ``_evolve_stack``: the mean of each decohered
         mode scales by the same sqrt(keep) as its rows and columns.  Zero
-        duration and the identity kind return ``state`` itself.
+        duration (once the rates are checked) and the identity kind return
+        ``state`` itself.
         """
         cm, sq = _evolve_stack(state.cm, (self,), t)
         if sq is None:
@@ -285,8 +286,8 @@ class ChannelSpec:
         The stacked form of ``evolve``: for an array of N durations it returns
         the (N, 4, 4) covariance matrices, built by one channel map and
         validated once with the constructor's checks.  Entries equal those of
-        ``evolve(state, t).cm`` bit for bit.  Like ``evolve``, zero duration
-        is the identity: a batch of zeros consults no rates.
+        ``evolve(state, t).cm`` bit for bit.  Like ``evolve``, it checks the
+        rates at every duration, a batch of zeros included.
         """
         return _evolve_stack(state.cm, (self,), t)[0]
 
@@ -308,8 +309,9 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     N of them with the same kind and side, which may differ in their rates.
     A 0-d t gives one 4x4 matrix, computed on scalars (``ChannelSpec.evolve``
     is that case).  ``sq`` = sqrt(keep) is the factor of each decohered mode.
-    Zero duration is the identity: a batch of zeros consults no rates,
-    returns ``cms`` broadcast and unvalidated, and sq = None.
+    Each channel's rates are checked at every duration, zero included; the
+    identity kind reads none.  Zero duration and the identity kind return
+    ``cms`` broadcast and unvalidated, and sq = None.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
@@ -320,12 +322,13 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     if not valid:
         raise InvalidArgumentError("durations must be finite and >= 0")
     first = channels[0]
-    if first.kind == "identity" or zero:
+    params = () if first.kind == "identity" else _rate_params(channels)
+    if not params or zero:
         return np.broadcast_to(cms, np.shape(t) + (4, 4)), None
     if not isinstance(t, float):
         t = t[..., None, None]
     with np.errstate(**_OVERFLOW_QUIET):
-        keep, added = _stack_terms(channels, t)
+        keep, added = _stack_terms(params, t)
         sq = np.sqrt(keep)
         cms = _channel_map(cms, sq, keep, added, first.side)
     return _validate_cms(cms), sq
@@ -339,12 +342,11 @@ def _rate_params(channels) -> list:
     return [c.laser_params(0.0) for c in channels]
 
 
-def _stack_terms(channels, t):
+def _stack_terms(params: list, t):
     """The (keep, added) arguments of ``_channel_map`` for durations t, a
-    float or an (N, 1, 1) array: each channel's rates are validated on their
-    own, then the terms of every row are computed once, elementwise."""
-    params = _rate_params(channels)
-    if channels[0].kind == "phase-sensitive":
+    float or an (N, 1, 1) array, from the ``_rate_params`` of the channels:
+    the terms of every row are computed once, elementwise."""
+    if isinstance(params[0], PhaseSensitiveParams):
         transmission, mixing = _bath_factors(_column([p.kappa for p in params]), t)
         return transmission, mixing * _column([v_infinity(p) for p in params])
     survival, noise = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, _rate_params, thermal_preset
+from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
 from .measures import _check_r, _check_rates, _one_side_times, _steering_reports, _two_way_thermal_time
 from .measures import steering_report, threshold_table
@@ -119,32 +119,27 @@ def _channel_from_args(args) -> ChannelSpec:
 
 
 def _check_rates_read(args) -> None:
-    """Refuse a rate flag (--M sets m) that ``_KIND_RATES`` does not list for the
-    channel kind; the identity channel, no --channel, reads none.  Called once
-    the durations are read, so that a duration flag's own error (--gt without
-    a gain rate, say) is reported first."""
-    kind, flags = args.channel or "identity", ("g", "kappa", "nbar", "M")
-    unread = [f"--{f}" for f in flags if getattr(args, f, None) is not None and f.lower() not in _KIND_RATES[kind]]
+    """Refuse a rate flag (--M sets m), or a swept nbar, that ``_KIND_RATES``
+    does not list for the channel kind; the identity channel, no --channel,
+    reads none.  Called once the durations are read, so that a duration flag's
+    own error (--gt without a gain rate, say) is reported first."""
+    kind = args.channel or "identity"
+    given = [(f"--{f}", f.lower()) for f in ("g", "kappa", "nbar", "M") if getattr(args, f, None) is not None]
+    if getattr(args, "var", None) == "nbar":
+        given.append(("--var nbar", "nbar"))
+    unread = [flag for flag, rate in given if rate not in _KIND_RATES[kind]]
     if unread:
         where = "given without --channel" if args.channel is None else f"not read by --channel {kind}"
         raise CvSteerError(f"{', '.join(unread)} {where}")
-
-
-def _check_rates_at_zero_duration(channels, t) -> None:
-    """Check the rates of channels built from flags when every duration in t
-    is 0.  The library consults no rates then, since a zero duration is the
-    identity whatever they are, but a bad rate flag is an error at any
-    duration: this raises what a positive duration raises in the channel."""
-    if channels[0].kind != "identity" and not np.any(t):
-        _rate_params(channels)
 
 
 def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
     """Durations in the channel: of the swept values of --var t, kt, gt or
     one-minus-T, or else the one duration of --t, --kt or --gt (0 if none).
 
-    kt and one-minus-T = 1 - e^{-2t} count in units of the loss rate, gt in
-    units of the gain rate.
+    kt and one-minus-T = 1 - e^{-2t} count in units of the loss rate kappa,
+    gt in units of the gain rate g: a kind that ``_KIND_RATES`` does not list
+    that rate for has none to scale them by.
     """
     if swept is not None:
         var, values, source = args.var, swept, f"sweeping {args.var}"
@@ -158,10 +153,10 @@ def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
         values, source = getattr(args, var), f"--{var}"
     if var == "t":
         return values
-    gain = var == "gt"
-    rate = 0.0 if channel.kind == "identity" else channel.g if gain else channel.kappa
+    unit, which = ("g", "gain") if var == "gt" else ("kappa", "loss")
+    rate = getattr(channel, unit) if unit in _KIND_RATES[channel.kind] else 0.0
     if rate <= 0:
-        raise CvSteerError(f"{source} needs a channel with a positive {'gain' if gain else 'loss'} rate")
+        raise CvSteerError(f"{source} needs a channel with a positive {which} rate")
     if var == "one-minus-T":
         outside = values[~((values >= 0.0) & (values < 1.0))]
         if outside.size:
@@ -198,7 +193,6 @@ def _cmd_eval(args) -> int:
     channel = _channel_from_args(args)
     t = _durations(args, channel)
     _check_rates_read(args)
-    _check_rates_at_zero_duration((channel,), t)
     state = channel.evolve(state, t)
     report = steering_report(state).as_dict()
     if args.include_state:
@@ -396,7 +390,6 @@ def _generic_sweep_rows(args):
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
     _check_rates_read(args)
-    _check_rates_at_zero_duration(channels, ts)
     report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
     return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
 

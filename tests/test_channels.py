@@ -294,12 +294,18 @@ def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
         assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
 
 
-def test_evolve_stack_validates_each_channel_only_after_a_nonzero_duration():
+def test_evolve_stack_validates_each_channel_at_every_duration():
     s = make_tmsv(0.5)
     bad = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.9) for v in (1.0, 0.2)]  # |m|^2 > 0.24
-    with pytest.raises(InvalidArgumentError, match="exceeds"):
-        _evolve_stack(s.cm, bad, np.full(2, 0.1))
-    assert np.array_equal(_evolve_stack(s.cm, bad, np.zeros(2))[0], np.stack([s.cm, s.cm]))
+    for t in (np.full(2, 0.1), np.zeros(2)):
+        with pytest.raises(InvalidArgumentError, match="exceeds"):
+            _evolve_stack(s.cm, bad, t)
+    with pytest.raises(InvalidArgumentError, match="nbar must be finite"):
+        ChannelSpec(kind="thermal", nbar=-1.0).evolve(s, 0.0)
+    good = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.4) for v in (1.0, 0.2)]
+    stack, sq = _evolve_stack(s.cm, good, np.zeros(2))
+    assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None
+    assert ChannelSpec(kind="thermal", nbar=0.5).evolve(s, 0.0) is s
 
 
 def test_evolve_cms_at_balanced_rates_uses_the_analytic_limit():

@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cvsteer
-from cvsteer.channels import ChannelSpec, thermal_preset
+from cvsteer.channels import _KIND_RATES, ChannelSpec, thermal_preset
 from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _command_parser, _fmt, _preset_rows, _write_table, main
 from cvsteer.cli import state_from_dict, state_to_dict
 from cvsteer.criteria import SteeringDirection, _entropic_sums
@@ -477,7 +477,8 @@ def test_threshold_row_whose_closed_form_misses_the_root_disagrees(capsys):
         (("eval", "--r", "0.5", "--nbar", "1", "--M", "0.5"), "error: --nbar, --M given without --channel\n"),
         (("sweep", "--var", "t", "--steps", "3", "--kappa", "2"), "error: --kappa given without --channel\n"),
         (("sweep", "--var", "r", "--steps", "3", "--g", "1", "--t", "0.2"), "error: --g given without --channel\n"),
-        (("sweep", "--var", "nbar", "--steps", "3", "--nbar", "1"), "error: --nbar given without --channel\n"),
+        (("sweep", "--var", "nbar", "--steps", "3", "--nbar", "1"),
+         "error: --nbar, --var nbar given without --channel\n"),
         (("eval", "--r", "0.5", "--channel", "loss", "--nbar", "5", "--M", "2", "--kt", "0.3"),
          "error: --nbar, --M not read by --channel loss\n"),
         (("eval", "--r", "0.5", "--channel", "gain", "--kappa", "2", "--gt", "0.3"),
@@ -516,6 +517,37 @@ def test_bad_rate_flags_exit_2_at_every_duration(capsys, argv, message, duration
     # A zero duration consults no rates in the channel itself; the CLI still
     # rejects a bad rate flag there, with the message a positive duration gives.
     assert run_cli(capsys, *argv, *duration) == (2, "", message)
+
+
+# Each duration flag and swept variable, with the rate it counts in (or is).
+_NEEDED_RATE = {
+    "--kt": "kappa",
+    "--gt": "g",
+    "--var kt": "kappa",
+    "--var gt": "g",
+    "--var one-minus-T": "kappa",
+    "--var nbar": "nbar",
+}
+
+
+@pytest.mark.parametrize("flag", list(_NEEDED_RATE))
+@pytest.mark.parametrize("kind", list(_KIND_RATES))
+def test_a_duration_or_swept_rate_exits_2_exactly_when_the_kind_lacks_its_rate(capsys, kind, flag):
+    channel = () if kind == "identity" else ("--channel", kind)
+    if flag.startswith("--var"):
+        var = flag.split()[1]
+        argv, source = ("sweep", "--var", var, "--stop", "0.5", "--steps", "3", *channel), f"sweeping {var}"
+    else:
+        argv, source = ("eval", "--r", "0.5", *channel, flag, "0.3"), flag
+    code, out, err = run_cli(capsys, *argv)
+    if _NEEDED_RATE[flag] in _KIND_RATES[kind]:
+        assert (code, err) == (0, "") and out
+    elif flag == "--var nbar":
+        where = "given without --channel" if kind == "identity" else f"not read by --channel {kind}"
+        assert (code, out, err) == (2, "", f"error: --var nbar {where}\n")
+    else:
+        which = "gain" if _NEEDED_RATE[flag] == "g" else "loss"
+        assert (code, out, err) == (2, "", f"error: {source} needs a channel with a positive {which} rate\n")
 
 
 def test_steps_above_the_cap_exit_2_before_allocating(capsys):

@@ -1,11 +1,13 @@
-"""Golden outputs: the CLI reproduces recorded stdout byte for byte.
+"""Golden outputs: the CLI reproduces recorded stdout and stderr byte for byte.
 
 ``tests/golden/cli_digests.json`` holds, per case, the argument vector, the
-exit code and the sha256 of stdout.  The cases cover every figure preset in
-CSV and JSON, generic sweeps over every swept variable, channel kind and
-side, sweeps and reports without a channel, single-state reports from flags
-and from a state file (``golden/displaced-state.json``), threshold tables and
-the printed deviations and worst cases of every `verify` suite.
+exit code and the sha256 of stdout and of stderr.  The cases cover every
+figure preset in CSV and JSON, generic sweeps over every swept variable,
+channel kind and side, sweeps and reports without a channel, single-state
+reports from flags and from a state file (``golden/displaced-state.json``),
+threshold tables and the printed deviations and worst cases of every
+`verify` suite.  A duration or swept variable that the kind has no rate for
+exits 2, and its error message is pinned through the stderr digest.
 A refactor that changes one printed digit fails here.
 
 ``tests/golden/cli_usage_digests.json`` pins the argument parser the same
@@ -14,7 +16,8 @@ stdout and of stderr and the exit code (of ``SystemExit`` where argparse
 exits), rendered at a fixed terminal width of 80 columns.
 
 Regenerate (only when an output change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``.  It prints the id of each
+case whose exit code or digest it rewrites, and of each case it adds or drops.
 """
 
 import contextlib
@@ -172,33 +175,44 @@ def test_golden_cases_are_current():
     assert sorted(_golden(USAGE_GOLDEN)) == sorted(usage_cases())
 
 
+def _record_of(argv) -> dict:
+    code, stdout, stderr = run(argv)
+    return {"argv": argv, "exit": code, "sha256": _digest(stdout), "stderr_sha256": _digest(stderr)}
+
+
+def _check(path, table, case):
+    expected = _golden(path)[case]
+    assert expected["argv"] == table[case]
+    actual = _record_of(expected["argv"])
+    assert actual["exit"] == expected["exit"]
+    for key, stream in (("sha256", "stdout"), ("stderr_sha256", "stderr")):
+        assert actual[key] == expected[key], f"{stream} of {' '.join(expected['argv'])} changed"
+
+
 @pytest.mark.parametrize("case", sorted(cases()))
 def test_cli_reproduces_golden_output(case):
-    expected = _golden()[case]
-    assert expected["argv"] == cases()[case]
-    code, stdout, _ = run(expected["argv"])
-    assert code == expected["exit"]
-    assert _digest(stdout) == expected["sha256"], f"stdout of {' '.join(expected['argv'])} changed"
+    _check(GOLDEN, cases(), case)
 
 
 @pytest.mark.parametrize("case", sorted(usage_cases()))
 def test_cli_reproduces_golden_help_and_usage_errors(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    expected = _golden(USAGE_GOLDEN)[case]
-    assert expected["argv"] == usage_cases()[case]
-    code, stdout, stderr = run(expected["argv"])
-    assert code == expected["exit"]
-    assert _digest(stdout) == expected["sha256"], f"stdout of {' '.join(expected['argv'])} changed"
-    assert _digest(stderr) == expected["stderr_sha256"], f"stderr of {' '.join(expected['argv'])} changed"
+    _check(USAGE_GOLDEN, usage_cases(), case)
 
 
-def _record(path, table, with_stderr=False):
-    records = {}
-    for name, argv in sorted(table.items()):
-        code, stdout, stderr = run(argv)
-        records[name] = {"argv": argv, "exit": code, "sha256": _digest(stdout)}
-        if with_stderr:
-            records[name]["stderr_sha256"] = _digest(stderr)
+def _record(path, table):
+    """Rewrite the golden file of table and print each case it moves."""
+    old = _golden(path) if path.exists() else {}
+    records = {name: _record_of(argv) for name, argv in sorted(table.items())}
+    for name in sorted(old.keys() - records.keys()):
+        print(f"dropped {name}")
+    for name, record in records.items():
+        if name not in old:
+            print(f"added {name}")
+            continue
+        moved = [key for key, value in record.items() if old[name].get(key) != value]
+        if moved:
+            print(f"rewrote {name}: {', '.join(moved)}")
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} cases to {path}")
@@ -207,4 +221,4 @@ def _record(path, table, with_stderr=False):
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     _record(GOLDEN, cases())
-    _record(USAGE_GOLDEN, usage_cases(), with_stderr=True)
+    _record(USAGE_GOLDEN, usage_cases())
