@@ -171,10 +171,14 @@ class PhaseSensitiveParams:
         m = complex(self.m)
         if not (np.isfinite(m.real) and np.isfinite(m.imag)):
             raise InvalidArgumentError(f"m must be finite, got {m}")
-        if abs(m) ** 2 > self.nbar * (self.nbar + 1.0) + 1e-12:
-            raise InvalidArgumentError(
-                f"|m|^2 = {abs(m) ** 2:.12g} exceeds nbar(nbar+1) = {self.nbar * (self.nbar + 1.0):.12g}"
-            )
+        bound = self.nbar * (self.nbar + 1.0)
+        try:
+            if abs(m) ** 2 > bound + 1e-12:
+                raise InvalidArgumentError(f"|m|^2 = {abs(m) ** 2:.12g} exceeds nbar(nbar+1) = {bound:.12g}")
+        except OverflowError:  # |m| > 1e154: compare |m| with the bound's root, the slack relative as at |m| ~ 1
+            m_abs, root = math.hypot(m.real, m.imag), math.sqrt(self.nbar) * math.sqrt(self.nbar + 1.0)
+            if m_abs - root > 1e-12 * root:
+                raise InvalidArgumentError(f"|m| = {m_abs:.12g} exceeds sqrt(nbar(nbar+1)) = {root:.12g}") from None
         object.__setattr__(self, "m", m)
 
     @property

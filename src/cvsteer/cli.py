@@ -162,7 +162,8 @@ def _durations(args, channel: ChannelSpec, swept: np.ndarray | None = None):
         if outside.size:
             raise CvSteerError(f"one-minus-T must be in [0, 1), got {outside[0]:.12g}")
         values = _log_time(values)
-    return values / rate
+    with np.errstate(over="ignore"):  # an overflow to inf is refused as a duration, as on the scalar path
+        return values / rate
 
 
 def _add_channel_flags(parser):

@@ -11,6 +11,7 @@ across parameter space).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,13 +327,65 @@ def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, 
     return float(brentq(f, lo, hi, xtol=1e-15, rtol=1e-12))
 
 
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on the first call: scipy.optimize
-    takes longer to import than most CLI calls take to run, and only a
-    bisected root needs it."""
-    import scipy.optimize
+def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """A root of f in [a, b], bit for bit the one scipy's ``brentq`` gives.
 
-    return scipy.optimize.brentq(f, a, b, **kwargs)
+    A port of scipy's C loop (``Zeros/brentq.c``) that makes the same float
+    operations in the same order; importing scipy's optimize package would
+    take longer than most threshold calls take to run.  f(a) and f(b) of one
+    sign, or a NaN value of f, raise ValueError; no convergence within
+    ``maxiter`` steps raises RuntimeError.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN, which the test below rejects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _brackets(ts: np.ndarray, signs: np.ndarray) -> list[tuple[float, float]]:

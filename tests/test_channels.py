@@ -215,6 +215,25 @@ def test_phase_sensitive_rejects_overstrong_squeezing():
         PhaseSensitiveParams(kappa=1.0, nbar=1.0, m=1.5, t=0.1)  # |m|^2 > 2
 
 
+@pytest.mark.parametrize(
+    ("nbar", "m", "admissible"),
+    [
+        (1e100, 1e300, False),  # |m|^2 overflows, nbar(nbar + 1) does not
+        (1e300, 1e300, True),  # both overflow; |m|^2 = nbar^2 < nbar(nbar + 1)
+        (1e300, 1.001e300, False),
+        (0.0, 1e200, False),
+        (1e300, 1.7e308 + 1.7e308j, False),  # |m| itself overflows
+        (1.0, math.sqrt(2.0), True),  # |m|^2 = 2 up to rounding, inside the slack
+    ],
+)
+def test_phase_sensitive_squeezing_bound_holds_where_the_square_overflows(nbar, m, admissible):
+    if admissible:
+        PhaseSensitiveParams(kappa=1.0, nbar=nbar, m=m, t=0.0)
+    else:
+        with pytest.raises(InvalidArgumentError, match="exceeds"):
+            PhaseSensitiveParams(kappa=1.0, nbar=nbar, m=m, t=0.0)
+
+
 def test_phase_sensitive_reduces_to_thermal_at_m_zero():
     s = make_tmsv(0.7)
     nbar, kt = 1.5, 0.37

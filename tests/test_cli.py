@@ -258,10 +258,13 @@ def test_eval_and_sweep_load_no_scipy():
 
 
 def test_threshold_and_random_states_load_their_scipy_module():
+    # Bisected roots go through measures' own brentq, so only the random
+    # states of the oracle suites need scipy (scipy.linalg.expm).
     threshold = ("threshold", "--channel", "loss", "--r", "0.6", "--quantity", "b-to-a", "--side", "b")
-    after_threshold, after_verify = scipy_modules_after(threshold, ("verify", "symplectic"))
-    assert "scipy.optimize" in after_threshold
-    assert "scipy.linalg" in after_verify
+    calls = (threshold, ("verify", "thresholds"), ("verify", "symplectic"))
+    after_threshold, after_thresholds_suite, after_symplectic = scipy_modules_after(*calls)
+    assert after_threshold == after_thresholds_suite == []
+    assert after_symplectic == ["scipy", "scipy.linalg"]
 
 
 def test_python_m_cvsteer_runs_the_cli(capsys):
@@ -299,6 +302,21 @@ def test_exp_overflow_exits_2_without_warnings(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--var", "kt", "--channel", "loss", "--kappa", "1e-310", "--steps", "3"),
+        ("sweep", "--var", "gt", "--channel", "gain", "--g", "1e-310", "--steps", "3"),
+        ("eval", "--r", "0.5", "--channel", "loss", "--kappa", "1e-320", "--kt", "0.3"),
+    ],
+)
+def test_duration_over_a_subnormal_rate_exits_2_without_warnings(capsys, argv):
+    # kt / kappa overflows to inf, which is no duration, swept or scalar.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, *argv) == (2, "", "error: durations must be finite and >= 0\n")
 
 
 @pytest.mark.parametrize("stop", ["1", "1.5"])

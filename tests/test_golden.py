@@ -97,6 +97,11 @@ def cases() -> dict[str, list[str]]:
     out["eval-no-channel"] = ["eval", "--r", "0.5", "--t", "0.3"]
     out["eval-state-file"] = ["eval", "--state", "golden/displaced-state.json", "--include-state"]
     out["eval-include-state"] = ["eval", "--r", "0.9", "--channel", "laser", "--g", "2", "--kt", "0.2", "--include-state"]
+    # Bath squeezing whose square overflows: checked unsquared, exit 2 beyond
+    # the bound; at |M| = nbar = 1e300, within it, the evolved state is too large.
+    for name, nbar in (("beyond", "1e100"), ("at", "1e300")):
+        out[f"eval-huge-bath-squeezing-{name}"] = ["eval", "--r", "0.5", "--channel", "phase-sensitive", "--nbar", nbar,
+                                                   "--M", "1e300", "--t", "1"]
     for kind in ("loss", "gain", "thermal", "laser"):
         out[f"threshold-{kind}-json"] = ["threshold", "--channel", kind, "--r", "0.6"] + _RATES[kind] + ["--format", "json"]
     out["threshold-laser-table"] = ["threshold", "--channel", "laser", "--r", "0.6"] + _RATES["laser"]

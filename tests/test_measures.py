@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cvsteer import channels, measures, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.criteria import SteeringDirection
-from cvsteer.errors import DegenerateInputError, InvalidArgumentError
+from cvsteer.errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from cvsteer.criteria import entropic_sum, reid_product
 from cvsteer.measures import (
     SteeringReport,
@@ -283,15 +283,15 @@ def test_numeric_threshold_infinite_sentinel():
 
 
 def test_each_finite_root_goes_once_through_measures_brentq(monkeypatch):
-    # measures.brentq imports scipy's on first use; the benchmark tracer wraps
-    # it by name, so every bisected root must call that module global.
+    # measures.brentq is a port of scipy's; the benchmark tracer wraps it by
+    # name, so every bisected root must call that module global.
     from scipy.optimize import brentq as scipy_brentq
 
-    calls, lazy = [], measures.brentq
+    calls, port = [], measures.brentq
 
     def counting(f, a, b, **kwargs):
         calls.append((f, a, b, kwargs))
-        return lazy(f, a, b, **kwargs)
+        return port(f, a, b, **kwargs)
 
     monkeypatch.setattr(measures, "brentq", counting)
     spec = ChannelSpec(kind="loss", side=ChannelSide.B)
@@ -301,6 +301,108 @@ def test_each_finite_root_goes_once_through_measures_brentq(monkeypatch):
     for root, (f, a, b, kwargs) in zip(finite, calls):
         assert kwargs == {"xtol": 1e-15, "rtol": 1e-12}
         assert root == scipy_brentq(f, a, b, **kwargs)
+
+
+def _brentq_runs(f, a, b, **kwargs):
+    """(outcome, points f was called at) of measures.brentq and of
+    scipy.optimize.brentq on the same bracket; the outcome is the root's
+    bits, or the type of the exception raised."""
+    from scipy.optimize import brentq as scipy_brentq
+
+    runs = []
+    for solver in (measures.brentq, scipy_brentq):
+        points = []
+
+        def logged(x):
+            points.append(x)
+            return f(x)
+
+        try:
+            outcome = solver(logged, a, b, **kwargs).hex()
+        except Exception as exc:  # the type is what is compared
+            outcome = type(exc)
+        runs.append((outcome, points))
+    return runs
+
+
+# Smooth functions with one sign change, at p, on the drawn brackets.
+_SMOOTH = {
+    "cubic": lambda c, p: lambda x: c * (x - p) + (x - p) ** 3,
+    "atan": lambda c, p: lambda x: math.atan(c * (x - p)),
+    "expm1": lambda c, p: lambda x: math.expm1(c * (x - p)),
+    "tanh-cubed": lambda c, p: lambda x: math.tanh(c * (x - p)) ** 3,
+    "tiny-linear": lambda c, p: lambda x: 1e-300 * c * (x - p),
+    "sin": lambda c, p: lambda x: math.sin(c * (x - p)) + 0.5 * (x - p),
+}
+
+
+@given(
+    shape=st.sampled_from(sorted(_SMOOTH)),
+    c=st.floats(0.01, 50.0),
+    p=st.floats(-1.0, 1.0),
+    below=st.floats(1e-9, 3.0),
+    above=st.floats(1e-9, 3.0),
+    flip=st.booleans(),
+    swap=st.booleans(),
+    tolerances=st.sampled_from([{}, {"xtol": 1e-15, "rtol": 1e-12}, {"xtol": 1e-4}, {"rtol": 1e-6}, {"maxiter": 4}]),
+)
+@example(shape="cubic", c=1.0, p=0.0, below=1.0, above=1.0, flip=False, swap=False, tolerances={})  # a bisection step hits f = 0
+@example(shape="tiny-linear", c=1.0, p=0.3, below=1.3, above=0.7, flip=False, swap=False,
+         tolerances={})  # an extrapolation's denominator underflows to 0
+@example(shape="expm1", c=16.4, p=-0.2, below=1.1, above=0.2, flip=False, swap=False,
+         tolerances={})  # a short step that only the 3 |sbis| - delta bound refuses
+@settings(max_examples=300, deadline=None)
+def test_brentq_equals_scipys_bit_for_bit(shape, c, p, below, above, flip, swap, tolerances):
+    g = _SMOOTH[shape](c, p)
+    f = (lambda x: -g(x)) if flip else g
+    a, b = (p + above, p - below) if swap else (p - below, p + above)
+    ours, scipys = _brentq_runs(f, a, b, **tolerances)
+    assert ours == scipys
+
+
+@pytest.mark.parametrize(("a", "b"), [(-0.0, 1.0), (-1.0, -0.0), (0.0, -1.0)])
+def test_brentq_returns_a_zero_endpoint_with_its_sign(a, b):
+    ours, scipys = _brentq_runs(lambda x: x, a, b)
+    assert ours == scipys and ours[0] in ((-0.0).hex(), (0.0).hex())
+
+
+@pytest.mark.parametrize(
+    ("f", "a", "b", "kwargs", "error"),
+    [
+        (lambda x: x * x + 1.0, -1.0, 2.0, {}, ValueError),  # f(a), f(b) of one sign
+        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 2.0, {}, ValueError),  # ... whose product underflows
+        (lambda x: math.nan if x > 0.3 else x - 0.5, 0.0, 1.0, {}, ValueError),  # NaN on the way
+        (lambda x: math.nan, 0.0, 1.0, {}, ValueError),  # NaN at a
+        (lambda x: math.atan(x - 0.3), 0.0, 1.0, {"maxiter": 2}, RuntimeError),  # out of iterations
+    ],
+    ids=["same-sign", "same-sign-tiny", "nan-inside", "nan-at-a", "maxiter"],
+)
+def test_brentq_raises_what_scipy_raises(f, a, b, kwargs, error):
+    ours, scipys = _brentq_runs(f, a, b, **kwargs)
+    assert ours == scipys and ours[0] is error
+
+
+@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_bisected_roots_equal_scipys_bit_for_bit(monkeypatch, kind, side):
+    brackets, port = [], measures.brentq
+
+    def logging(f, a, b, **kwargs):
+        brackets.append((f, a, b, kwargs))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "brentq", logging)
+    channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
+    for r in (0.3, 1.1):
+        try:
+            numeric_threshold(channel, r, ("G_AtoB", "G_BtoA", "G_twoway", "E_N"), t_max=50.0)
+        except MultiRootError:
+            pass
+    monkeypatch.undo()
+    assert brackets
+    for f, a, b, kwargs in brackets:
+        ours, scipys = _brentq_runs(f, a, b, **kwargs)
+        assert ours == scipys and isinstance(ours[0], str)
 
 
 def test_closed_form_only_mode_skips_bisection():
