@@ -350,7 +350,15 @@ def _preset_rows(name: str):
     return preset["columns"], rows
 
 
-_SWEEP_VARS = ("t", "kt", "gt", "nbar", "r", "one-minus-T")
+# Swept variable -> its default (start, stop); one-minus-T excludes 1.
+_SWEEP_VARS = {
+    "t": (0.0, 1.0),
+    "kt": (0.0, 1.0),
+    "gt": (0.0, 1.0),
+    "nbar": (0.0, 1.0),
+    "r": (0.0, 1.0),
+    "one-minus-T": (0.0, 0.99),
+}
 # The most rows a generic sweep computes: its (N, 4, 4) stack is then 12.8 MB.
 _MAX_STEPS = 100_000
 _SWEEP_COLUMNS = (
@@ -373,9 +381,12 @@ def _generic_sweep_rows(args):
         raise CvSteerError("--steps must be >= 2")
     if args.steps > _MAX_STEPS:
         raise CvSteerError(f"--steps must be <= {_MAX_STEPS}, got {args.steps}")
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise CvSteerError(f"--start and --stop must be finite, got {args.start} and {args.stop}")
-    values = np.linspace(args.start, args.stop, args.steps)
+    default_start, default_stop = _SWEEP_VARS[args.var]
+    start = default_start if args.start is None else args.start
+    stop = default_stop if args.stop is None else args.stop
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise CvSteerError(f"--start and --stop must be finite, got {start} and {stop}")
+    values = np.linspace(start, stop, args.steps)
     channel = _channel_from_args(args)
     channels = (channel,)
     if args.var in ("r", "nbar"):
@@ -463,8 +474,8 @@ def _sweep_args(p):
     p.add_argument("--figure", choices=sorted(FIGURE_PRESETS))
     p.add_argument("--explain", action="store_true", help="print preset definitions and exit")
     p.add_argument("--var", choices=_SWEEP_VARS, help="swept variable for a generic sweep")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=1.0)
+    p.add_argument("--start", type=float)
+    p.add_argument("--stop", type=float)
     p.add_argument("--steps", type=int, default=51)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -87,6 +87,8 @@ def cases() -> dict[str, list[str]]:
     # Zero duration is the identity channel: any valid rate prints the TMSV.
     out["sweep-r-zero-duration"] = ["sweep", "--var", "r", "--steps", "5", "--channel", "loss", "--kappa", "2"]
     out["sweep-one-minus-T-provenance"] = _sweep_argv("one-minus-T", "thermal", "b") + ["--provenance"]
+    # Without --start/--stop each variable sweeps its default range; one-minus-T's stops short of 1.
+    out["sweep-one-minus-T-default-range"] = ["sweep", "--var", "one-minus-T", "--channel", "loss", "--steps", "3"]
     for kind in _KINDS:
         for side in _SIDES:
             out[f"eval-{kind}-{side}"] = ["eval", "--r", _R_BY_SIDE[side], "--channel", kind, "--side", side] + _RATES[

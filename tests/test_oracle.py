@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from cvsteer import oracle, verify
 from cvsteer.cli import main
-from cvsteer.errors import InvalidArgumentError, NumericalPairingError
+from cvsteer.errors import GridResolutionError, InvalidArgumentError, NumericalPairingError
 from cvsteer.oracle import (
     Grid2D,
     _cf_grid,
@@ -177,6 +177,102 @@ def test_cf_grid_equals_einsum_reference():
             quad = np.einsum("ni,ij,nj->n", eta, state.cm, eta)
             expected = np.exp(-0.5 * quad) * np.exp(1j * (eta @ state.mean))
             assert np.array_equal(_cf_grid(state, variables, u), expected.reshape(u.size, u.size))
+
+
+def _full_kernel(grid, inner, variables):
+    """The inversion kernel exp(-+i sqrt(2) x u^T) with every entry computed."""
+    kernel_sign = -1.0 if variables == "q" else +1.0
+    return np.exp(kernel_sign * 1j * math.sqrt(2.0) * np.outer(grid.axis, inner.axis))
+
+
+def _reference_pdf_from_cf(state, variables):
+    """``pdf_from_cf`` with the full kernel and the unit phase of every state
+    computed, its checks included: (table, grid), or the error it raises."""
+    grid = default_grid(state)
+    inner = _integration_grid(state, variables, grid.n)
+    u = inner.axis
+    cols, axis = ((0, 2), u) if variables == "q" else ((1, 3), -u)
+    eta = dict(zip(cols, (axis[:, None], axis[None, :])))
+    quad = np.zeros((len(u), len(u)))
+    for i in cols:
+        for j in cols:
+            quad += eta[i] * state.cm[i, j] * eta[j]
+    phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
+    chi = np.exp(-0.5 * quad) * np.exp(1j * phase)
+    kernel = _full_kernel(grid, inner, variables)
+    table = (inner.spacing**2 / (2.0 * math.pi**2)) * (kernel @ chi @ kernel.T)
+    worst_imag = float(np.max(np.abs(table.imag)))
+    table = table.real
+    if worst_imag > oracle.RINGING_TOL or float(table.min()) < -oracle.RINGING_TOL:
+        return GridResolutionError(
+            f"CF inversion artifacts exceed tolerance (imag {worst_imag:.3e}, min {table.min():.3e})"
+        )
+    mass = float(table.sum()) * grid.spacing**2
+    if abs(mass - 1.0) > oracle.NORMALIZATION_TOL:
+        return GridResolutionError(f"reconstructed PDF integrates to {mass:.9f}, not 1")
+    return table, grid
+
+
+def _inverted_states():
+    rng = np.random.default_rng(11)
+    yield from ((label, state) for label, state, _, _ in _decohered_family())
+    yield from _moment_states()
+    yield "vacuum", vacuum()
+    # One mode displaced, and a mean of signed zeros: the unit phase may be
+    # skipped only when both components of the pair are zero.
+    yield "mode-2 displaced", TwoModeGaussianState([0.0, 0.0, 0.4, -0.3], make_tmsv(0.5).cm)
+    yield "signed-zero mean", TwoModeGaussianState([-0.0, 0.0, 0.0, -0.0], make_tmsv(0.5).cm)
+    for k in range(40):
+        yield f"random {k}", random_physical_state(rng, with_mean=k % 2 == 1)
+
+
+def test_pdf_tables_equal_the_full_kernel_inversion_bit_for_bit():
+    # The half kernel and the skipped unit phase of zero-mean states must
+    # leave every table, grid and error message as the full computation has them.
+    inverted = 0
+    for label, state in _inverted_states():
+        for variables in ("q", "p"):
+            expected = _reference_pdf_from_cf(state, variables)
+            if isinstance(expected, GridResolutionError):
+                with pytest.raises(GridResolutionError) as raised:
+                    pdf_from_cf(state, variables)
+                assert str(raised.value) == str(expected), label
+                continue
+            table, grid = pdf_from_cf(state, variables)
+            assert grid == expected[1], label
+            assert table.tobytes() == expected[0].tobytes(), f"{label} [{variables}]"
+            inverted += 1
+    assert inverted >= 2 * (len(_decohered_family()) + 5 + 3 + 30)
+
+
+def test_half_kernel_is_read_only_and_shared_by_a_family_states_q_and_p():
+    for _, state, _, _ in _decohered_family():
+        oracle._half_kernel.cache_clear()
+        pdf_from_cf(state, "q")
+        pdf_from_cf(state, "p")
+        info = oracle._half_kernel.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+    grid = default_grid(state)
+    half = oracle._half_kernel(grid, _integration_grid(state, "p", grid.n))
+    assert half.shape == (grid.n // 2, grid.n) and not half.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        half[0, 0] = 0.0
+
+
+def test_kernel_symmetries_hold_bit_for_bit_on_this_platform():
+    # The half kernel rests on exact equalities: the midpoint lattices are
+    # odd, so the q kernel's exp arguments repeat under a 180 degree rotation
+    # and the p kernel's are the q kernel's with the rows reversed.  A failure
+    # here names the cause before any table or digest test moves.
+    for label, state, _, _ in _decohered_family():
+        grid = default_grid(state)
+        for variables in ("q", "p"):
+            inner = _integration_grid(state, variables, grid.n)
+            for axis in (grid.axis, inner.axis):
+                assert axis[::-1].tobytes() == (-axis).tobytes(), label
+            q_kernel = _full_kernel(grid, inner, "q")
+            assert q_kernel.tobytes() == q_kernel[::-1, ::-1].tobytes(), label
+            assert _full_kernel(grid, inner, "p").tobytes() == q_kernel[::-1].tobytes(), label
 
 
 def _random_symmetric_stack(seed=13, n=40):
