@@ -319,12 +319,10 @@ def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, 
         raise MultiRootError(
             f"{quantity} changes sign {len(brackets)} times in (0, {t_max}]", brackets
         )
-    lo, hi = brackets[0]
-    if lo == 0.0:
-        lo = ts[0] * 0.5
-        if f(lo) <= 0.0:
-            lo = 0.0  # root essentially at the origin; brentq still needs f(lo) > 0
-    return float(brentq(f, lo, hi, xtol=1e-15, rtol=1e-12))
+    # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
+    # brentq's xtol is absolute; scaled by a horizon below 1, it still
+    # resolves roots far below 1e-15 (near 1e-301 at g = 1e300).
+    return float(brentq(f, *brackets[0], xtol=1e-15 * min(1.0, t_max), rtol=1e-12))
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
@@ -405,48 +403,24 @@ def _default_t_max(g: float, kappa: float) -> float:
     return t_max
 
 
-def two_way_laser_threshold(g: float, kappa: float, r: float, *, bisect: bool = True) -> ThresholdResult:
+def two_way_laser_threshold(g: float, kappa: float, r: float) -> ThresholdResult:
     """Two-way steering threshold of the TMSV under the two-side laser channel.
 
     Closed form: the positive root of the quadratic steerability condition in
     the added-noise coefficient, mapped back to time.  Degenerates at
     kappa = g, where the analytic limit in the noise coefficient is used.
     """
-    _check_rates(g, kappa)
-    _check_r(r)
-    ch, sh2 = math.cosh(2.0 * r), 2.0 * math.sinh(r) ** 2
-    if abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g):
-        # Omega -> infinity; the condition reduces to A^2 + (2 cosh2r - 1) A = 2 sinh^2 r
-        # with A = 2 (kappa + g) t.
-        b_lim = 2.0 * ch - 1.0
-        a_star = 0.5 * (-b_lim + math.sqrt(b_lim * b_lim + 4.0 * sh2))
-        t_closed = a_star / (2.0 * (kappa + g))
-    else:
-        omega = (kappa + g) / (kappa - g)
-        a = (omega * omega + 1.0 - 2.0 * omega * ch) / omega**2
-        b = (2.0 * omega * ch + ch - 2.0 - omega) / omega
-        c = sh2
-        arg = 1.0 + (b - math.sqrt(b * b + 4.0 * a * c)) / (2.0 * omega * a)
-        t_closed = math.log(1.0 / arg) / (2.0 * (kappa - g))
-    results = _closed_forms(ChannelSide.BOTH, g, kappa, ("two-way", t_closed))
-    return (_with_roots(results, r) if bisect else results)[0]
+    return _threshold_rows([(ChannelSpec("laser", ChannelSide.BOTH, g=g, kappa=kappa), "two-way")], r)[0]
 
 
-def two_way_thermal_threshold(nbar: float, r: float, *, bisect: bool = True) -> ThresholdResult:
+def two_way_thermal_threshold(nbar: float, r: float) -> ThresholdResult:
     """Two-way steering threshold (in units of 1/kappa) under the two-side
     thermal channel.
 
     The closed form holds for 0 <= nbar < (e^{2r} - 1)/2; outside that window
     the threshold is reported as zero with status "never-steerable".
     """
-    if not np.isfinite(nbar) or nbar < 0:
-        raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
-    _check_r(r)
-    channel = ChannelSpec(kind="thermal", side=ChannelSide.BOTH, kappa=1.0, nbar=nbar)
-    if nbar >= 0.5 * math.expm1(2.0 * r):  # the window test of _two_way_thermal_time
-        return ThresholdResult(channel, "two-way", 0.0, 0.0, status="never-steerable")
-    result = ThresholdResult(channel, "two-way", _two_way_thermal_time(nbar, r), math.nan, "closed-form-only")
-    return _with_roots((result,), r)[0] if bisect else result
+    return _threshold_rows([(ChannelSpec("thermal", kappa=1.0, nbar=nbar), "two-way")], r)[0]
 
 
 def _two_way_thermal_time(nbar: float, r: float) -> float:
@@ -463,7 +437,7 @@ def _two_way_thermal_time(nbar: float, r: float) -> float:
     return 0.5 * math.log(2.0 * abs(alpha) / (beta + math.sqrt(beta * beta + 4.0 * abs(alpha) * delta)))
 
 
-def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True) -> tuple[ThresholdResult, ThresholdResult]:
+def one_side_thresholds(g: float, kappa: float, r: float) -> tuple[ThresholdResult, ThresholdResult]:
     """Steering thresholds (t_AtoB, t_BtoA) when only mode B passes the laser channel.
 
     Closed forms:
@@ -472,11 +446,8 @@ def one_side_thresholds(g: float, kappa: float, r: float, *, bisect: bool = True
     with the pure-loss (g = 0) A->B threshold infinite, the pure-gain
     (kappa = 0) B->A threshold infinite, and analytic limits at kappa = g.
     """
-    _check_rates(g, kappa)
-    _check_r(r)
-    t_ab, t_ba = _one_side_times(g, kappa, r)
-    results = _closed_forms(ChannelSide.B, g, kappa, ("a_to_b", t_ab), ("b_to_a", t_ba))
-    return _with_roots(results, r) if bisect else results
+    channel = ChannelSpec("laser", ChannelSide.B, g=g, kappa=kappa)
+    return tuple(_threshold_rows([(channel, "a_to_b"), (channel, "b_to_a")], r))
 
 
 def _one_side_times(g: float, kappa: float, r: float) -> tuple[float, float]:
@@ -500,33 +471,14 @@ def _one_side_times(g: float, kappa: float, r: float) -> tuple[float, float]:
     return t_ab, t_ba
 
 
-def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide, *, bisect: bool = True) -> ThresholdResult:
+def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide) -> ThresholdResult:
     """Entanglement sudden-death time under the laser channel.
 
     Two-side: t_c = ln[(g + kappa tanh r) / (g (1 + tanh r))] / (2 (kappa - g)),
     infinite for pure loss.  One-side: t_c = ln(kappa / g) / (2 (kappa - g)),
     independent of r, infinite for pure loss and pure gain.
     """
-    _check_rates(g, kappa)
-    _check_r(r)
-    th = math.tanh(r)
-    degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
-    if side is ChannelSide.BOTH:
-        if g == 0.0:
-            t_closed = INFINITE_THRESHOLD
-        elif degenerate:
-            t_closed = th / (2.0 * kappa * (1.0 + th))
-        else:
-            t_closed = _log_ratio(g + kappa * th, g * (1.0 + th)) / (2.0 * (kappa - g))
-    else:
-        if g == 0.0 or kappa == 0.0:
-            t_closed = INFINITE_THRESHOLD
-        elif degenerate:
-            t_closed = 1.0 / (2.0 * kappa)
-        else:
-            t_closed = _log_ratio(kappa, g) / (2.0 * (kappa - g))
-    results = _closed_forms(side, g, kappa, ("inseparability", t_closed))
-    return (_with_roots(results, r) if bisect else results)[0]
+    return _threshold_rows([(ChannelSpec("laser", side, g=g, kappa=kappa), "inseparability")], r)[0]
 
 
 def _check_rates(g: float, kappa: float) -> None:
@@ -555,54 +507,98 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
     """The rows of ``cvsteer threshold`` for a loss, gain, thermal or laser
     channel: "two-way", "a-to-b", "b-to-a", "inseparability" on
     ``channel.side``, or "all" of them with inseparability on side B and on
-    both sides.  Every closed form comes first, then one scan per distinct
-    (channel, t_max); "a-to-b" and "b-to-a" each bisect both directions."""
+    both sides.  The thermal channel's two-way row is the thermal channel
+    itself (kappa = 1), every other row the laser channel of its rates;
+    "a-to-b" and "b-to-a" each bisect both directions."""
     rates = channel.laser_params(0.0)
-    g, kappa = rates.g, rates.kappa
+    laser = lambda side: ChannelSpec("laser", side, g=rates.g, kappa=rates.kappa)
     rows = []
     if quantity in ("two-way", "all"):
         if channel.kind == "thermal":
-            rows.append(two_way_thermal_threshold(channel.nbar, r, bisect=False))
+            rows.append((ChannelSpec("thermal", kappa=1.0, nbar=channel.nbar), "two-way"))
         else:
-            rows.append(two_way_laser_threshold(g, kappa, r, bisect=False))
+            rows.append((laser(ChannelSide.BOTH), "two-way"))
     if quantity in ("a-to-b", "b-to-a", "all"):
-        rows += one_side_thresholds(g, kappa, r, bisect=False)
+        rows += [(laser(ChannelSide.B), "a_to_b"), (laser(ChannelSide.B), "b_to_a")]
     if quantity in ("inseparability", "all"):
-        for side in [ChannelSide.B, ChannelSide.BOTH] if quantity == "all" else [channel.side]:
-            rows.append(inseparability_threshold(g, kappa, r, side, bisect=False))
+        sides = [ChannelSide.B, ChannelSide.BOTH] if quantity == "all" else [channel.side]
+        rows += [(laser(side), "inseparability") for side in sides]
     direction = {"a-to-b": "a_to_b", "b-to-a": "b_to_a"}.get(quantity)
-    return [res for res in _with_roots(tuple(rows), r) if direction in (None, res.direction)]
+    return [res for res in _threshold_rows(rows, r) if direction in (None, res.direction)]
 
 
-def _closed_forms(side: ChannelSide, g: float, kappa: float, *times) -> tuple[ThresholdResult, ...]:
-    """Laser-channel results before bisection, one per (direction, t_closed)."""
-    channel = ChannelSpec(kind="laser", side=side, g=g, kappa=kappa)
-    return tuple([ThresholdResult(channel, direction, t, math.nan, "closed-form-only") for direction, t in times])
+def _closed_form(channel: ChannelSpec, direction: str, r: float) -> float:
+    """The closed-form time of the threshold row (channel, direction), on
+    checked arguments: the thermal channel's two-way row, or any row of a
+    laser channel, whose inseparability form depends on its side."""
+    if channel.kind == "thermal":
+        return _two_way_thermal_time(channel.nbar, r)
+    g, kappa = channel.g, channel.kappa
+    if direction in ("a_to_b", "b_to_a"):
+        return _one_side_times(g, kappa, r)[direction == "b_to_a"]
+    degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
+    if direction == "two-way":
+        ch, sh2 = math.cosh(2.0 * r), 2.0 * math.sinh(r) ** 2
+        if degenerate:
+            # Omega -> infinity; the condition reduces to A^2 + (2 cosh2r - 1) A = 2 sinh^2 r
+            # with A = 2 (kappa + g) t.
+            b_lim = 2.0 * ch - 1.0
+            a_star = 0.5 * (-b_lim + math.sqrt(b_lim * b_lim + 4.0 * sh2))
+            return a_star / (2.0 * (kappa + g))
+        omega = (kappa + g) / (kappa - g)
+        a = (omega * omega + 1.0 - 2.0 * omega * ch) / omega**2
+        b = (2.0 * omega * ch + ch - 2.0 - omega) / omega
+        arg = 1.0 + (b - math.sqrt(b * b + 4.0 * a * sh2)) / (2.0 * omega * a)
+        return math.log(1.0 / arg) / (2.0 * (kappa - g))
+    th = math.tanh(r)
+    if channel.side is ChannelSide.BOTH:
+        if g == 0.0:
+            return INFINITE_THRESHOLD
+        if degenerate:
+            return th / (2.0 * kappa * (1.0 + th))
+        return _log_ratio(g + kappa * th, g * (1.0 + th)) / (2.0 * (kappa - g))
+    if g == 0.0 or kappa == 0.0:
+        return INFINITE_THRESHOLD
+    if degenerate:
+        return 1.0 / (2.0 * kappa)
+    return _log_ratio(kappa, g) / (2.0 * (kappa - g))
 
 
 _ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA", "inseparability": "E_N"}
 
 
-def _with_roots(results: tuple[ThresholdResult, ...], r: float) -> tuple[ThresholdResult, ...]:
-    """``results`` with each closed-form-only one given its bisected root:
-    one ``numeric_threshold`` call, so one scan, per distinct channel.  The
-    thermal channel (kappa = 1) scans 50 time units, the laser channel
-    ``_default_t_max``.  An infinite root against a finite closed form is
-    not "ok": "beyond-scan-horizon" when the closed form lies past the scan,
-    else "unresolved".  Any other relative gap above the tolerance is
-    "disagree"."""
-    groups = {}
-    for i, res in enumerate(results):
-        if res.status == "closed-form-only":
-            groups.setdefault(res.channel, []).append(i)
-    out = list(results)
-    for channel, rows in groups.items():
+def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[ThresholdResult]:
+    """The result of each threshold row (channel, direction), in row order.
+
+    Each row's rates (the nbar of a thermal row), then r, are checked and its
+    closed form taken, row by row; a thermal two-way row in the window
+    nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one
+    ``numeric_threshold`` call, so one scan, roots every row of a distinct
+    channel: 50 time units for the thermal channel (kappa = 1),
+    ``_default_t_max`` for a laser channel.  An infinite root against a
+    finite closed form is not "ok": "beyond-scan-horizon" when the closed form
+    lies past the scan, else "unresolved".  Any other relative gap above the
+    tolerance is "disagree"."""
+    results, groups = [], {}
+    for channel, direction in rows:
+        thermal = channel.kind == "thermal"
+        if not thermal:
+            _check_rates(channel.g, channel.kappa)
+        elif not np.isfinite(channel.nbar) or channel.nbar < 0:
+            raise InvalidArgumentError(f"nbar must be finite and >= 0, got {channel.nbar}")
+        _check_r(r)
+        if thermal and channel.nbar >= 0.5 * math.expm1(2.0 * r):  # the window test of _two_way_thermal_time
+            results.append(ThresholdResult(channel, direction, 0.0, 0.0, status="never-steerable"))
+            continue
+        groups.setdefault(channel, []).append(len(results))
+        results.append(ThresholdResult(channel, direction, _closed_form(channel, direction, r), math.nan))
+    for channel, indices in groups.items():
         t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
-        roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[out[i].direction] for i in rows), t_max)
-        for i, t_numeric in zip(rows, roots):
-            res = replace(out[i], t_numeric=t_numeric)
+        roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[results[i].direction] for i in indices), t_max)
+        for i, t_numeric in zip(indices, roots):
+            res = replace(results[i], t_numeric=t_numeric)
             status = "disagree" if res.relative_gap > _THRESHOLD_REL_TOL else "ok"
             if math.isinf(t_numeric) and math.isfinite(res.t_closed):  # no root to compare with
                 status = "beyond-scan-horizon" if res.t_closed > t_max else "unresolved"
-            out[i] = replace(res, status=status)
-    return tuple(out)
+            results[i] = replace(res, status=status)
+    return results

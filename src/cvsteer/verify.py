@@ -19,6 +19,7 @@ import numpy as np
 from . import oracle
 from .channels import (
     ChannelSide,
+    ChannelSpec,
     LaserChannelParams,
     PhaseSensitiveParams,
     apply_laser,
@@ -27,14 +28,7 @@ from .channels import (
 )
 from .criteria import SteeringDirection, entropic_sum, reid_inferred_variance, Quadrature
 from .errors import InvalidArgumentError
-from .measures import (
-    _THRESHOLD_REL_TOL,
-    _with_roots,
-    inseparability_threshold,
-    one_side_thresholds,
-    two_way_laser_threshold,
-    two_way_thermal_threshold,
-)
+from .measures import _THRESHOLD_REL_TOL, _threshold_rows
 from .states import (
     SYMPLECTIC_FORM,
     ModeLabel,
@@ -215,21 +209,22 @@ def _suite_symplectic() -> SuiteResult:
 
 def _threshold_results():
     """The grid's rows; each r's are rooted together, as ``threshold_table`` does."""
+    laser = lambda g, kappa, side=ChannelSide.BOTH: ChannelSpec("laser", side, g=g, kappa=kappa)
     for r in (0.3, 0.5, 1.0):
         rates = ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.0))
-        rows = [two_way_laser_threshold(g, kappa, r, bisect=False) for g, kappa in rates]
+        rows = [(laser(g, kappa), "two-way") for g, kappa in rates]
         for g, kappa in ((0.0, 1.0), (1.0, 0.0), (0.5, 1.0)):
-            rows += one_side_thresholds(g, kappa, r, bisect=False)
+            rows += [(laser(g, kappa, ChannelSide.B), "a_to_b"), (laser(g, kappa, ChannelSide.B), "b_to_a")]
         for g, kappa, side in ((1.0, 0.0, ChannelSide.BOTH), (0.5, 1.0, ChannelSide.BOTH), (0.5, 1.0, ChannelSide.B)):
-            rows.append(inseparability_threshold(g, kappa, r, side, bisect=False))
-        yield from _with_roots(tuple(rows), r)
+            rows.append((laser(g, kappa, side), "inseparability"))
+        yield from _threshold_rows(rows, r)
     for nbar, r in ((0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
-        rows = [two_way_thermal_threshold(nbar, r, bisect=False)]
+        rows = [(ChannelSpec("thermal", kappa=1.0, nbar=nbar), "two-way")]
         preset = thermal_preset(1.0, nbar, 0.0)
         if nbar > 0:
             for side in (ChannelSide.BOTH, ChannelSide.B):
-                rows.append(inseparability_threshold(preset.g, preset.kappa, r, side, bisect=False))
-        yield from _with_roots(tuple(rows), r)
+                rows.append((laser(preset.g, preset.kappa, side), "inseparability"))
+        yield from _threshold_rows(rows, r)
 
 
 def _suite_thresholds() -> SuiteResult:

@@ -18,6 +18,7 @@ from cvsteer.criteria import (
     reid_product,
 )
 from cvsteer.measures import (
+    _closed_form,
     gaussian_steerability,
     inseparability_threshold,
     log_negativity,
@@ -284,7 +285,7 @@ def test_10_figure_regeneration():
         g2 = sub[:, 4]
         assert np.all(np.diff(g2) <= 1e-12)
         dead = sub[g2 == 0.0, 0]
-        t_two = two_way_laser_threshold(gamma, 1.0, 0.5, bisect=False).t_closed
+        t_two = _closed_form(ChannelSpec("laser", g=gamma, kappa=1.0), "two-way", 0.5)
         assert dead.size > 0 and abs(dead[0] - t_two) <= kt_step
         # Curve ordering: A->B outlives B->A outlives two-way.
         assert np.all(sub[:, 2] >= sub[:, 4] - 1e-12)

@@ -16,12 +16,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cvsteer
-from cvsteer.channels import _KIND_RATES, ChannelSpec, thermal_preset
+from cvsteer.channels import _KIND_RATES, ChannelSide, ChannelSpec, thermal_preset
 from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _command_parser, _fmt, _preset_rows, _write_table, main
 from cvsteer.cli import state_from_dict, state_to_dict
 from cvsteer.criteria import SteeringDirection, _entropic_sums
 from cvsteer.errors import DegenerateInputError
-from cvsteer.measures import ThresholdResult, one_side_thresholds, two_way_thermal_threshold
+from cvsteer.measures import ThresholdResult, _closed_form
 from cvsteer.states import make_tmsv
 
 
@@ -569,8 +569,9 @@ def test_a_duration_or_swept_rate_exits_2_exactly_when_the_kind_lacks_its_rate(c
 
 
 def test_steps_above_the_cap_exit_2_before_allocating(capsys):
-    argv = ("sweep", "--var", "t", "--channel", "loss", "--kappa", "1", "--stop", "1", "--steps", str(_MAX_STEPS + 1))
-    assert run_cli(capsys, *argv) == (2, "", f"error: --steps must be <= {_MAX_STEPS}, got {_MAX_STEPS + 1}\n")
+    for steps, message in ((_MAX_STEPS + 1, f"<= {_MAX_STEPS}, got {_MAX_STEPS + 1}"), (1, ">= 2")):
+        argv = ("sweep", "--var", "t", "--channel", "loss", "--kappa", "1", "--stop", "1", "--steps", str(steps))
+        assert run_cli(capsys, *argv) == (2, "", f"error: --steps must be {message}\n")
 
 
 def test_subcommand_parser_is_built_once_and_keeps_no_state(capsys):
@@ -591,10 +592,11 @@ def test_figure_1_cells_equal_the_public_closed_forms_bit_for_bit():
     window = 0
     for nbar, r, ab, ba, two in rows:
         rates = thermal_preset(1.0, nbar, 0.0)
-        t_ab, t_ba = one_side_thresholds(rates.g, rates.kappa, r, bisect=False)
-        t_two = two_way_thermal_threshold(nbar, r, bisect=False)
-        assert (ab, ba, two) == (_exp2(t_ab.t_closed), _exp2(t_ba.t_closed), _exp2(t_two.t_closed))
-        window += t_two.status == "never-steerable"
+        one_side = ChannelSpec("laser", ChannelSide.B, g=rates.g, kappa=rates.kappa)
+        t_ab, t_ba = (_closed_form(one_side, direction, r) for direction in ("a_to_b", "b_to_a"))
+        t_two = _closed_form(ChannelSpec("thermal", kappa=1.0, nbar=nbar), "two-way", r)
+        assert (ab, ba, two) == (_exp2(t_ab), _exp2(t_ba), _exp2(t_two))
+        window += nbar >= 0.5 * math.expm1(2.0 * r)  # the never-steerable window
     assert window > 0  # the never-steerable window is covered, where the cell reads 1
     assert sum(row[4] == 1.0 for row in rows) == window
 

@@ -123,6 +123,8 @@ def cases() -> dict[str, list[str]]:
     for name, flags in tables.items():
         out[f"threshold-{name}-table"] = ["threshold", *flags]
         out[f"threshold-{name}-json"] = ["threshold", *flags, "--format", "json"]
+    # Roots near 1e-301: brentq's absolute tolerance scales with the horizon 50 / (g + kappa).
+    out["threshold-huge-gain-table"] = ["threshold", "--channel", "laser", "--g", "1e300", "--kappa", "1", "--r", "0.5"]
     for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds", "all"):
         out[f"verify-{suite}"] = ["verify", suite]
     return out

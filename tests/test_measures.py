@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cvsteer import channels, measures, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
+from cvsteer.cli import main
 from cvsteer.criteria import SteeringDirection
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from cvsteer.criteria import entropic_sum, reid_product
@@ -156,14 +157,15 @@ def test_relative_gap_is_the_verify_thresholds_rule():
 
 def _two_way_thermal(nbar, r):
     """(closed form, bisected root) of the two-way thermal row."""
-    closed = two_way_thermal_threshold(nbar, r, bisect=False).t_closed
-    return closed, numeric_threshold(ChannelSpec("thermal", nbar=nbar), r, "G_twoway", 50.0)
+    channel = ChannelSpec("thermal", nbar=nbar)
+    return measures._closed_form(channel, "two-way", r), numeric_threshold(channel, r, "G_twoway", 50.0)
 
 
 def _two_way_laser(g, kappa, r):
     """(closed form, bisected root) of the two-way laser row."""
-    closed = two_way_laser_threshold(g, kappa, r, bisect=False).t_closed
-    return closed, numeric_threshold(ChannelSpec("laser", g=g, kappa=kappa), r, "G_twoway", _default_t_max(g, kappa))
+    channel = ChannelSpec("laser", g=g, kappa=kappa)
+    t_max = _default_t_max(g, kappa)
+    return measures._closed_form(channel, "two-way", r), numeric_threshold(channel, r, "G_twoway", t_max)
 
 
 # Loss at kappa = 0.23, r = 2.3e-7: the two-way and b_to_a times are both
@@ -198,13 +200,13 @@ _EDGE = "two-way closed form cancels at the thermal window edge"
                      marks=_item(2, _EDGE), id="laser-0.7518"),
         pytest.param(lambda: _two_way_laser(38.2846049402939, 39.2846049402939, 2.1755852842809364),
                      marks=_item(2, _EDGE), id="laser-38.28"),
-        pytest.param(lambda: (two_way_laser_threshold(0.0, _LOSS_KAPPA, _TINY_R, bisect=False).t_closed, _LOSS_EXACT),
-                     marks=_item(2, "gives 1.51125"), id="loss-tiny-r-two-way"),
+        pytest.param(lambda: (measures._closed_form(ChannelSpec("laser", g=0.0, kappa=_LOSS_KAPPA), "two-way", _TINY_R),
+                              _LOSS_EXACT), marks=_item(2, "gives 1.51125"), id="loss-tiny-r-two-way"),
         pytest.param(lambda: (numeric_threshold(ChannelSpec("loss", side=ChannelSide.B, kappa=_LOSS_KAPPA), _TINY_R,
                                                 "G_BtoA", 50.0 / _LOSS_KAPPA), _LOSS_EXACT),
                      marks=_item(2, "bisected root 1.6e-3 off"), id="loss-tiny-r-b_to_a"),
-        pytest.param(lambda: _two_way_laser(1e300, 1.0, 0.5), marks=_item(2, "brentq's absolute xtol: root 1.2% off"),
-                     id="laser-g1e300"),
+        # brentq's xtol scales with the horizon 50 / (g + kappa) = 5e-299 here.
+        pytest.param(lambda: _two_way_laser(1e300, 1.0, 0.5), id="laser-g1e300"),
     ],
 )
 def test_threshold_meets_its_reference(case):
@@ -280,6 +282,42 @@ def test_numeric_threshold_argument_validation():
 def test_numeric_threshold_infinite_sentinel():
     spec = ChannelSpec(kind="loss", side=ChannelSide.B)
     assert math.isinf(numeric_threshold(spec, 0.5, "G_AtoB", t_max=10.0))
+
+
+def test_root_below_the_first_scan_point_is_bracketed_from_the_origin(monkeypatch):
+    # The one-side gain a_to_b time, 0.5 ln(2 - sech^2 r), is 5e-11 at
+    # r = 1e-5: below the first scan point 5e-8, so the origin opens the bracket.
+    brackets, port = [], measures.brentq
+
+    def logging(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "brentq", logging)
+    r = 1e-5
+    root = numeric_threshold(ChannelSpec("gain", side=ChannelSide.B, g=1.0), r, "G_AtoB", 50.0)
+    assert math.isclose(root, 0.5 * math.log(2.0 - 1.0 / math.cosh(r) ** 2), rel_tol=1e-6)
+    assert brackets == [(0.0, _scan_grid(50.0)[0])]
+
+
+def _crossing_twice(cms, quantity):
+    """A signed quantity that is positive at t = 0 and negative on the middle
+    third of a scan stack."""
+    if np.ndim(cms) == 2:
+        return 1.0
+    k = np.arange(len(cms))
+    return np.where((3 * k > len(cms)) & (3 * k < 2 * len(cms)), -1.0, 1.0)
+
+
+def test_several_sign_changes_raise_multi_root_error_with_every_bracket(monkeypatch, capsys):
+    # No channel's quantity was found to cross twice; this one is made to.
+    monkeypatch.setattr(measures, "_signed_quantity", _crossing_twice)
+    with pytest.raises(MultiRootError, match="G_AtoB changes sign 2 times") as err:
+        numeric_threshold(ChannelSpec("loss"), 0.5, "G_AtoB", 50.0)
+    assert len(err.value.brackets) == 2
+    assert main(["threshold", "--channel", "loss", "--kappa", "1", "--r", "0.5"]) == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and "changes sign 2 times" in err_text
 
 
 def test_each_finite_root_goes_once_through_measures_brentq(monkeypatch):
@@ -403,13 +441,6 @@ def test_bisected_roots_equal_scipys_bit_for_bit(monkeypatch, kind, side):
     for f, a, b, kwargs in brackets:
         ours, scipys = _brentq_runs(f, a, b, **kwargs)
         assert ours == scipys and isinstance(ours[0], str)
-
-
-def test_closed_form_only_mode_skips_bisection():
-    res = two_way_laser_threshold(0.5, 1.0, 0.5, bisect=False)
-    assert res.status == "closed-form-only"
-    assert math.isnan(res.t_numeric)
-    assert res.t_closed == pytest.approx(two_way_laser_threshold(0.5, 1.0, 0.5).t_closed)
 
 
 def test_threshold_result_serialization():

@@ -110,6 +110,17 @@ def test_conditional_entropy_sum_matches_closed_form():
     assert numeric == pytest.approx(entropic_sum(s, SteeringDirection.A_TO_B), abs=1e-6)
 
 
+def test_conditional_entropy_sum_b_to_a_transposes_the_tables():
+    from cvsteer.criteria import SteeringDirection, entropic_sum
+
+    # One-side loss and gain make the state asymmetric, so a missing
+    # transpose would give the a_to_b sum, 0.029 away.
+    s = dict(_moment_states())["one-side laser"]
+    expected = entropic_sum(s, SteeringDirection.B_TO_A)
+    assert abs(expected - entropic_sum(s, SteeringDirection.A_TO_B)) > 1e-2
+    assert numeric_conditional_entropy_sum(s, "b_to_a") == pytest.approx(expected, abs=1e-5)
+
+
 def test_numeric_moments_recover_displaced_state():
     state = TwoModeGaussianState([0.3, -0.2, 0.1, 0.4], make_tmsv(0.5).cm)
     mean, cm = numeric_moments(state)
