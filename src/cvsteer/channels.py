@@ -72,9 +72,7 @@ class LaserChannelParams:
     t: float
 
     def __post_init__(self):
-        for name, v in (("g", self.g), ("kappa", self.kappa), ("t", self.t)):
-            if not np.isfinite(v) or v < 0:
-                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {v}")
+        _check_nonnegative(g=self.g, kappa=self.kappa, t=self.t)
 
     @property
     def survival(self) -> float:
@@ -83,6 +81,13 @@ class LaserChannelParams:
     @property
     def noise(self) -> float:
         return float(_laser_factors(self.g, self.kappa, self.t)[1])
+
+
+def _check_nonnegative(**rates: float) -> None:
+    """Raise on the first rate, in argument order, that is not finite and >= 0."""
+    for name, v in rates.items():
+        if not np.isfinite(v) or v < 0:
+            raise InvalidArgumentError(f"{name} must be finite and >= 0, got {v}")
 
 
 def _laser_factors(g: float, kappa: float, t):
@@ -107,10 +112,7 @@ def gain_preset(g: float, t: float) -> LaserChannelParams:
 
 def thermal_preset(kappa: float, nbar: float, t: float) -> LaserChannelParams:
     """Thermal channel with occupation nbar: g -> kappa*nbar, kappa -> kappa*(nbar+1)."""
-    if not np.isfinite(nbar) or nbar < 0:
-        raise InvalidArgumentError(f"nbar must be finite and >= 0, got {nbar}")
-    if not np.isfinite(kappa) or kappa < 0:
-        raise InvalidArgumentError(f"kappa must be finite and >= 0, got {kappa}")
+    _check_nonnegative(nbar=nbar, kappa=kappa)
     return LaserChannelParams(g=kappa * nbar, kappa=kappa * (nbar + 1.0), t=t)
 
 
@@ -165,9 +167,7 @@ class PhaseSensitiveParams:
     t: float
 
     def __post_init__(self):
-        for name, v in (("kappa", self.kappa), ("nbar", self.nbar), ("t", self.t)):
-            if not np.isfinite(v) or v < 0:
-                raise InvalidArgumentError(f"{name} must be finite and >= 0, got {v}")
+        _check_nonnegative(kappa=self.kappa, nbar=self.nbar, t=self.t)
         m = complex(self.m)
         if not (np.isfinite(m.real) and np.isfinite(m.imag)):
             raise InvalidArgumentError(f"m must be finite, got {m}")

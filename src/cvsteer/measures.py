@@ -395,7 +395,8 @@ def _brackets(ts: np.ndarray, signs: np.ndarray) -> list[tuple[float, float]]:
 
 
 def _default_t_max(g: float, kappa: float) -> float:
-    """Scan horizon of 50 / (g + kappa), for rates that pass ``_check_rates``."""
+    """Scan horizon of 50 / (g + kappa), for the rates of a threshold row
+    that ``_threshold_rows`` has checked: finite, >= 0 and not both zero."""
     rate = g + kappa
     t_max = 50.0 * (1.0 / rate)
     if not 0.0 < t_max < math.inf:  # the sum under- or overflowed
@@ -481,13 +482,6 @@ def inseparability_threshold(g: float, kappa: float, r: float, side: ChannelSide
     return _threshold_rows([(ChannelSpec("laser", side, g=g, kappa=kappa), "inseparability")], r)[0]
 
 
-def _check_rates(g: float, kappa: float) -> None:
-    if not (np.isfinite(g) and np.isfinite(kappa) and g >= 0 and kappa >= 0):
-        raise InvalidArgumentError(f"rates must be finite and >= 0, got g={g}, kappa={kappa}")
-    if g == 0.0 and kappa == 0.0:
-        raise InvalidArgumentError("g and kappa cannot both be zero")
-
-
 def _check_r(r: float) -> None:
     if not _R_MIN < r <= _R_MAX:  # NaN fails too
         raise InvalidArgumentError(
@@ -570,24 +564,22 @@ _ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA",
 def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[ThresholdResult]:
     """The result of each threshold row (channel, direction), in row order.
 
-    Each row's rates (the nbar of a thermal row), then r, are checked and its
-    closed form taken, row by row; a thermal two-way row in the window
-    nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one
-    ``numeric_threshold`` call, so one scan, roots every row of a distinct
-    channel: 50 time units for the thermal channel (kappa = 1),
-    ``_default_t_max`` for a laser channel.  An infinite root against a
-    finite closed form is not "ok": "beyond-scan-horizon" when the closed form
-    lies past the scan, else "unresolved".  Any other relative gap above the
-    tolerance is "disagree"."""
+    Each row's rates (as ``ChannelSpec.evolve`` checks them, and g, kappa not
+    both zero), then r, are checked and its closed form taken, row by row; a
+    thermal two-way row in the window nbar >= (e^{2r} - 1)/2 is
+    "never-steerable" and has no root.  Then one ``numeric_threshold`` call,
+    so one scan, roots every row of a distinct channel: 50 time units for the
+    thermal channel (kappa = 1), ``_default_t_max`` for a laser channel.  An
+    infinite root against a finite closed form is not "ok":
+    "beyond-scan-horizon" when the closed form lies past the scan, else
+    "unresolved".  Any other relative gap above the tolerance is "disagree"."""
     results, groups = [], {}
     for channel, direction in rows:
-        thermal = channel.kind == "thermal"
-        if not thermal:
-            _check_rates(channel.g, channel.kappa)
-        elif not np.isfinite(channel.nbar) or channel.nbar < 0:
-            raise InvalidArgumentError(f"nbar must be finite and >= 0, got {channel.nbar}")
+        rates = channel.laser_params(0.0)  # the rate check of ChannelSpec.evolve
+        if rates.g == 0.0 and rates.kappa == 0.0:  # the scan horizon 50 / (g + kappa) needs a rate
+            raise InvalidArgumentError("g and kappa cannot both be zero")
         _check_r(r)
-        if thermal and channel.nbar >= 0.5 * math.expm1(2.0 * r):  # the window test of _two_way_thermal_time
+        if channel.kind == "thermal" and channel.nbar >= 0.5 * math.expm1(2.0 * r):  # _two_way_thermal_time's window
             results.append(ThresholdResult(channel, direction, 0.0, 0.0, status="never-steerable"))
             continue
         groups.setdefault(channel, []).append(len(results))

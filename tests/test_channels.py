@@ -77,6 +77,29 @@ def test_rejects_negative_parameters():
         thermal_preset(1.0, -0.5, 0.1)
 
 
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: thermal_preset(-1.0, 0.5, 0.1), "kappa must be finite and >= 0, got -1.0"),
+        (lambda: PhaseSensitiveParams(kappa=1.0, nbar=1.0, m=complex(math.nan, 0.0), t=0.0),
+         "m must be finite, got (nan+0j)"),
+        # Two bad rates: the first in each constructor's own order is reported.
+        (lambda: LaserChannelParams(g=math.nan, kappa=-1.0, t=0.1), "g must be finite and >= 0, got nan"),
+        (lambda: LaserChannelParams(g=1.0, kappa=math.inf, t=-1.0), "kappa must be finite and >= 0, got inf"),
+        (lambda: thermal_preset(-1.0, math.nan, 0.1), "nbar must be finite and >= 0, got nan"),
+        (lambda: PhaseSensitiveParams(kappa=-1.0, nbar=-2.0, m=0.0, t=0.0), "kappa must be finite and >= 0, got -1.0"),
+        (lambda: PhaseSensitiveParams(kappa=1.0, nbar=math.inf, m=0.0, t=-1.0),
+         "nbar must be finite and >= 0, got inf"),
+    ],
+    ids=["thermal-kappa", "phase-sensitive-m", "laser-g-kappa", "laser-kappa-t", "thermal-nbar-kappa",
+         "phase-sensitive-kappa-nbar", "phase-sensitive-nbar-t"],
+)
+def test_constructors_report_the_first_bad_rate(build, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_two_side_laser_closed_form():
     r, kt = 0.5, 0.3
     params = loss_preset(1.0, kt)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -535,6 +536,46 @@ def test_bad_rate_flags_exit_2_at_every_duration(capsys, argv, message, duration
     # A zero duration consults no rates in the channel itself; the CLI still
     # rejects a bad rate flag there, with the message a positive duration gives.
     assert run_cli(capsys, *argv, *duration) == (2, "", message)
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize(
+    ("kind", "rate"),
+    [(kind, rate) for kind in ("loss", "gain", "thermal", "laser") for rate in _KIND_RATES[kind]],
+)
+def test_threshold_reports_a_bad_rate_as_eval_does(capsys, kind, rate, value):
+    # One rate rule and message for the channel map and for threshold rows.
+    code, out, err = run_cli(capsys, "threshold", "--channel", kind, f"--{rate}", value, "--r", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {rate} must be finite and >= 0, got ")
+    assert run_cli(capsys, "eval", "--r", "0.5", "--channel", kind, f"--{rate}", value, "--t", "1") == (2, "", err)
+
+
+def test_phase_sensitive_nbar_sweep_checks_each_row_not_the_base_nbar(capsys):
+    # The base channel's nbar is the default 0, which fails |M|^2 <= nbar(nbar + 1)
+    # for M = 1; only the swept values, all >= 1, are channels that run.
+    argv = ("sweep", "--var", "nbar", "--channel", "phase-sensitive", "--M", "1")
+    code, out, err = run_cli(capsys, *argv, "--start", "1", "--stop", "2", "--steps", "3", "--kt", "0.4")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "err"),
+    [
+        (["eval", "--r", "0.5"], 0, ""),
+        (["eval", "--r", "0.5", "--t", "-1"], 2, "error: durations must be finite and >= 0\n"),
+    ],
+    ids=["ok", "bad-duration"],
+)
+def test_python_m_cvsteer_runs_main(capsys, monkeypatch, argv, code, err):
+    expected = run_cli(capsys, *argv)
+    assert expected[::2] == (code, err)
+    monkeypatch.setattr(sys, "argv", ["cvsteer", *argv])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("cvsteer", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == expected
 
 
 # Each duration flag and swept variable, with the rate it counts in (or is).

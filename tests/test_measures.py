@@ -155,6 +155,35 @@ def test_relative_gap_is_the_verify_thresholds_rule():
     assert row(2.0, math.inf).relative_gap == math.inf
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="relative_gap divides by max(1, |t_closed|), so a 1.2% error far below t = 1 reads ok (ROADMAP item 2)",
+)
+def test_relative_gap_sees_a_relative_error_below_one():
+    # The g = 1e300 two-way pair before brentq's xtol scaled with t_max.
+    res = ThresholdResult(ChannelSpec("laser", g=1e300), "two-way", 7.48267810701e-302, 7.57567146238e-302)
+    assert res.relative_gap > measures._THRESHOLD_REL_TOL
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: two_way_laser_threshold(-1.0, 1.0, 0.5), "g must be finite and >= 0, got -1.0"),
+        (lambda: inseparability_threshold(math.nan, 1.0, 0.5, ChannelSide.B), "g must be finite and >= 0, got nan"),
+        (lambda: two_way_thermal_threshold(-1.0, 0.5), "nbar must be finite and >= 0, got -1.0"),
+        (lambda: one_side_thresholds(0.0, 0.0, 0.5), "g and kappa cannot both be zero"),
+    ],
+    ids=["laser-negative-g", "inseparability-nan-g", "thermal-negative-nbar", "both-rates-zero"],
+)
+def test_threshold_helpers_check_rates_with_the_channel_rule(call, message):
+    # The rate rule and message of ChannelSpec.evolve, plus the threshold's
+    # own rule: its scan horizon 50 / (g + kappa) needs a nonzero rate.
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def _two_way_thermal(nbar, r):
     """(closed form, bisected root) of the two-way thermal row."""
     channel = ChannelSpec("thermal", nbar=nbar)
