@@ -113,6 +113,8 @@ def gain_preset(g: float, t: float) -> LaserChannelParams:
 def thermal_preset(kappa: float, nbar: float, t: float) -> LaserChannelParams:
     """Thermal channel with occupation nbar: g -> kappa*nbar, kappa -> kappa*(nbar+1)."""
     _check_nonnegative(nbar=nbar, kappa=kappa)
+    if not math.isfinite(float(kappa) * (float(nbar) + 1.0)):  # then kappa*nbar <= kappa*(nbar + 1) is too
+        raise InvalidArgumentError(f"kappa*(nbar + 1) must be finite, got kappa = {kappa}, nbar = {nbar}")
     return LaserChannelParams(g=kappa * nbar, kappa=kappa * (nbar + 1.0), t=t)
 
 

@@ -235,9 +235,6 @@ class ThresholdResult:
         }
 
 
-_QUANTITIES = ("G_AtoB", "G_BtoA", "G_twoway", "E_N")
-
-
 def _signed_quantity(cms: np.ndarray, quantity: str) -> np.ndarray:
     """The signed threshold quantity (positive before the threshold) over a
     (..., 4, 4) stack; equal bit for bit to the per-state quantifiers."""
@@ -271,10 +268,11 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
 
     ``quantity`` is one name, giving a float, or a tuple of names, giving a
     tuple of floats.  The evolved TMSV is scanned on an 800-point grid as one
-    stacked batch: a single channel map builds the (800, 4, 4) covariance
-    matrices once per call, whatever the number of quantities, and validates
-    them once with the state constructor's checks.  Each quantity then takes
-    its own sign scan of that stack, noise floor and bracket, and ``brentq``
+    stacked batch: the TMSV, the grid and, from a single channel map, the
+    (800, 4, 4) covariance matrices are built once per call, whatever the
+    number of quantities, and the matrices are validated once with the state
+    constructor's checks.  In one loop each quantity then takes its own
+    checks, sign scan of that stack, noise floor and bracket, and ``brentq``
     refines the one bracketing pair on one 4x4 matrix per evaluation; both
     equal the per-state quantifiers bit for bit.  No closed-form threshold
     expression enters, so the bisected value is an independent check on them.
@@ -285,44 +283,37 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     first failing quantity's own call would raise.
     """
     single = isinstance(quantity, str)
-    shared = {}  # the TMSV and its scan stack, built when first needed
-    roots = tuple(_bisected_root(channel, r, name, t_max, shared) for name in ([quantity] if single else quantity))
-    return roots[0] if single else roots
+    state0 = ts = scan = None  # the TMSV, the grid and its stack, built when first needed
+    roots = []
+    for name in [quantity] if single else quantity:
+        if name not in _SIGN_NOISE_FLOOR:
+            raise InvalidArgumentError(f"unknown quantity {name!r}; expected one of {tuple(_SIGN_NOISE_FLOOR)}")
+        if not (t_max > 0.0 and math.isfinite(t_max)):
+            raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
+        if state0 is None:
+            state0 = make_tmsv(r)
+        if _signed_quantity(state0.cm, name) <= 0.0:
+            raise InvalidArgumentError(f"{name} must be positive at t = 0")
+        if scan is None:
+            ts = _scan_grid(t_max)
+            scan = channel.evolve_cms(state0, ts)
+        values = _signed_quantity(scan, name)
+        # Quantities that decay towards zero without crossing it jitter at the
+        # rounding level for large t; values inside the noise band carry no sign.
+        signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[name], 0.0, np.sign(values))
+        brackets = _brackets(ts, signs)
+        if len(brackets) > 1:
+            raise MultiRootError(f"{name} changes sign {len(brackets)} times in (0, {t_max}]", brackets)
 
+        def f(t, name=name):  # bound now: f may be called after the loop moves on
+            return _signed_quantity(channel.evolve_cms(state0, float(t)), name)
 
-def _bisected_root(channel: ChannelSpec, r: float, quantity: str, t_max: float, shared: dict) -> float:
-    """``numeric_threshold`` of one quantity, with the TMSV and scan in ``shared``."""
-    if quantity not in _QUANTITIES:
-        raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_QUANTITIES}")
-    if not (t_max > 0.0 and math.isfinite(t_max)):
-        raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
-    if not shared:
-        shared["state0"] = make_tmsv(r)
-    state0 = shared["state0"]
-
-    def f(t):
-        return _signed_quantity(channel.evolve_cms(state0, float(t)), quantity)
-
-    if _signed_quantity(state0.cm, quantity) <= 0.0:
-        raise InvalidArgumentError(f"{quantity} must be positive at t = 0")
-    ts = _scan_grid(t_max)
-    if "scan" not in shared:
-        shared["scan"] = channel.evolve_cms(state0, ts)
-    values = _signed_quantity(shared["scan"], quantity)
-    # Quantities that decay towards zero without crossing it jitter at the
-    # rounding level for large t; values inside the noise band carry no sign.
-    signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
-    brackets = _brackets(ts, signs)
-    if not brackets:
-        return INFINITE_THRESHOLD
-    if len(brackets) > 1:
-        raise MultiRootError(
-            f"{quantity} changes sign {len(brackets)} times in (0, {t_max}]", brackets
-        )
-    # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
-    # brentq's xtol is absolute; scaled by a horizon below 1, it still
-    # resolves roots far below 1e-15 (near 1e-301 at g = 1e300).
-    return float(brentq(f, *brackets[0], xtol=1e-15 * min(1.0, t_max), rtol=1e-12))
+        # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
+        # brentq's xtol is absolute; scaled by a horizon below 1, it still
+        # resolves roots far below 1e-15 (near 1e-301 at g = 1e300).
+        xtol = 1e-15 * min(1.0, t_max)
+        roots.append(float(brentq(f, *brackets[0], xtol=xtol, rtol=1e-12)) if brackets else INFINITE_THRESHOLD)
+    return roots[0] if single else tuple(roots)
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
@@ -502,8 +493,7 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
     channel: "two-way", "a-to-b", "b-to-a", "inseparability" on
     ``channel.side``, or "all" of them with inseparability on side B and on
     both sides.  The thermal channel's two-way row is the thermal channel
-    itself (kappa = 1), every other row the laser channel of its rates;
-    "a-to-b" and "b-to-a" each bisect both directions."""
+    itself (kappa = 1), every other row the laser channel of its rates."""
     rates = channel.laser_params(0.0)
     laser = lambda side: ChannelSpec("laser", side, g=rates.g, kappa=rates.kappa)
     rows = []
@@ -512,13 +502,14 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
             rows.append((ChannelSpec("thermal", kappa=1.0, nbar=channel.nbar), "two-way"))
         else:
             rows.append((laser(ChannelSide.BOTH), "two-way"))
-    if quantity in ("a-to-b", "b-to-a", "all"):
-        rows += [(laser(ChannelSide.B), "a_to_b"), (laser(ChannelSide.B), "b_to_a")]
+    if quantity in ("a-to-b", "all"):
+        rows.append((laser(ChannelSide.B), "a_to_b"))
+    if quantity in ("b-to-a", "all"):
+        rows.append((laser(ChannelSide.B), "b_to_a"))
     if quantity in ("inseparability", "all"):
         sides = [ChannelSide.B, ChannelSide.BOTH] if quantity == "all" else [channel.side]
         rows += [(laser(side), "inseparability") for side in sides]
-    direction = {"a-to-b": "a_to_b", "b-to-a": "b_to_a"}.get(quantity)
-    return [res for res in _threshold_rows(rows, r) if direction in (None, res.direction)]
+    return _threshold_rows(rows, r)
 
 
 def _closed_form(channel: ChannelSpec, direction: str, r: float) -> float:
@@ -572,7 +563,8 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
     thermal channel (kappa = 1), ``_default_t_max`` for a laser channel.  An
     infinite root against a finite closed form is not "ok":
     "beyond-scan-horizon" when the closed form lies past the scan, else
-    "unresolved".  Any other relative gap above the tolerance is "disagree"."""
+    "unresolved".  Any other relative gap above the tolerance is "disagree",
+    and so is a closed form that divides by zero, taken as NaN."""
     results, groups = [], {}
     for channel, direction in rows:
         rates = channel.laser_params(0.0)  # the rate check of ChannelSpec.evolve
@@ -582,14 +574,18 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
         if channel.kind == "thermal" and channel.nbar >= 0.5 * math.expm1(2.0 * r):  # _two_way_thermal_time's window
             results.append(ThresholdResult(channel, direction, 0.0, 0.0, status="never-steerable"))
             continue
+        try:
+            t_closed = _closed_form(channel, direction, r)
+        except ZeroDivisionError:  # undefined at this point: no time to compare with
+            t_closed = math.nan
         groups.setdefault(channel, []).append(len(results))
-        results.append(ThresholdResult(channel, direction, _closed_form(channel, direction, r), math.nan))
+        results.append(ThresholdResult(channel, direction, t_closed, math.nan))
     for channel, indices in groups.items():
         t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
         roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[results[i].direction] for i in indices), t_max)
         for i, t_numeric in zip(indices, roots):
             res = replace(results[i], t_numeric=t_numeric)
-            status = "disagree" if res.relative_gap > _THRESHOLD_REL_TOL else "ok"
+            status = "ok" if res.relative_gap <= _THRESHOLD_REL_TOL else "disagree"  # NaN disagrees
             if math.isinf(t_numeric) and math.isfinite(res.t_closed):  # no root to compare with
                 status = "beyond-scan-horizon" if res.t_closed > t_max else "unresolved"
             results[i] = replace(res, status=status)

@@ -77,6 +77,14 @@ def test_rejects_negative_parameters():
         thermal_preset(1.0, -0.5, 0.1)
 
 
+@pytest.mark.parametrize(("kappa", "nbar"), [(1e200, 1e200), (1e308, 1.0)])
+def test_thermal_preset_refuses_rates_whose_product_overflows(kappa, nbar):
+    # At (1e308, 1) only kappa*(nbar + 1) overflows; kappa*nbar never does alone.
+    with pytest.raises(InvalidArgumentError) as info:
+        thermal_preset(kappa, nbar, 0.0)
+    assert str(info.value) == f"kappa*(nbar + 1) must be finite, got kappa = {kappa}, nbar = {nbar}"
+
+
 @pytest.mark.parametrize(
     ("build", "message"),
     [

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvsteer
@@ -712,3 +712,38 @@ def test_entropic_sum_refuses_a_zero_inferred_variance():
     cm = np.array([[2.0, 0, 2.0, 0], [0, 2.0, 0, -2.0], [2.0, 0, 2.0, 0], [0, -2.0, 0, 2.0]])
     with pytest.raises(DegenerateInputError):
         _entropic_sums(cm[None], SteeringDirection.A_TO_B)
+
+
+@pytest.mark.parametrize("command", [("eval", "--t", "1"), ("threshold",)], ids=["eval", "threshold"])
+def test_thermal_rates_that_overflow_are_named(capsys, command):
+    # g = kappa*nbar and kappa*(nbar + 1) overflow: the error names the flags given, not g.
+    code, out, err = run_cli(capsys, command[0], "--r", "0.5", "--channel", "thermal", "--kappa", "1e200",
+                             "--nbar", "1e200", *command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: kappa*(nbar + 1) must be finite, got kappa = 1e+200, nbar = 1e+200\n"
+
+
+_EDGE_RATE = 0.11070137908008487  # nbar at the edge of the r = 0.1 thermal window, and its laser twin
+_THRESHOLD_RATE = st.floats(0.0, 5.0, exclude_min=True)
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser"]),
+    quantity=st.sampled_from(["two-way", "a-to-b", "b-to-a", "inseparability", "all"]),
+    r=st.floats(0.05, 2.5),
+    g=_THRESHOLD_RATE,
+    kappa=_THRESHOLD_RATE,
+    nbar=_THRESHOLD_RATE,
+)
+@example(kind="thermal", quantity="all", r=0.1, g=1.0, kappa=1.0, nbar=_EDGE_RATE)
+@example(kind="laser", quantity="all", r=0.1, g=_EDGE_RATE, kappa=1.11070137908008487, nbar=1.0)
+@example(kind="thermal", quantity="all", r=0.5, g=1.0, kappa=1e200, nbar=1e200)
+@settings(max_examples=60, deadline=None)
+def test_threshold_exits_0_or_2_and_never_raises(kind, quantity, r, g, kappa, nbar):
+    rates = {"g": g, "kappa": kappa, "nbar": nbar}
+    argv = ["threshold", "--channel", kind, "--r", repr(r), "--quantity", quantity]
+    argv += [arg for rate in _KIND_RATES[kind] for arg in (f"--{rate}", repr(rates[rate]))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue() == "") in ((0, True), (2, False))

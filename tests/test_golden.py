@@ -125,6 +125,11 @@ def cases() -> dict[str, list[str]]:
         out[f"threshold-{name}-json"] = ["threshold", *flags, "--format", "json"]
     # Roots near 1e-301: brentq's absolute tolerance scales with the horizon 50 / (g + kappa).
     out["threshold-huge-gain-table"] = ["threshold", "--channel", "laser", "--g", "1e300", "--kappa", "1", "--r", "0.5"]
+    # Window-edge points where the two-way closed form divides by zero: printed nan, status disagree.
+    edge = "0.11070137908008487"
+    out["threshold-thermal-window-edge-table"] = ["threshold", "--channel", "thermal", "--nbar", edge, "--r", "0.1"]
+    out["threshold-laser-window-edge-table"] = ["threshold", "--channel", "laser", "--g", edge, "--kappa",
+                                                "1.11070137908008487", "--r", "0.1"]
     for suite in ("pdf", "inferred-variance", "entropy", "moments", "symplectic", "thresholds", "all"):
         out[f"verify-{suite}"] = ["verify", suite]
     return out

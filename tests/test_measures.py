@@ -572,6 +572,42 @@ def test_one_side_thresholds_share_one_scan(monkeypatch):
     assert [t_ab.t_numeric, t_ba.t_numeric] == [numeric_threshold(built[0], 0.5, q, t_max) for q in ("G_AtoB", "G_BtoA")]
 
 
+
+def test_numeric_threshold_builds_its_scan_grid_once(monkeypatch):
+    grids, scan_grid = [], measures._scan_grid
+    monkeypatch.setattr(measures, "_scan_grid", lambda t_max: grids.append(t_max) or scan_grid(t_max))
+    numeric_threshold(ChannelSpec("laser", g=0.5, kappa=1.3), 0.9, ("G_AtoB", "G_BtoA", "G_twoway", "E_N"), 50.0)
+    assert grids == [50.0]
+
+
+@pytest.mark.parametrize(("quantity", "names"), [("a-to-b", ("G_AtoB",)), ("b-to-a", ("G_BtoA",))])
+def test_threshold_table_roots_only_the_rows_it_prints(monkeypatch, quantity, names):
+    asked, root = [], measures.numeric_threshold
+
+    def recording(channel, r, quantity, t_max):
+        asked.append(quantity)
+        return root(channel, r, quantity, t_max)
+
+    monkeypatch.setattr(measures, "numeric_threshold", recording)
+    rows = threshold_table(ChannelSpec("laser", g=0.5, kappa=1.3), 0.9, quantity)
+    assert asked == [names]
+    assert [res.direction for res in rows] == [quantity.replace("-", "_")]
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [ChannelSpec("thermal", nbar=0.11070137908008487), ChannelSpec("laser", g=0.11070137908008487, kappa=1.11070137908008487)],
+    ids=["thermal", "laser"],
+)
+def test_closed_form_that_divides_by_zero_disagrees_with_its_root(channel):
+    # The two-way form's quadratic coefficient is 0 at this thermal window-edge
+    # point and at its laser twin (ROADMAP item 2); the row keeps its root.
+    with pytest.raises(ZeroDivisionError):
+        measures._closed_form(channel, "two-way", 0.1)
+    (row,) = threshold_table(channel, 0.1, "two-way")
+    assert math.isnan(row.t_closed) and math.isnan(row.agreement) and row.status == "disagree"
+    assert math.isclose(row.t_numeric, 0.0357905911027, rel_tol=1e-11)
+
 def _per_helper_threshold_rows():
     """The ``verify thresholds`` rows, bisected one helper call at a time."""
     for r in (0.3, 0.5, 1.0):
