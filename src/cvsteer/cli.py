@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import _check_r, _one_side_times, _steering_reports, _two_way_thermal_time
+from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _steering_reports, _two_way_thermal_time
 from .measures import steering_report, threshold_table
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
@@ -491,7 +491,7 @@ def _threshold_args(p):
     p.add_argument("--kappa", type=float)
     p.add_argument("--nbar", type=float)
     p.add_argument("--side", choices=["a", "b", "two"], default="two", help="side for inseparability")
-    p.add_argument("--quantity", choices=["a-to-b", "b-to-a", "two-way", "inseparability", "all"], default="all")
+    p.add_argument("--quantity", choices=_TABLE_QUANTITIES, default="all")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=_cmd_threshold)
 

@@ -273,8 +273,10 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     number of quantities, and the matrices are validated once with the state
     constructor's checks.  In one loop each quantity then takes its own
     checks, sign scan of that stack, noise floor and bracket, and ``brentq``
-    refines the one bracketing pair on one 4x4 matrix per evaluation; both
-    equal the per-state quantifiers bit for bit.  No closed-form threshold
+    refines the one bracketing pair.  It starts from the values the sign
+    check at t = 0 and the scan already hold at both bracket ends, and
+    evaluates only the points inside, on one 4x4 matrix each; the scan and
+    every point equal the per-state quantifiers bit for bit.  No closed-form threshold
     expression enters, so the bisected value is an independent check on them.
 
     A quantity that stays positive on the whole interval gives the infinite
@@ -292,7 +294,8 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
             raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
         if state0 is None:
             state0 = make_tmsv(r)
-        if _signed_quantity(state0.cm, name) <= 0.0:
+        f0 = _signed_quantity(state0.cm, name)
+        if f0 <= 0.0:
             raise InvalidArgumentError(f"{name} must be positive at t = 0")
         if scan is None:
             ts = _scan_grid(t_max)
@@ -305,7 +308,13 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
         if len(brackets) > 1:
             raise MultiRootError(f"{name} changes sign {len(brackets)} times in (0, {t_max}]", brackets)
 
-        def f(t, name=name):  # bound now: f may be called after the loop moves on
+        def f(t, name=name, f0=f0, values=values):  # bound now: f may be called after the loop moves on
+            # A bracket end is t = 0 or a scan point, whose value is known.
+            if t == 0.0:
+                return f0
+            i = ts.searchsorted(t)
+            if i < len(ts) and ts[i] == t:
+                return values[i]
             return _signed_quantity(channel.evolve_cms(state0, float(t)), name)
 
         # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
@@ -488,12 +497,19 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(ratio) if 0.0 < ratio < math.inf else math.log(num) - math.log(den)
 
 
+# The ``quantity`` values of ``threshold_table``, as ``cvsteer threshold --quantity`` lists them.
+_TABLE_QUANTITIES = ("a-to-b", "b-to-a", "two-way", "inseparability", "all")
+
+
 def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> list[ThresholdResult]:
     """The rows of ``cvsteer threshold`` for a loss, gain, thermal or laser
     channel: "two-way", "a-to-b", "b-to-a", "inseparability" on
     ``channel.side``, or "all" of them with inseparability on side B and on
-    both sides.  The thermal channel's two-way row is the thermal channel
-    itself (kappa = 1), every other row the laser channel of its rates."""
+    both sides; any other ``quantity`` raises InvalidArgumentError.  The
+    thermal channel's two-way row is the thermal channel itself (kappa = 1),
+    every other row the laser channel of its rates."""
+    if quantity not in _TABLE_QUANTITIES:
+        raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_TABLE_QUANTITIES}")
     rates = channel.laser_params(0.0)
     laser = lambda side: ChannelSpec("laser", side, g=rates.g, kappa=rates.kappa)
     rows = []

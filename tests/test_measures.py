@@ -472,6 +472,48 @@ def test_bisected_roots_equal_scipys_bit_for_bit(monkeypatch, kind, side):
         assert ours == scipys and isinstance(ours[0], str)
 
 
+@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_bisection_takes_its_bracket_ends_from_the_scan(monkeypatch, kind, side):
+    # brentq's first two points are t = 0 or scan points, whose values the
+    # sign check and the scan hold: no single-state evaluation repeats them.
+    from scipy.optimize import brentq as scipy_brentq
+
+    durations, evolve = [], ChannelSpec.evolve_cms
+    brackets, port = [], measures.brentq
+
+    def logging_evolve(self, state, t):
+        if isinstance(t, float):
+            durations.append(t)
+        return evolve(self, state, t)
+
+    def logging_brentq(f, a, b, **kwargs):
+        brackets.append((a, b, kwargs))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(ChannelSpec, "evolve_cms", logging_evolve)
+    monkeypatch.setattr(measures, "brentq", logging_brentq)
+    channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
+    known = {0.0, *_scan_grid(50.0).tolist()}
+    roots = []
+    for r in (0.3, 1.1):
+        state0 = make_tmsv(r)
+        for name in ("G_AtoB", "G_BtoA", "G_twoway", "E_N"):
+            del brackets[:]
+            try:
+                root = numeric_threshold(channel, r, name, t_max=50.0)
+            except MultiRootError:
+                continue
+            assert len(brackets) == math.isfinite(root)
+            if brackets:
+                roots.append((state0, name, root, *brackets[0]))
+    assert roots and durations
+    assert known.isdisjoint(durations)
+    for state0, name, root, a, b, kwargs in roots:
+        fresh = lambda t: _signed_quantity(evolve(channel, state0, t), name)
+        assert scipy_brentq(fresh, a, b, **kwargs).hex() == root.hex()
+
+
 def test_threshold_result_serialization():
     res = two_way_laser_threshold(0.0, 1.0, 0.5)
     d = res.as_dict()
@@ -592,6 +634,14 @@ def test_threshold_table_roots_only_the_rows_it_prints(monkeypatch, quantity, na
     rows = threshold_table(ChannelSpec("laser", g=0.5, kappa=1.3), 0.9, quantity)
     assert asked == [names]
     assert [res.direction for res in rows] == [quantity.replace("-", "_")]
+
+
+@pytest.mark.parametrize("quantity", ["a_to_b", "bogus", ""])
+def test_threshold_table_refuses_an_unknown_quantity(quantity):
+    # "a_to_b" is a row's direction, not a table quantity.
+    expected = "'a-to-b', 'b-to-a', 'two-way', 'inseparability', 'all'"
+    with pytest.raises(InvalidArgumentError, match=f"unknown quantity {quantity!r}; expected one of \\({expected}\\)"):
+        threshold_table(ChannelSpec("loss"), 0.5, quantity)
 
 
 @pytest.mark.parametrize(
