@@ -7,8 +7,6 @@ from .channels import (
     PhaseSensitiveParams,
     apply_laser,
     apply_phase_sensitive,
-    gain_preset,
-    loss_preset,
     thermal_preset,
     v_infinity,
 )

@@ -4,14 +4,14 @@ Symbol note: the literature reuses R and T with several meanings.  Internally
 a laser channel is stored as a survival factor ``survival = exp(-2(kappa-g)t)``
 and an added-noise coefficient ``noise``; the gain-channel (R = e^{2gt}) and
 thermal-channel (R = e^{-2 kappa t}, T = 1 - R, N = 2 nbar + 1)
-parameterizations of the same map are recovered by the presets below.
+parameterizations of the same map are recovered by ``ChannelSpec`` kinds.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "ChannelSpec",
     "LaserChannelParams",
     "PhaseSensitiveParams",
-    "loss_preset",
-    "gain_preset",
     "thermal_preset",
     "apply_laser",
     "v_infinity",
@@ -98,16 +96,6 @@ def _laser_factors(g: float, kappa: float, t):
     # where x = 0 it keeps its limit 2 (kappa + g) t.
     noise = np.divide(rate_t * (-np.expm1(-x)), x, out=np.array(rate_t, dtype=float), where=x != 0.0)
     return np.exp(-x), noise[()]
-
-
-def loss_preset(kappa: float, t: float) -> LaserChannelParams:
-    """Pure photon-loss channel (g = 0)."""
-    return LaserChannelParams(g=0.0, kappa=kappa, t=t)
-
-
-def gain_preset(g: float, t: float) -> LaserChannelParams:
-    """Pure photon-gain (linear amplifier) channel (kappa = 0)."""
-    return LaserChannelParams(g=g, kappa=0.0, t=t)
 
 
 def thermal_preset(kappa: float, nbar: float, t: float) -> LaserChannelParams:
@@ -241,8 +229,9 @@ class ChannelSpec:
     """A channel family with fixed rates, evaluated at varying durations.
 
     ``kind`` selects the map; only the rates ``_KIND_RATES`` lists for it
-    are consulted.  Rates default to 1 so durations read as dimensionless
-    products (kappa*t or g*t).
+    are consulted, and they are checked when the spec is made, so a spec
+    that exists is a channel the map can run.  Rates default to 1 so
+    durations read as dimensionless products (kappa*t or g*t).
     """
 
     kind: str
@@ -251,29 +240,34 @@ class ChannelSpec:
     kappa: float = 1.0
     nbar: float = 0.0
     m: complex = 0.0
+    # The checked rates at t = 0; None for the identity kind, which reads none.
+    _params: LaserChannelParams | PhaseSensitiveParams | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KIND_RATES:
-            raise InvalidArgumentError(f"unknown channel kind {self.kind!r}; expected one of {tuple(_KIND_RATES)}")
+        kind, params = self.kind, None
+        if kind not in _KIND_RATES:
+            raise InvalidArgumentError(f"unknown channel kind {kind!r}; expected one of {tuple(_KIND_RATES)}")
+        if kind == "phase-sensitive":
+            params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=0.0)
+        elif kind == "thermal":
+            params = thermal_preset(self.kappa, self.nbar, 0.0)
+        elif kind != "identity":
+            params = LaserChannelParams(0.0 if kind == "loss" else self.g, 0.0 if kind == "gain" else self.kappa, 0.0)
+        object.__setattr__(self, "_params", params)
 
     def laser_params(self, t: float) -> LaserChannelParams:
-        if self.kind == "loss":
-            return loss_preset(self.kappa, t)
-        if self.kind == "gain":
-            return gain_preset(self.g, t)
-        if self.kind == "thermal":
-            return thermal_preset(self.kappa, self.nbar, t)
-        if self.kind == "laser":
-            return LaserChannelParams(self.g, self.kappa, t)
-        raise InvalidArgumentError(f"channel kind {self.kind!r} has no laser parameterization")
+        """The laser rates of this loss, gain, thermal or laser channel at duration t."""
+        params = self._params
+        if not isinstance(params, LaserChannelParams):
+            raise InvalidArgumentError(f"channel kind {self.kind!r} has no laser parameterization")
+        return LaserChannelParams(params.g, params.kappa, t)
 
     def evolve(self, state: TwoModeGaussianState, t: float) -> TwoModeGaussianState:
         """The state after duration t in this channel.
 
         The one-state case of ``_evolve_stack``: the mean of each decohered
         mode scales by the same sqrt(keep) as its rows and columns.  Zero
-        duration (once the rates are checked) and the identity kind return
-        ``state`` itself.
+        duration and the identity kind return ``state`` itself.
         """
         cm, sq = _evolve_stack(state.cm, (self,), t)
         if sq is None:
@@ -292,8 +286,7 @@ class ChannelSpec:
         The stacked form of ``evolve``: for an array of N durations it returns
         the (N, 4, 4) covariance matrices, built by one channel map and
         validated once with the constructor's checks.  Entries equal those of
-        ``evolve(state, t).cm`` bit for bit.  Like ``evolve``, it checks the
-        rates at every duration, a batch of zeros included.
+        ``evolve(state, t).cm`` bit for bit.
         """
         return _evolve_stack(state.cm, (self,), t)[0]
 
@@ -315,9 +308,8 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     N of them with the same kind and side, which may differ in their rates.
     A 0-d t gives one 4x4 matrix, computed on scalars (``ChannelSpec.evolve``
     is that case).  ``sq`` = sqrt(keep) is the factor of each decohered mode.
-    Each channel's rates are checked at every duration, zero included; the
-    identity kind reads none.  Zero duration and the identity kind return
-    ``cms`` broadcast and unvalidated, and sq = None.
+    Zero duration and the identity kind return ``cms`` broadcast and
+    unvalidated, and sq = None.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
@@ -328,30 +320,21 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     if not valid:
         raise InvalidArgumentError("durations must be finite and >= 0")
     first = channels[0]
-    params = () if first.kind == "identity" else _rate_params(channels)
-    if not params or zero:
+    if first.kind == "identity" or zero:
         return np.broadcast_to(cms, np.shape(t) + (4, 4)), None
     if not isinstance(t, float):
         t = t[..., None, None]
     with np.errstate(**_OVERFLOW_QUIET):
-        keep, added = _stack_terms(params, t)
+        keep, added = _stack_terms([c._params for c in channels], t)
         sq = np.sqrt(keep)
         cms = _channel_map(cms, sq, keep, added, first.side)
     return _validate_cms(cms), sq
 
 
-def _rate_params(channels) -> list:
-    """Each channel's rates, validated: a PhaseSensitiveParams or a
-    LaserChannelParams at t = 0 per channel, all of the first one's kind."""
-    if channels[0].kind == "phase-sensitive":
-        return [PhaseSensitiveParams(kappa=c.kappa, nbar=c.nbar, m=c.m, t=0.0) for c in channels]
-    return [c.laser_params(0.0) for c in channels]
-
-
 def _stack_terms(params: list, t):
     """The (keep, added) arguments of ``_channel_map`` for durations t, a
-    float or an (N, 1, 1) array, from the ``_rate_params`` of the channels:
-    the terms of every row are computed once, elementwise."""
+    float or an (N, 1, 1) array, from the channels' checked ``_params``, all
+    of one kind: the terms of every row are computed once, elementwise."""
     if isinstance(params[0], PhaseSensitiveParams):
         transmission, mixing = _bath_factors(_column([p.kappa for p in params]), t)
         return transmission, mixing * _column([v_infinity(p) for p in params])

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -110,10 +109,11 @@ def _write_table(columns, rows, fmt, out, provenance=None):
 # ---------------------------------------------------------------------------
 # channel construction from flags
 
-def _channel_from_args(args) -> ChannelSpec:
-    """The --channel on --side with the rates given as flags; ChannelSpec's
-    defaults fill in the others.  No --channel is the identity channel."""
-    rates = {"g": args.g, "kappa": args.kappa, "nbar": args.nbar, "m": getattr(args, "M", None)}
+def _channel_from_args(args, nbar=None) -> ChannelSpec:
+    """The --channel on --side with the rates given as flags, nbar (if given)
+    in place of --nbar; ChannelSpec's defaults fill in the others.  No
+    --channel is the identity channel."""
+    rates = {"g": args.g, "kappa": args.kappa, "nbar": args.nbar if nbar is None else nbar, "m": getattr(args, "M", None)}
     given = {name: value for name, value in rates.items() if value is not None}
     return ChannelSpec(kind=args.channel or "identity", side=ChannelSide(args.side), **given)
 
@@ -386,8 +386,8 @@ def _generic_sweep_rows(args):
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise CvSteerError(f"--start and --stop must be finite, got {start} and {stop}")
     values = np.linspace(start, stop, args.steps)
-    channel = _channel_from_args(args)
-    channels = (channel,)
+    channels = [_channel_from_args(args, nbar) for nbar in (values.tolist() if args.var == "nbar" else [None])]
+    channel = channels[0]
     if args.var in ("r", "nbar"):
         # r and nbar change the state or the bath at one duration: row i is
         # the TMSV with the i-th r, or the channel with the i-th nbar.
@@ -396,7 +396,6 @@ def _generic_sweep_rows(args):
             cms = _validate_cms(_tmsv_cms(values))  # checks each TMSV, as make_tmsv does
         else:
             cms = make_tmsv(args.r).cm
-            channels = [replace(channel, nbar=v) for v in values.tolist()]
     else:
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
@@ -406,6 +405,11 @@ def _generic_sweep_rows(args):
 
 
 def _cmd_sweep(args) -> int:
+    if args.figure or args.explain:  # they read none of a generic sweep's flags that default to None
+        flags = ("var", "start", "stop", "channel", "g", "kappa", "nbar", "M", "t", "kt", "gt")
+        unread = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if unread:
+            raise CvSteerError(f"{', '.join(unread)} not read by {'--explain' if args.explain else '--figure'}")
     if args.explain:
         if args.figure:
             print(json.dumps(_json_ready(FIGURE_PRESETS[args.figure]), indent=2))

@@ -571,10 +571,9 @@ _ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA",
 def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[ThresholdResult]:
     """The result of each threshold row (channel, direction), in row order.
 
-    Each row's rates (as ``ChannelSpec.evolve`` checks them, and g, kappa not
-    both zero), then r, are checked and its closed form taken, row by row; a
-    thermal two-way row in the window nbar >= (e^{2r} - 1)/2 is
-    "never-steerable" and has no root.  Then one ``numeric_threshold`` call,
+    Each row's laser rates g and kappa (not both zero), then r, are checked
+    and its closed form taken, row by row; a thermal two-way row in the
+    window nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one ``numeric_threshold`` call,
     so one scan, roots every row of a distinct channel: 50 time units for the
     thermal channel (kappa = 1), ``_default_t_max`` for a laser channel.  An
     infinite root against a finite closed form is not "ok":
@@ -583,7 +582,7 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
     and so is a closed form that divides by zero, taken as NaN."""
     results, groups = [], {}
     for channel, direction in rows:
-        rates = channel.laser_params(0.0)  # the rate check of ChannelSpec.evolve
+        rates = channel.laser_params(0.0)  # g and kappa, checked when the channel was made
         if rates.g == 0.0 and rates.kappa == 0.0:  # the scan horizon 50 / (g + kappa) needs a rate
             raise InvalidArgumentError("g and kappa cannot both be zero")
         _check_r(r)

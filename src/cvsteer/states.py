@@ -80,6 +80,14 @@ class CfPoint:
         return np.array([self.q1, self.p1, self.q2, self.p2])
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; anything else raises InvalidArgumentError naming ``name``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{name} must be an array of real numbers: {exc}") from None
+
+
 class TwoModeGaussianState:
     """Immutable mean vector + 4x4 covariance matrix of a physical state.
 
@@ -92,8 +100,7 @@ class TwoModeGaussianState:
     __slots__ = ("_mean", "_cm")
 
     def __init__(self, mean, cm):
-        mean = np.asarray(mean, dtype=float).reshape(-1)
-        cm = np.asarray(cm, dtype=float)
+        mean, cm = _float_array(mean, "mean").reshape(-1), _float_array(cm, "cm")
         if mean.shape != (4,):
             raise InvalidArgumentError(f"mean must have 4 entries, got shape {mean.shape}")
         if cm.shape != (4, 4):

@@ -16,8 +16,6 @@ from cvsteer.channels import (
     _evolve_stack,
     apply_laser,
     apply_phase_sensitive,
-    gain_preset,
-    loss_preset,
     thermal_preset,
     v_infinity,
 )
@@ -38,14 +36,16 @@ def test_identity_at_zero_time():
 
 def test_loss_preset_coefficients():
     kt = 0.4
-    params = loss_preset(1.0, kt)
+    params = ChannelSpec(kind="loss").laser_params(kt)
+    assert (params.g, params.kappa) == (0.0, 1.0)
     assert params.survival == pytest.approx(math.exp(-2 * kt))
     assert params.noise == pytest.approx(1.0 - math.exp(-2 * kt))
 
 
 def test_gain_preset_coefficients():
     gt = 0.3
-    params = gain_preset(1.0, gt)
+    params = ChannelSpec(kind="gain").laser_params(gt)
+    assert (params.g, params.kappa) == (1.0, 0.0)
     big_r = math.exp(2 * gt)
     assert params.survival == pytest.approx(big_r)
     assert params.noise == pytest.approx(big_r - 1.0)
@@ -72,7 +72,7 @@ def test_rejects_negative_parameters():
     with pytest.raises(InvalidArgumentError):
         LaserChannelParams(-0.1, 1.0, 0.1)
     with pytest.raises(InvalidArgumentError):
-        loss_preset(1.0, -0.1)
+        ChannelSpec(kind="loss").laser_params(-0.1)
     with pytest.raises(InvalidArgumentError):
         thermal_preset(1.0, -0.5, 0.1)
 
@@ -110,7 +110,7 @@ def test_constructors_report_the_first_bad_rate(build, message):
 
 def test_two_side_laser_closed_form():
     r, kt = 0.5, 0.3
-    params = loss_preset(1.0, kt)
+    params = LaserChannelParams(0.0, 1.0, kt)
     out = apply_laser(make_tmsv(r), params, ChannelSide.BOTH)
     surv = math.exp(-2 * kt)
     b = (1 - surv) + surv * math.cosh(2 * r)
@@ -124,7 +124,7 @@ def test_two_side_laser_closed_form():
 def test_one_side_laser_touches_only_b():
     r, kt = 0.5, 0.3
     s = make_tmsv(r)
-    out = apply_laser(s, loss_preset(1.0, kt), ChannelSide.B)
+    out = apply_laser(s, LaserChannelParams(0.0, 1.0, kt), ChannelSide.B)
     surv = math.exp(-2 * kt)
     assert np.allclose(out.cm[:2, :2], s.cm[:2, :2])
     assert np.allclose(out.cm[:2, 2:], math.sqrt(surv) * s.cm[:2, 2:])
@@ -344,14 +344,46 @@ def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
         assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
 
 
-def test_evolve_stack_validates_each_channel_at_every_duration():
-    s = make_tmsv(0.5)
-    bad = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.9) for v in (1.0, 0.2)]  # |m|^2 > 0.24
-    for t in (np.full(2, 0.1), np.zeros(2)):
-        with pytest.raises(InvalidArgumentError, match="exceeds"):
-            _evolve_stack(s.cm, bad, t)
+@pytest.mark.parametrize(
+    ("rates", "message"),
+    [
+        ({"kind": "thermal", "nbar": -1.0}, "nbar must be finite and >= 0, got -1.0"),
+        ({"kind": "thermal", "kappa": 1e308, "nbar": 1.0}, "kappa*(nbar + 1) must be finite, got kappa = 1e+308, nbar = 1.0"),
+        ({"kind": "gain", "g": -1.0}, "g must be finite and >= 0, got -1.0"),
+        ({"kind": "loss", "kappa": math.nan}, "kappa must be finite and >= 0, got nan"),
+        ({"kind": "laser", "g": math.inf, "kappa": -1.0}, "g must be finite and >= 0, got inf"),
+        ({"kind": "phase-sensitive", "nbar": 0.2, "m": 0.9}, "|m|^2 = 0.81 exceeds nbar(nbar+1) = 0.24"),
+        ({"kind": "phase-sensitive", "kappa": -1.0, "m": math.nan}, "kappa must be finite and >= 0, got -1.0"),
+    ],
+    ids=["thermal-nbar", "thermal-overflow", "gain-g", "loss-kappa", "laser-g-kappa", "phase-sensitive-m",
+         "phase-sensitive-kappa-m"],
+)
+def test_channel_spec_checks_its_rates_when_made(rates, message):
+    with pytest.raises(InvalidArgumentError) as info:
+        ChannelSpec(**rates)
+    assert str(info.value) == message
+
+
+def test_channel_spec_checks_only_the_rates_its_kind_reads():
+    bad = {"g": -1.0, "kappa": -1.0, "nbar": -1.0, "m": math.nan}
+    assert ChannelSpec(kind="identity", **bad).describe() == {"kind": "identity", "side": "two"}
+    assert ChannelSpec(kind="loss", **{**bad, "kappa": 1.0}).describe()["kappa"] == 1.0
+    assert ChannelSpec(kind="gain", **{**bad, "g": 1.0}).describe()["g"] == 1.0
+    assert ChannelSpec(kind="thermal", **{**bad, "kappa": 1.0, "nbar": 0.5}).describe()["nbar"] == 0.5
+
+
+def test_channel_spec_keeps_its_checked_params_out_of_eq_hash_and_repr():
+    spec = ChannelSpec(kind="thermal", side=ChannelSide.B, kappa=2.0, nbar=0.5)
+    twin = ChannelSpec(kind="thermal", side=ChannelSide.B, kappa=2.0, nbar=0.5)
+    assert spec == twin and hash(spec) == hash(twin) and spec._params is not twin._params
+    assert "_params" not in repr(spec)
+    assert replace(spec, nbar=1.0)._params == LaserChannelParams(g=2.0, kappa=4.0, t=0.0)
     with pytest.raises(InvalidArgumentError, match="nbar must be finite"):
-        ChannelSpec(kind="thermal", nbar=-1.0).evolve(s, 0.0)
+        replace(spec, nbar=-1.0)
+
+
+def test_evolve_stack_at_zero_duration_returns_the_input():
+    s = make_tmsv(0.5)
     good = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.4) for v in (1.0, 0.2)]
     stack, sq = _evolve_stack(s.cm, good, np.zeros(2))
     assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None

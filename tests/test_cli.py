@@ -146,6 +146,30 @@ def test_sweep_json_format(capsys):
     assert rows[0]["steerable_a_to_b"] is True
 
 
+_GENERIC_SWEEP_FLAGS = {
+    "--var": "t", "--start": "0", "--stop": "1", "--channel": "loss", "--g": "1", "--kappa": "5", "--nbar": "1",
+    "--M": "0", "--t": "1", "--kt": "1", "--gt": "1",
+}
+
+
+@pytest.mark.parametrize("mode", [("--figure", "3"), ("--explain",), ("--figure", "4", "--explain")],
+                         ids=["figure", "explain", "figure-explain"])
+@pytest.mark.parametrize("flag", list(_GENERIC_SWEEP_FLAGS))
+def test_sweep_figure_and_explain_refuse_the_flags_they_do_not_read(capsys, mode, flag):
+    reader = "--explain" if "--explain" in mode else "--figure"
+    code, out, err = run_cli(capsys, "sweep", *mode, flag, _GENERIC_SWEEP_FLAGS[flag])
+    assert (code, out, err) == (2, "", f"error: {flag} not read by {reader}\n")
+
+
+def test_sweep_figure_names_every_unread_flag_and_keeps_its_output_flags(capsys):
+    assert run_cli(capsys, "sweep", "--figure", "3", "--channel", "loss", "--kappa", "5") == (
+        2, "", "error: --channel, --kappa not read by --figure\n"
+    )
+    code, out, err = run_cli(capsys, "sweep", "--figure", "3", "--provenance")
+    assert (code, err) == (0, "") and out.startswith("# cvsteer sweep --figure 3\n")
+    assert run_cli(capsys, "sweep", "--figure", "3", "--format", "json")[::2] == (0, "")
+
+
 def test_sweep_without_figure_or_var_exits_2(capsys):
     code, _, err = run_cli(capsys, "sweep")
     assert code == 2
@@ -236,16 +260,17 @@ def fresh_cli(*argv):
     return fresh_python("-m", "cvsteer", *argv)
 
 
-def scipy_modules_after(*calls):
+def modules_after(*calls):
     """In a new interpreter, import cvsteer.cli and run each argv through
-    ``main``; after each call, the scipy modules of interest then loaded."""
+    ``main``; after each call, the scipy and mpmath modules of interest then
+    loaded (mpmath is a test-only dependency)."""
     script = (
         "import contextlib, io, sys\n"
         "from cvsteer import cli\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(list(argv)) == 0, argv\n"
-        "    print(' '.join(m for m in ('scipy', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))\n"
+        "    print(' '.join(m for m in ('scipy', 'scipy.optimize', 'scipy.linalg', 'mpmath') if m in sys.modules))\n"
     )
     code, out, err = fresh_python("-c", script)
     assert code == 0, err
@@ -253,9 +278,10 @@ def scipy_modules_after(*calls):
 
 
 def test_eval_and_sweep_load_no_scipy():
-    # scipy takes longer to import than these calls take to run.
+    # scipy takes longer to import than these calls take to run, and mpmath
+    # is for tests only.
     calls = (("eval", "--r", "0.5", "--channel", "thermal", "--nbar", "0.5", "--t", "0.3"), ("sweep", "--figure", "1"))
-    assert scipy_modules_after(*calls) == [[], []]
+    assert modules_after(*calls) == [[], []]
 
 
 def test_threshold_and_random_states_load_their_scipy_module():
@@ -263,7 +289,7 @@ def test_threshold_and_random_states_load_their_scipy_module():
     # states of the oracle suites need scipy (scipy.linalg.expm).
     threshold = ("threshold", "--channel", "loss", "--r", "0.6", "--quantity", "b-to-a", "--side", "b")
     calls = (threshold, ("verify", "thresholds"), ("verify", "symplectic"))
-    after_threshold, after_thresholds_suite, after_symplectic = scipy_modules_after(*calls)
+    after_threshold, after_thresholds_suite, after_symplectic = modules_after(*calls)
     assert after_threshold == after_thresholds_suite == []
     assert after_symplectic == ["scipy", "scipy.linalg"]
 
@@ -332,6 +358,30 @@ def test_sweep_one_minus_t_outside_unit_interval_exits_2(capsys, stop):
     assert code == 2
     assert out == ""
     assert err == f"error: one-minus-T must be in [0, 1), got {float(stop):.12g}\n"
+
+
+_IDENTITY_ROWS = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]"
+
+
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        (f'{{"mean": [0, 0, 0, 0], "cm": [["a", 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         "cm must be an array of real numbers: could not convert string to float: 'a'"),
+        (f'{{"mean": [0, 0, 0, 0], "cm": [[1, 0, 0], {_IDENTITY_ROWS}]}}', "cm must be an array of real numbers: "),
+        (f'{{"mean": [{{"a": 1}}, 0, 0, 0], "cm": [[1, 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         "mean must be an array of real numbers: float() argument must be"),
+        (f'{{"mean": [0, 0, 0, 0], "cm": [[1{"0" * 400}, 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         "cm must be an array of real numbers: int too large to convert to float"),
+    ],
+    ids=["string-entry", "ragged-cm", "object-in-mean", "401-digit-integer"],
+)
+def test_eval_state_file_with_malformed_values_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "state.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, "eval", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(("content", "message"), [("[1,2", "not a JSON state file"), ("[1,2]", "must be an object")])
@@ -533,9 +583,27 @@ _BAD_RATES = [
 @pytest.mark.parametrize("duration", [(), ("--t", "1")], ids=["zero-duration", "positive-duration"])
 @pytest.mark.parametrize(("argv", "message"), _BAD_RATES)
 def test_bad_rate_flags_exit_2_at_every_duration(capsys, argv, message, duration):
-    # A zero duration consults no rates in the channel itself; the CLI still
-    # rejects a bad rate flag there, with the message a positive duration gives.
+    # The rates are checked when the channel is made, so a zero duration
+    # rejects a bad rate flag with the message a positive duration gives.
     assert run_cli(capsys, *argv, *duration) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("eval", "--r", "0.5", "--channel", "loss", "--kappa", "-1", "--gt", "0.3"),
+         "error: kappa must be finite and >= 0, got -1.0\n"),
+        (("eval", "--r", "0.5", "--channel", "thermal", "--nbar", "-1", "--g", "1"),
+         "error: nbar must be finite and >= 0, got -1.0\n"),
+        (("sweep", "--var", "kt", "--steps", "3", "--channel", "phase-sensitive", "--M", "1", "--g", "1"),
+         "error: |m|^2 = 1 exceeds nbar(nbar+1) = 0\n"),
+    ],
+    ids=["before-a-duration-error", "before-an-unread-flag", "sweep-before-an-unread-flag"],
+)
+def test_a_bad_rate_is_reported_before_the_flags_other_faults(capsys, argv, message):
+    # The channel is made, and its rates checked, before the durations and
+    # the unread rate flags are looked at.
+    assert run_cli(capsys, *argv) == (2, "", message)
 
 
 @pytest.mark.parametrize("value", ["-1", "nan"])
@@ -552,8 +620,8 @@ def test_threshold_reports_a_bad_rate_as_eval_does(capsys, kind, rate, value):
 
 
 def test_phase_sensitive_nbar_sweep_checks_each_row_not_the_base_nbar(capsys):
-    # The base channel's nbar is the default 0, which fails |M|^2 <= nbar(nbar + 1)
-    # for M = 1; only the swept values, all >= 1, are channels that run.
+    # The flags' nbar is the default 0, which fails |M|^2 <= nbar(nbar + 1)
+    # for M = 1; only the swept values, all >= 1, make channels.
     argv = ("sweep", "--var", "nbar", "--channel", "phase-sensitive", "--M", "1")
     code, out, err = run_cli(capsys, *argv, "--start", "1", "--stop", "2", "--steps", "3", "--kt", "0.4")
     assert (code, err) == (0, "")

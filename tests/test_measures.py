@@ -84,6 +84,21 @@ def test_loss_two_way_threshold_is_half_log_two():
         assert res.status == "ok"
 
 
+@given(r=st.floats(0.1, 2.0), kappa=st.floats(0.1, 3.0), s=st.floats(0.02, 0.98))
+@settings(max_examples=80, deadline=None)
+def test_two_side_loss_steers_less_than_one_side_loss_until_their_shared_time(r, kappa, s):
+    # The abstract: "two-side loss presents a smaller steerability than
+    # one-side loss although they share the same two-way steerable time",
+    # ln 2 / (2 kappa), on the per-state path.
+    shared = math.log(2.0) / (2.0 * kappa)
+    state = make_tmsv(r)
+    one_side, two_side = (ChannelSpec("loss", side, kappa=kappa) for side in (ChannelSide.B, ChannelSide.BOTH))
+    g_one, g_two = (steering_report(channel.evolve(state, s * shared)).g_twoway for channel in (one_side, two_side))
+    assert g_one > g_two > 0.0
+    after = [steering_report(channel.evolve(state, 1.02 * shared)).g_twoway for channel in (one_side, two_side)]
+    assert after == [0.0, 0.0]
+
+
 def test_gain_two_way_threshold_bounded():
     bound = 0.5 * math.log(1.5)
     for r in (0.3, 0.5, 1.0, 2.0):

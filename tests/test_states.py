@@ -75,6 +75,24 @@ def test_state_validation_rejects_garbage():
         TwoModeGaussianState(np.zeros(4), lopsided)
 
 
+_EYE_ROWS = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    ("mean", "cm", "name"),
+    [
+        ([0, 0, 0, 0], [["a", 0, 0, 0], *_EYE_ROWS], "cm"),
+        ([0, 0, 0, 0], [[1, 0, 0], *_EYE_ROWS], "cm"),
+        ([{"a": 1}, 0, 0, 0], [[1, 0, 0, 0], *_EYE_ROWS], "mean"),
+        ([0, 0, 0, 0], [[10**400, 0, 0, 0], *_EYE_ROWS], "cm"),
+    ],
+    ids=["string-entry", "ragged-cm", "object-in-mean", "401-digit-integer"],
+)
+def test_state_values_that_are_not_real_numbers_are_named(mean, cm, name):
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be an array of real numbers: "):
+        TwoModeGaussianState(mean, cm)
+
+
 def test_state_is_immutable():
     s = vacuum()
     with pytest.raises(AttributeError):
