@@ -63,6 +63,9 @@ _RATE_DEGENERACY_TOL = 1e-12
 # square root of a near-cancelling discriminant, which amplifies rounding
 # error of order eps to sqrt(eps) ~ 1e-8 when the eigenvalue sits near 1.
 _SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N": 1e-7}
+# The scan reads the sign of a value -k ln x off its log argument x, without
+# the log, where x lies outside 1 -+ 100 floors / k (``_scan_signs``).
+_SIGN_BAND = {"G_AtoB": 2e-11, "G_BtoA": 2e-11, "G_twoway": 2e-11, "E_N": 1e-5}
 
 # The squeezing r a threshold accepts: below _R_MIN the TMSV's steerability at
 # t = 0, ln cosh 2r, lies inside the scan's noise floor (and the two-way
@@ -80,11 +83,15 @@ _ADJUGATE_SIGNS.setflags(write=False)
 
 
 def _steerability_exponents(cms: np.ndarray, direction: SteeringDirection):
-    """``steerability_exponent`` of a (..., 4, 4) stack, or a float for one matrix.
+    """``steerability_exponent`` of a (..., 4, 4) stack, or a float for one matrix."""
+    return -0.5 * _log(_conditional_dets(cms, direction))
 
-    The steered party's block conditioned on the steerer's optimal Gaussian
-    measurement is a Schur complement; its 2x2 determinant comes in closed
-    form for precision near the boundary.
+
+def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
+    """The log argument of ``_steerability_exponents``: the determinant of the
+    steered party's block conditioned on the steerer's optimal Gaussian
+    measurement.  That block is a Schur complement; its 2x2 determinant comes
+    in closed form for precision near the boundary.
     """
     if direction is SteeringDirection.A_TO_B:
         steerer, steered, cross = cms[..., 0:2, 0:2], cms[..., 2:4, 2:4], cms[..., 0:2, 2:4]
@@ -98,13 +105,18 @@ def _steerability_exponents(cms: np.ndarray, direction: SteeringDirection):
     det_cond = _det2(steered - cross.mT @ inverse @ cross)
     if _any(~(det_cond > 0.0)):
         raise DegenerateInputError("conditional covariance is singular")
-    return -0.5 * _log(det_cond)
+    return det_cond
 
 
 def _log_negativity_exponents(cms: np.ndarray):
     """``log_negativity_exponent`` of a (..., 4, 4) stack, or a float for one matrix."""
-    _, nu_s = _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B))
-    return -_log(nu_s)
+    return -_log(_transposed_nus(cms))
+
+
+def _transposed_nus(cms: np.ndarray):
+    """The log argument of ``_log_negativity_exponents``: the smaller
+    symplectic eigenvalue nu_s of the partial transpose."""
+    return _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B))[1]
 
 
 def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -238,16 +250,60 @@ class ThresholdResult:
 def _signed_quantity(cms: np.ndarray, quantity: str) -> np.ndarray:
     """The signed threshold quantity (positive before the threshold) over a
     (..., 4, 4) stack; equal bit for bit to the per-state quantifiers."""
+    return _from_log_arguments(_log_arguments(cms, quantity), quantity)
+
+
+# The directions whose steerability a G quantity reads; G_twoway is the
+# smaller of the two.
+_STEERING_DIRECTIONS = {
+    "G_AtoB": (SteeringDirection.A_TO_B,),
+    "G_BtoA": (SteeringDirection.B_TO_A,),
+    "G_twoway": (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A),
+}
+
+
+def _log_arguments(cms: np.ndarray, quantity: str) -> tuple:
+    """The arguments x of the logs a signed quantity takes, one per direction
+    it reads: the quantity is -k ln x, with k = 1/2 for steerability
+    (``_conditional_dets``) and k = 1 for E_N (``_transposed_nus``), and the
+    smaller of the two for G_twoway.  Every x is > 0, or the quantity raises."""
     if quantity == "E_N":
-        return _log_negativity_exponents(cms)
-    if quantity == "G_AtoB":
-        return _steerability_exponents(cms, SteeringDirection.A_TO_B)
-    if quantity == "G_BtoA":
-        return _steerability_exponents(cms, SteeringDirection.B_TO_A)
-    return np.minimum(
-        _steerability_exponents(cms, SteeringDirection.A_TO_B),
-        _steerability_exponents(cms, SteeringDirection.B_TO_A),
-    )
+        return (_transposed_nus(cms),)
+    return tuple(_conditional_dets(cms, direction) for direction in _STEERING_DIRECTIONS[quantity])
+
+
+def _from_log_arguments(args: tuple, quantity: str):
+    """The signed quantity of its ``_log_arguments``, arrays or floats."""
+    if quantity == "E_N":
+        return -_log(args[0])
+    values = [-0.5 * _log(x) for x in args]
+    return values[0] if len(values) == 1 else np.minimum(*values)
+
+
+def _scan_signs(cms: np.ndarray, quantity: str):
+    """(signs, args): the bracketing scan's sign of the signed quantity at
+    every matrix of the stack, and its ``_log_arguments``, from which
+    ``_from_log_arguments`` gives any one matrix's value bit for bit.
+
+    The sign is 0 where |value| <= the quantity's noise floor, else the
+    value's sign.  With k the log's factor, a point whose every argument is
+    at most 1 - _SIGN_BAND[quantity] (100 floors / k) has a value of at least
+    about 100 floors, so its sign is +1; one with an argument of at least
+    1 + _SIGN_BAND[quantity] has a value of at most about -100 floors, so its
+    sign is -1.  The log is taken only at the points in between.
+    """
+    args = _log_arguments(cms, quantity)
+    largest = args[0] if len(args) == 1 else np.maximum(*args)  # the smallest value's argument
+    width = _SIGN_BAND[quantity]
+    positive, negative = largest <= 1.0 - width, largest >= 1.0 + width
+    signs = np.where(positive, 1.0, np.where(negative, -1.0, 0.0))
+    unsure = np.flatnonzero(~(positive | negative))  # NaN too
+    if unsure.size:
+        # Quantities that decay towards zero without crossing it jitter at the
+        # rounding level for large t; values inside the noise band carry no sign.
+        values = _from_log_arguments(tuple(x[unsure] for x in args), quantity)
+        signs[unsure] = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
+    return signs, args
 
 
 def _scan_grid(t_max: float) -> np.ndarray:
@@ -271,12 +327,15 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     stacked batch: the TMSV, the grid and, from a single channel map, the
     (800, 4, 4) covariance matrices are built once per call, whatever the
     number of quantities, and the matrices are validated once with the state
-    constructor's checks.  In one loop each quantity then takes its own
-    checks, sign scan of that stack, noise floor and bracket, and ``brentq``
-    refines the one bracketing pair.  It starts from the values the sign
-    check at t = 0 and the scan already hold at both bracket ends, and
-    evaluates only the points inside, on one 4x4 matrix each; the scan and
-    every point equal the per-state quantifiers bit for bit.  No closed-form threshold
+    constructor's checks (a certified stack skips the eigensolver).  In one
+    loop each quantity then takes its own checks, sign scan of that stack
+    (``_scan_signs``, which takes the log only at points near the noise
+    band), noise floor and bracket, and ``brentq`` refines the one
+    bracketing pair.  It starts from the values at both bracket ends, the
+    sign check's at t = 0 or the one ``_from_log_arguments`` gives from the
+    scan's stored log arguments, and evaluates only the points inside, on
+    one 4x4 matrix each; the scan's signs and every point equal the
+    per-state quantifiers' bit for bit.  No closed-form threshold
     expression enters, so the bisected value is an independent check on them.
 
     A quantity that stays positive on the whole interval gives the infinite
@@ -300,21 +359,18 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
         if scan is None:
             ts = _scan_grid(t_max)
             scan = channel.evolve_cms(state0, ts)
-        values = _signed_quantity(scan, name)
-        # Quantities that decay towards zero without crossing it jitter at the
-        # rounding level for large t; values inside the noise band carry no sign.
-        signs = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[name], 0.0, np.sign(values))
+        signs, args = _scan_signs(scan, name)
         brackets = _brackets(ts, signs)
         if len(brackets) > 1:
             raise MultiRootError(f"{name} changes sign {len(brackets)} times in (0, {t_max}]", brackets)
 
-        def f(t, name=name, f0=f0, values=values):  # bound now: f may be called after the loop moves on
+        def f(t, name=name, f0=f0, args=args):  # bound now: f may be called after the loop moves on
             # A bracket end is t = 0 or a scan point, whose value is known.
             if t == 0.0:
                 return f0
             i = ts.searchsorted(t)
             if i < len(ts) and ts[i] == t:
-                return values[i]
+                return _from_log_arguments(tuple(x[i] for x in args), name)
             return _signed_quantity(channel.evolve_cms(state0, float(t)), name)
 
         # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
@@ -531,10 +587,12 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
 def _closed_form(channel: ChannelSpec, direction: str, r: float) -> float:
     """The closed-form time of the threshold row (channel, direction), on
     checked arguments: the thermal channel's two-way row, or any row of a
-    laser channel, whose inseparability form depends on its side."""
+    laser channel, whose inseparability form depends on its side.  A loss
+    or gain channel is the laser channel of its rates (``laser_params``)."""
     if channel.kind == "thermal":
         return _two_way_thermal_time(channel.nbar, r)
-    g, kappa = channel.g, channel.kappa
+    rates = channel.laser_params(0.0)
+    g, kappa = rates.g, rates.kappa
     if direction in ("a_to_b", "b_to_a"):
         return _one_side_times(g, kappa, r)[direction == "b_to_a"]
     degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
@@ -596,7 +654,8 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
         groups.setdefault(channel, []).append(len(results))
         results.append(ThresholdResult(channel, direction, t_closed, math.nan))
     for channel, indices in groups.items():
-        t_max = 50.0 if channel.kind == "thermal" else _default_t_max(channel.g, channel.kappa)
+        rates = channel.laser_params(0.0)
+        t_max = 50.0 if channel.kind == "thermal" else _default_t_max(rates.g, rates.kappa)
         roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[results[i].direction] for i in indices), t_max)
         for i, t_numeric in zip(indices, roots):
             res = replace(results[i], t_numeric=t_numeric)

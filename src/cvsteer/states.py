@@ -44,6 +44,11 @@ PHYSICALITY_TOL = 1e-7
 # Largest covariance eigenvalue for which det V and Delta^2 in the closed-form
 # symplectic spectrum stay finite (|Delta| <= 6 max_eig^2 for a positive matrix).
 _MAX_SCALE = np.finfo(float).max ** 0.25 / 4.0
+# ``_certified`` asks each row's scaled off-diagonal sum to stay this far
+# below 1, far more than the sum's rounding error.
+_DOMINANCE_MARGIN = 1e-12
+_OFF_DIAGONAL = 1.0 - np.eye(4)
+_OFF_DIAGONAL.setflags(write=False)
 
 
 class ModeLabel(enum.Enum):
@@ -231,6 +236,12 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
     Raises if any member fails; returns the symmetrized stack (bit-identical
     to the input when that is symmetric).
+
+    The rule is read off ``eigvalsh``.  A stack first tries ``_certified``,
+    which proves without an eigensolver that the rule accepts every member;
+    only a stack with a member it cannot prove takes the eigensolver, on the
+    whole stack, so each decision, error type and message is the rule's.
+    One matrix always takes the eigensolver, which costs little there.
     """
     if not np.isfinite(cms).all():
         raise InvalidArgumentError("covariance matrix must be finite")
@@ -239,6 +250,8 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     if asym > SYMMETRY_TOL:
         raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     cms = 0.5 * (cms + transposed)
+    if cms.ndim > 2 and _certified(cms):
+        return cms
     eigs = np.linalg.eigvalsh(cms)
     # The eigensolver's absolute error grows with the largest eigenvalue,
     # so the definiteness test must be relative to the matrix scale
@@ -260,6 +273,39 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
             f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
         )
     return cms
+
+
+def _certified(cms: np.ndarray) -> bool:
+    """Whether every member of the symmetric stack ``cms`` provably passes
+    the eigvalsh rule of ``_validate_cms``, judged without an eigensolver.
+
+    The certificate, for each matrix V with diagonal d:
+      - every d_i > 0 and, for every row, sum_{j != i} |v_ij| / sqrt(d_i d_j)
+        <= 1 - _DOMINANCE_MARGIN.  Then D^{-1/2} V D^{-1/2} is strictly
+        diagonally dominant with a unit diagonal, so V is positive definite
+        (the margin dwarfs the sums' rounding error of a few eps).  For a
+        positive definite V, LAPACK's computed eigenvalues obey
+        lambda_min >= -p(4) eps lambda_max (LAPACK Users' Guide, section 4.7),
+        far above the rule's -1e-9 max(1, lambda_max);
+      - max |v_ij| <= _MAX_SCALE / 8, so lambda_max <= ||V||_2 <= 4 max |v_ij|
+        stays below _MAX_SCALE with room for the eigensolver's error;
+      - nu1^2 > 0 and det V > 0, by ``_symplectic_spectra``'s own arithmetic;
+      - nu2 >= 1 - PHYSICALITY_TOL, by the same arithmetic: with
+        scale = max(1, lambda_max) >= 1, 1 - tol scale^2 <= 1 - tol.
+    A member that fails (NaN included) only makes the answer False.
+    """
+    with np.errstate(all="ignore"):  # a failing member may divide by zero or overflow
+        magnitudes = np.abs(cms)
+        if not magnitudes.max() <= _MAX_SCALE / 8.0:
+            return False
+        d = np.diagonal(cms, axis1=-2, axis2=-1)
+        s = 1.0 / np.sqrt(d)
+        coupling = ((magnitudes * _OFF_DIAGONAL) @ s[..., None])[..., 0] * s
+        if not ((d > 0.0).all() and (coupling <= 1.0 - _DOMINANCE_MARGIN).all()):
+            return False
+        nu1_sq, det_v = _spectrum_terms(cms)
+        nu2 = np.sqrt(det_v / nu1_sq)
+        return bool(((nu1_sq > 0.0) & (det_v > 0.0) & (nu2 >= 1.0 - PHYSICALITY_TOL)).all())
 
 
 def symplectic_eigenvalues(cm: np.ndarray):
@@ -291,19 +337,24 @@ def _symplectic_spectra(cms: np.ndarray):
 
     For validated stacks, or congruent ones like their partial transposes.
     """
-    a = _det2(cms[..., 0:2, 0:2])
-    b = _det2(cms[..., 2:4, 2:4])
-    c = _det2(cms[..., 0:2, 2:4])
-    delta = a + b + 2.0 * c
-    det_v = np.linalg.det(cms)
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
-    nu1_sq = 0.5 * (delta + root)
+    nu1_sq, det_v = _spectrum_terms(cms)
     # Written so that a NaN fails as well; below _MAX_SCALE nothing overflows.
     if _any(~((nu1_sq > 0.0) & (det_v > 0.0))):
         raise DegenerateInputError("symplectic spectrum collapsed to zero")
     # (delta - root)/2 cancels catastrophically when nu1 >> nu2 (strongly
     # amplified states); the product form is algebraically identical.
     return np.sqrt(nu1_sq), np.sqrt(det_v / nu1_sq)
+
+
+def _spectrum_terms(cms: np.ndarray):
+    """(nu1^2, det V) of ``_symplectic_spectra``, without its check."""
+    a = _det2(cms[..., 0:2, 0:2])
+    b = _det2(cms[..., 2:4, 2:4])
+    c = _det2(cms[..., 0:2, 2:4])
+    delta = a + b + 2.0 * c
+    det_v = np.linalg.det(cms)
+    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
+    return 0.5 * (delta + root), det_v
 
 
 def _check_scale(max_eig) -> None:

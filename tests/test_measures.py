@@ -345,17 +345,15 @@ def test_root_below_the_first_scan_point_is_bracketed_from_the_origin(monkeypatc
 
 
 def _crossing_twice(cms, quantity):
-    """A signed quantity that is positive at t = 0 and negative on the middle
-    third of a scan stack."""
-    if np.ndim(cms) == 2:
-        return 1.0
+    """Scan signs that are negative on the middle third of a scan stack (the
+    quantity is positive at t = 0), with no log arguments."""
     k = np.arange(len(cms))
-    return np.where((3 * k > len(cms)) & (3 * k < 2 * len(cms)), -1.0, 1.0)
+    return np.where((3 * k > len(cms)) & (3 * k < 2 * len(cms)), -1.0, 1.0), None
 
 
 def test_several_sign_changes_raise_multi_root_error_with_every_bracket(monkeypatch, capsys):
     # No channel's quantity was found to cross twice; this one is made to.
-    monkeypatch.setattr(measures, "_signed_quantity", _crossing_twice)
+    monkeypatch.setattr(measures, "_scan_signs", _crossing_twice)
     with pytest.raises(MultiRootError, match="G_AtoB changes sign 2 times") as err:
         numeric_threshold(ChannelSpec("loss"), 0.5, "G_AtoB", 50.0)
     assert len(err.value.brackets) == 2
@@ -672,6 +670,80 @@ def test_closed_form_that_divides_by_zero_disagrees_with_its_root(channel):
     (row,) = threshold_table(channel, 0.1, "two-way")
     assert math.isnan(row.t_closed) and math.isnan(row.agreement) and row.status == "disagree"
     assert math.isclose(row.t_numeric, 0.0357905911027, rel_tol=1e-11)
+
+@pytest.mark.parametrize("kind, rates", [("loss", {"kappa": 0.7}), ("gain", {"g": 0.6})])
+@pytest.mark.parametrize("side", [ChannelSide.B, ChannelSide.BOTH])
+def test_loss_and_gain_rows_equal_their_laser_twins_bit_for_bit(kind, rates, side):
+    # A loss spec keeps the default g = 1 and a gain spec kappa = 1, which
+    # their kinds never read: the row's closed form and horizon must not either.
+    channel = ChannelSpec(kind, side, **rates)
+    params = channel.laser_params(0.0)
+    twin = ChannelSpec("laser", side, g=params.g, kappa=params.kappa)
+    for r in (0.3, 1.0):
+        for direction in ("two-way", "a_to_b", "b_to_a", "inseparability"):
+            (row,) = measures._threshold_rows([(channel, direction)], r)
+            (twin_row,) = measures._threshold_rows([(twin, direction)], r)
+            assert _bits([row])[0][1:] == _bits([twin_row])[0][1:]
+
+
+def _today_signs(values, quantity):
+    """The scan's sign rule on the values themselves."""
+    return np.where(np.abs(values) <= measures._SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
+
+
+@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_scan_signs_and_bracket_ends_equal_the_values_rule(monkeypatch, kind, side):
+    # The scan reads most signs off the log arguments without the log; every
+    # sign and every bracket end brentq starts from must be what the values
+    # themselves give.  At r <= 1e-3 the values stay near the noise floor, so
+    # points inside the band, which do take the log, occur.
+    ends, port = [], measures.brentq
+
+    def logging_brentq(f, a, b, **kwargs):
+        ends.append((f(a), f(b), a, b))
+        return port(f, a, b, **kwargs)
+
+    monkeypatch.setattr(measures, "brentq", logging_brentq)
+    channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
+    ts = _scan_grid(25.0)
+    in_band = bracketed = 0
+    for r in (1e-4, 1e-3, 0.6):
+        state0 = make_tmsv(r)
+        stack = channel.evolve_cms(state0, ts)
+        for name in ("G_AtoB", "G_BtoA", "G_twoway", "E_N"):
+            values = _signed_quantity(stack, name)
+            signs, args = measures._scan_signs(stack, name)
+            assert signs.tolist() == _today_signs(values, name).tolist()
+            width = measures._SIGN_BAND[name]
+            in_band += int(np.count_nonzero(np.abs(np.maximum.reduce(args) - 1.0) < width))
+            del ends[:]
+            try:
+                numeric_threshold(channel, r, name, t_max=25.0)
+            except MultiRootError:
+                continue
+            bracketed += len(ends)
+            for f_a, f_b, a, b in ends:
+                for t, value in ((a, f_a), (b, f_b)):
+                    known = _signed_quantity(state0.cm, name) if t == 0.0 else values[ts.searchsorted(t)]
+                    assert float(value).hex() == float(known).hex()
+    assert in_band > 0 and bracketed > 0
+
+
+def test_threshold_table_solves_no_eigenproblem_on_a_stack(monkeypatch):
+    # Every scan stack of a table is certified; the eigensolver sees only the
+    # single states of the root phase.
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def logging_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", logging_eigvalsh)
+    for flags in (["--channel", "laser", "--g", "0.5", "--kappa", "1.3"], ["--channel", "thermal", "--nbar", "0.2"]):
+        assert main(["threshold", *flags, "--r", "0.6", "--quantity", "all"]) == 0
+    assert shapes and set(shapes) == {(4, 4)}
+
 
 def _per_helper_threshold_rows():
     """The ``verify thresholds`` rows, bisected one helper call at a time."""

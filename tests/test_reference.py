@@ -23,6 +23,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.measures import _default_t_max, numeric_threshold, threshold_table
@@ -163,3 +165,22 @@ def test_bisected_thermal_root_inside_the_window_meets_the_reference(nbar, r, ro
     reference = float(reference_times(channel, r, 50.0)["two-way"])
     assert bisected == pytest.approx(root, rel=1e-5)
     assert abs(bisected - reference) <= 1e-9 * reference
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "laser"]),
+    side=st.sampled_from([ChannelSide.B, ChannelSide.BOTH]),
+    quantity=st.sampled_from(["two-way", "a-to-b", "b-to-a", "inseparability"]),
+    g=st.floats(0.05, 3.0),
+    kappa=st.floats(0.05, 3.0),
+    r=st.floats(0.05, 2.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_every_laser_family_row_meets_the_reference(kind, side, quantity, g, kappa, r):
+    # The table's row for the drawn quantity (inseparability on the drawn
+    # side): the closed form and the bisected root each within 1e-9 relative.
+    (result,) = threshold_table(ChannelSpec(kind, side, g=g, kappa=kappa), r, quantity)
+    params = result.channel.laser_params(0.0)
+    reference = reference_times(result.channel, r, _default_t_max(params.g, params.kappa))[result.direction]
+    assert result.status == "ok", result
+    assert _meets(result.t_closed, reference) and _meets(result.t_numeric, reference), (result, reference)

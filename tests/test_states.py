@@ -2,19 +2,27 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cvsteer import channels
+from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError, UnphysicalStateError
+from cvsteer.measures import _scan_grid
 from cvsteer.states import (
     _MAX_SCALE,
+    PHYSICALITY_TOL,
     SYMPLECTIC_FORM,
     CfPoint,
     ModeLabel,
     TwoModeGaussianState,
+    _check_scale,
+    _certified,
+    _symplectic_spectra,
     _tmsv_cms,
     _validate_cms,
     cf_eval,
@@ -219,6 +227,154 @@ def test_validate_cms_rejects_a_stack_with_one_bad_member(bad, error):
     stack[2] = bad
     with pytest.raises(error):
         _validate_cms(stack)
+
+
+# Each has a closed-form symplectic spectrum of about 1 (nu = 1, 1 for the
+# first two; 3 and 0.9999999999999999 for the third), so only the
+# positive-definiteness check can refuse it.
+_INDEFINITE = {
+    "minus-identity": -np.eye(4),
+    "negative-mode-b": np.diag([1.0, 1.0, -1.0, -1.0]),
+    "over-correlated": np.block([[np.eye(2), 2.0 * np.eye(2)], [2.0 * np.eye(2), np.eye(2)]]),
+}
+
+
+@pytest.mark.parametrize("bad", _INDEFINITE.values(), ids=_INDEFINITE.keys())
+def test_indefinite_matrix_with_a_unit_symplectic_spectrum_is_refused(bad):
+    assert math.isclose(float(_symplectic_spectra(bad)[1]), 1.0)
+    message = "^covariance matrix is not positive definite$"
+    with pytest.raises(UnphysicalStateError, match=message):
+        TwoModeGaussianState(np.zeros(4), bad)
+    for row in range(4):
+        stack = _valid_stack()
+        stack[row] = bad
+        with pytest.raises(UnphysicalStateError, match=message):
+            _validate_cms(stack)
+
+
+def _eigvalsh_rule(cms):
+    """``_validate_cms`` without its certificate: every decision of a stack
+    read off ``eigvalsh``, as the rule is stated."""
+    if not np.isfinite(cms).all():
+        raise InvalidArgumentError("covariance matrix must be finite")
+    transposed = cms.mT
+    asym = np.abs(cms - transposed).max()
+    if asym > 1e-9:
+        raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds 1e-09")
+    cms = 0.5 * (cms + transposed)
+    eigs = np.linalg.eigvalsh(cms)
+    top = eigs[..., -1]
+    scale = np.maximum(1.0, top)
+    if (eigs[..., 0] <= -1e-9 * scale).any():
+        raise UnphysicalStateError("covariance matrix is not positive definite")
+    _check_scale(top)
+    _, nu2 = _symplectic_spectra(cms)
+    violated = nu2 < 1.0 - PHYSICALITY_TOL * (scale * scale)
+    if violated.any():
+        raise UnphysicalStateError(
+            f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
+        )
+    return cms
+
+
+def _outcome(validate, cms):
+    """The bytes of the stack ``validate`` returns, or its error's type and message."""
+    try:
+        return validate(cms.copy()).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _channel_scans(draw):
+    """Unvalidated channel-map stacks of a TMSV: every kind and side, on
+    every 16th point of the threshold scan."""
+    g, kappa = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
+    nbar = draw(st.floats(0.0, 1.5))
+    m = draw(st.floats(-1.0, 1.0)) * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(
+        kind=draw(st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"])),
+        side=draw(st.sampled_from(list(ChannelSide))),
+        g=g,
+        kappa=kappa,
+        nbar=nbar,
+        m=m,
+    )
+    ts = _scan_grid(50.0 / (g + kappa))[::16]
+    with mock.patch.object(channels, "_validate_cms", lambda cms: cms):
+        return channel.evolve_cms(make_tmsv(draw(st.floats(0.0, 3.0))), ts)
+
+
+@st.composite
+def _williamson_states(draw):
+    """S diag(nu1, nu1, nu2, nu2) S^T with S = expm(Omega H): physical for
+    nu >= 1, and refused a little below."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        h = rng.normal(scale=draw(st.sampled_from([0.35, 1.0])), size=(4, 4))
+        s = expm(SYMPLECTIC_FORM @ (h + h.T))
+        nu1, nu2 = rng.uniform(0.999999, 3.0, size=2)
+        rows.append(s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T)
+    return np.stack(rows)
+
+
+@st.composite
+def _near_boundary_standard_forms(draw):
+    """Blocks a I, b I and c Z, Z = diag(1, -1) or I, with c^2 = ab (1 + s eps)
+    and eps down to 1e-12: the scaled off-diagonal sum c / sqrt(ab) straddles
+    the certificate's margin, and past 1 the matrix is indefinite (with Z = I
+    and a large, its symplectic spectrum a + c, |a - c| can still pass)."""
+    a, b = 10.0 ** draw(st.floats(0.0, 13.0)), 10.0 ** draw(st.floats(0.0, 13.0))
+    eps = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+    c = math.sqrt(a * b * (1.0 + draw(st.floats(-4.0, 4.0)) * eps))
+    return _standard_form(a, b, c, draw(st.sampled_from([-1.0, 1.0])))
+
+
+def _standard_form(a, b, c, z=-1.0):
+    """The one-matrix stack of blocks a I, b I and c diag(1, z)."""
+    return np.array([[a, 0, c, 0], [0, a, 0, z * c], [c, 0, b, 0], [0, z * c, 0, b]], dtype=float)[None]
+
+
+_STACKS = st.one_of(
+    _channel_scans(),
+    _williamson_states(),
+    _near_boundary_standard_forms(),
+    st.lists(st.floats(0.0, math.log(_MAX_SCALE) / 2.0), min_size=1, max_size=6).map(_tmsv_cms),
+    st.sampled_from(list(_INDEFINITE.values())).map(lambda cm: cm[None]),
+    # Scales near _MAX_SCALE: the certificate's own bound is _MAX_SCALE / 8.
+    st.floats(-6.0, 1.0).map(lambda k: (2.0**k * _MAX_SCALE) * make_tmsv(0.3).cm[None] / math.cosh(0.6)),
+)
+
+
+@given(stack=_STACKS, valid_rows=st.integers(0, 3), position=st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+# A coupling c / sqrt(ab) of exactly 1 - 1e-12 at a scale where the
+# uncertainty slack accepts the state.
+@example(stack=_standard_form(1e13, 1e13, 1e13 * math.sqrt(1.0 - 2e-12)), valid_rows=1, position=0)
+# Indefinite (eigenvalue -500) with a coupling of 1.0005 and nu = 2000500, 500.
+@example(stack=_standard_form(1e6, 1e6, 1.0005e6, 1.0), valid_rows=3, position=1)
+def test_stacked_validation_decides_as_the_eigvalsh_rule(stack, valid_rows, position):
+    # The certificate may only skip the eigensolver where the rule accepts:
+    # on acceptance the same bytes, on refusal the same error and message.
+    stack = np.concatenate([_valid_stack()[:valid_rows], stack])
+    stack = np.roll(stack, position, axis=0)
+    assert _outcome(_validate_cms, stack) == _outcome(_eigvalsh_rule, stack)
+
+
+@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
+@pytest.mark.parametrize("side", list(ChannelSide))
+def test_threshold_scans_are_certified(kind, side):
+    # The scan stacks of a threshold skip the eigensolver; a member the
+    # certificate cannot prove (a pure TMSV at r = 90, tanh 2r = 1) sends
+    # its whole stack to it.
+    channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
+    with mock.patch.object(channels, "_validate_cms", lambda cms: cms):
+        stack = channel.evolve_cms(make_tmsv(0.8), _scan_grid(25.0))
+    assert _certified(0.5 * (stack + stack.mT))
+    assert not _certified(np.concatenate([stack, _tmsv_cms([90.0])]))
 
 
 def test_overflowing_scale_is_degenerate_without_warnings():
