@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .states import ModeLabel, TwoModeGaussianState, _validate_cms
+from .states import ModeLabel, TwoModeGaussianState, _validate_rows, _validated_stack
 
 __all__ = [
     "ChannelSide",
@@ -124,11 +124,10 @@ def _channel_map(cms: np.ndarray, sq, keep, added: np.ndarray, side: ChannelSide
     """The Gaussian channel V -> X V X^T + Y on the covariance matrix.
 
     X scales each decohered mode by sq = sqrt(keep) and Y adds ``added`` to
-    its diagonal block, which becomes added + keep * block.  ``keep`` is a
-    float, giving one 4x4 matrix, or an (N, 1, 1) stack with ``added``
-    (N, 2, 2), giving the (N, 4, 4) stack; ``cms`` is one 4x4 matrix or a
-    stack of that shape.  The result is finite (or this raises
-    DegenerateInputError) but otherwise unvalidated.
+    its diagonal block, which becomes added + keep * block.  ``keep`` is an
+    (N, 1, 1) stack and ``added`` (N, 2, 2), giving the (N, 4, 4) stack;
+    ``cms`` is one 4x4 matrix or a stack of that shape.  The result is finite
+    (or this raises DegenerateInputError) but otherwise unvalidated.
     """
     cm = np.empty(np.shape(keep)[:-2] + (4, 4))
     cm[...] = cms
@@ -138,6 +137,26 @@ def _channel_map(cms: np.ndarray, sq, keep, added: np.ndarray, side: ChannelSide
         cm[..., :, blk] *= sq
         cm[..., blk, blk] = added + keep * cms[..., blk, blk]
     if not np.isfinite(cm).all():
+        raise DegenerateInputError("covariance matrix overflows the float range")
+    return cm
+
+
+def _channel_map_rows(rows: list, sq: float, keep: float, added: list, side: ChannelSide) -> list:
+    """``_channel_map`` of one matrix on Python floats: ``rows`` and
+    ``added`` are nested lists, and every entry takes the float operations
+    it takes in the array map, in the same order."""
+    cm = [row[:] for row in rows]
+    for mode in side.modes:
+        lo = mode.block.start
+        for i in (lo, lo + 1):
+            cm[i] = [v * sq for v in cm[i]]
+        for row in cm:
+            row[lo] *= sq
+            row[lo + 1] *= sq
+        for p in (0, 1):
+            for q in (0, 1):
+                cm[lo + p][lo + q] = added[p][q] + keep * rows[lo + p][lo + q]
+    if not all(map(math.isfinite, cm[0] + cm[1] + cm[2] + cm[3])):
         raise DegenerateInputError("covariance matrix overflows the float range")
     return cm
 
@@ -269,7 +288,7 @@ class ChannelSpec:
         mode scales by the same sqrt(keep) as its rows and columns.  Zero
         duration and the identity kind return ``state`` itself.
         """
-        cm, sq = _evolve_stack(state.cm, (self,), t)
+        cm, sq, _ = _evolve_stack(state.cm, (self,), t)
         if sq is None:
             return state
         mean = state.mean.copy()
@@ -300,16 +319,21 @@ class ChannelSpec:
 
 
 def _evolve_stack(cms: np.ndarray, channels, t):
-    """(stack, sq): row i of the (N, 4, 4) stack is the covariance matrix after
-    duration t[i] in channels[i], built by one channel map and validated once.
+    """(stack, sq, det_v): row i of the (N, 4, 4) stack is the covariance
+    matrix after duration t[i] in channels[i], built by one channel map and
+    validated once.
 
     ``cms`` is one 4x4 matrix shared by every row or an (N, 4, 4) stack with
     one matrix per row; ``channels`` is one ChannelSpec shared by every row or
     N of them with the same kind and side, which may differ in their rates.
-    A 0-d t gives one 4x4 matrix, computed on scalars (``ChannelSpec.evolve``
-    is that case).  ``sq`` = sqrt(keep) is the factor of each decohered mode.
-    Zero duration and the identity kind return ``cms`` broadcast and
-    unvalidated, and sq = None.
+    A 0-d t, with one channel and one matrix, gives one 4x4 matrix: its
+    ``keep`` and ``added`` still come from numpy's exp and expm1, but the map
+    and the validation run on Python floats (``_channel_map_rows``,
+    ``states._validate_rows``), with the same float operations as the
+    stack's.  ``sq`` = sqrt(keep) is the factor of each decohered mode;
+    ``det_v`` is the det V of every row that the stack's validation computed
+    (``states._validated_stack``), or None.  Zero duration and the identity
+    kind return ``cms`` broadcast and unvalidated, with sq = det_v = None.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
@@ -321,20 +345,26 @@ def _evolve_stack(cms: np.ndarray, channels, t):
         raise InvalidArgumentError("durations must be finite and >= 0")
     first = channels[0]
     if first.kind == "identity" or zero:
-        return np.broadcast_to(cms, np.shape(t) + (4, 4)), None
-    if not isinstance(t, float):
-        t = t[..., None, None]
+        return np.broadcast_to(cms, np.shape(t) + (4, 4)), None, None
+    if isinstance(t, float):
+        with np.errstate(**_OVERFLOW_QUIET):
+            keep, added = _stack_terms([first._params], t)
+        keep = float(keep)
+        sq = math.sqrt(keep)
+        return _validate_rows(_channel_map_rows(cms.tolist(), sq, keep, added.tolist(), first.side)), sq, None
     with np.errstate(**_OVERFLOW_QUIET):
-        keep, added = _stack_terms([c._params for c in channels], t)
+        keep, added = _stack_terms([c._params for c in channels], t[..., None, None])
         sq = np.sqrt(keep)
         cms = _channel_map(cms, sq, keep, added, first.side)
-    return _validate_cms(cms), sq
+    cms, det_v = _validated_stack(cms)
+    return cms, sq, det_v
 
 
 def _stack_terms(params: list, t):
-    """The (keep, added) arguments of ``_channel_map`` for durations t, a
-    float or an (N, 1, 1) array, from the channels' checked ``_params``, all
-    of one kind: the terms of every row are computed once, elementwise."""
+    """The (keep, added) arguments of the channel map for durations t, a
+    float (``_channel_map_rows``) or an (N, 1, 1) array (``_channel_map``),
+    from the channels' checked ``_params``, all of one kind: the terms of
+    every row are computed once, elementwise."""
     if isinstance(params[0], PhaseSensitiveParams):
         transmission, mixing = _bath_factors(_column([p.kappa for p in params]), t)
         return transmission, mixing * _column([v_infinity(p) for p in params])

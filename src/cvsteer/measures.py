@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import channels
 from .channels import ChannelSide, ChannelSpec
 from .criteria import SteeringDirection, _entropic_sums, _reid_products
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
@@ -28,6 +29,7 @@ from .states import (
     _det2,
     _log,
     _partial_transpose_cms,
+    _smaller_nu,
     _symplectic_spectra,
     make_tmsv,
 )
@@ -92,11 +94,28 @@ def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
     steered party's block conditioned on the steerer's optimal Gaussian
     measurement.  That block is a Schur complement; its 2x2 determinant comes
     in closed form for precision near the boundary.
+
+    One matrix does its 2x2 arithmetic on Python floats, with the float
+    operations of the stack, but still forms cross^T inverse cross with
+    numpy's matmul: BLAS fuses its multiply-adds, so plain floats would give
+    other bits.
     """
     if direction is SteeringDirection.A_TO_B:
         steerer, steered, cross = cms[..., 0:2, 0:2], cms[..., 2:4, 2:4], cms[..., 0:2, 2:4]
     else:
         steerer, steered, cross = cms[..., 2:4, 2:4], cms[..., 0:2, 0:2], cms[..., 0:2, 2:4].mT
+    if cms.ndim == 2:
+        (s00, s01), (s10, s11) = steerer.tolist()
+        det_s = s00 * s11 - s01 * s10
+        if not det_s > 0.0:
+            raise DegenerateInputError("steering party block is singular")
+        inverse = np.array([[s11 / det_s, -s01 / det_s], [-s10 / det_s, s00 / det_s]])
+        (p00, p01), (p10, p11) = (cross.mT @ inverse @ cross).tolist()
+        (t00, t01), (t10, t11) = steered.tolist()
+        det_cond = (t00 - p00) * (t11 - p11) - (t01 - p01) * (t10 - p10)
+        if not det_cond > 0.0:
+            raise DegenerateInputError("conditional covariance is singular")
+        return det_cond
     det_s = _det2(steerer)
     if _any(~(det_s > 0.0)):
         raise DegenerateInputError("steering party block is singular")
@@ -113,10 +132,24 @@ def _log_negativity_exponents(cms: np.ndarray):
     return -_log(_transposed_nus(cms))
 
 
-def _transposed_nus(cms: np.ndarray):
+def _transposed_nus(cms: np.ndarray, det_v=None):
     """The log argument of ``_log_negativity_exponents``: the smaller
-    symplectic eigenvalue nu_s of the partial transpose."""
-    return _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B))[1]
+    symplectic eigenvalue nu_s of the partial transpose.
+
+    The partial transpose is D V D with D = diag(1, 1, 1, -1), and LU with
+    partial pivoting makes the same float operations on it up to exact sign
+    flips, so its ``np.linalg.det`` is det V bit for bit.  A stack takes
+    ``det_v``, the det V of each matrix, when given (a scan takes it from its
+    validation); one matrix takes det V itself and the rest on floats.
+    """
+    if cms.ndim == 2:
+        (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = cms.tolist()
+        # The partial transpose negates v_i3 and v_3i for i != 3.
+        a = v00 * v11 - v01 * v10
+        b = v22 * v33 - (-v23) * (-v32)
+        c = v02 * (-v13) - (-v03) * v12
+        return _smaller_nu(a, b, c, float(np.linalg.det(cms)))
+    return _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B), det_v)[1]
 
 
 def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -262,13 +295,14 @@ _STEERING_DIRECTIONS = {
 }
 
 
-def _log_arguments(cms: np.ndarray, quantity: str) -> tuple:
+def _log_arguments(cms: np.ndarray, quantity: str, det_v=None) -> tuple:
     """The arguments x of the logs a signed quantity takes, one per direction
     it reads: the quantity is -k ln x, with k = 1/2 for steerability
-    (``_conditional_dets``) and k = 1 for E_N (``_transposed_nus``), and the
-    smaller of the two for G_twoway.  Every x is > 0, or the quantity raises."""
+    (``_conditional_dets``) and k = 1 for E_N (``_transposed_nus``, which
+    takes ``det_v``), and the smaller of the two for G_twoway.  Every x is
+    > 0, or the quantity raises."""
     if quantity == "E_N":
-        return (_transposed_nus(cms),)
+        return (_transposed_nus(cms, det_v),)
     return tuple(_conditional_dets(cms, direction) for direction in _STEERING_DIRECTIONS[quantity])
 
 
@@ -280,10 +314,11 @@ def _from_log_arguments(args: tuple, quantity: str):
     return values[0] if len(values) == 1 else np.minimum(*values)
 
 
-def _scan_signs(cms: np.ndarray, quantity: str):
+def _scan_signs(cms: np.ndarray, quantity: str, det_v=None):
     """(signs, args): the bracketing scan's sign of the signed quantity at
-    every matrix of the stack, and its ``_log_arguments``, from which
-    ``_from_log_arguments`` gives any one matrix's value bit for bit.
+    every matrix of the stack, and its ``_log_arguments`` (given the stack's
+    ``det_v``), from which ``_from_log_arguments`` gives any one matrix's
+    value bit for bit.
 
     The sign is 0 where |value| <= the quantity's noise floor, else the
     value's sign.  With k the log's factor, a point whose every argument is
@@ -292,7 +327,7 @@ def _scan_signs(cms: np.ndarray, quantity: str):
     1 + _SIGN_BAND[quantity] has a value of at most about -100 floors, so its
     sign is -1.  The log is taken only at the points in between.
     """
-    args = _log_arguments(cms, quantity)
+    args = _log_arguments(cms, quantity, det_v)
     largest = args[0] if len(args) == 1 else np.maximum(*args)  # the smallest value's argument
     width = _SIGN_BAND[quantity]
     positive, negative = largest <= 1.0 - width, largest >= 1.0 + width
@@ -327,16 +362,18 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     stacked batch: the TMSV, the grid and, from a single channel map, the
     (800, 4, 4) covariance matrices are built once per call, whatever the
     number of quantities, and the matrices are validated once with the state
-    constructor's checks (a certified stack skips the eigensolver).  In one
-    loop each quantity then takes its own checks, sign scan of that stack
+    constructor's checks (a certified stack skips the eigensolver, and its
+    certificate's det V is kept for the E_N scan).  In one loop each
+    quantity then takes its own checks, sign scan of that stack
     (``_scan_signs``, which takes the log only at points near the noise
     band), noise floor and bracket, and ``brentq`` refines the one
     bracketing pair.  It starts from the values at both bracket ends, the
     sign check's at t = 0 or the one ``_from_log_arguments`` gives from the
     scan's stored log arguments, and evaluates only the points inside, on
-    one 4x4 matrix each; the scan's signs and every point equal the
-    per-state quantifiers' bit for bit.  No closed-form threshold
-    expression enters, so the bisected value is an independent check on them.
+    one 4x4 matrix each, whose channel map, validation and quantity run on
+    Python floats; the scan's signs and every point equal the per-state
+    quantifiers' bit for bit.  No closed-form threshold expression enters,
+    so the bisected value is an independent check on them.
 
     A quantity that stays positive on the whole interval gives the infinite
     sentinel.  A non-monotone sign pattern (several crossings) raises
@@ -344,7 +381,7 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     first failing quantity's own call would raise.
     """
     single = isinstance(quantity, str)
-    state0 = ts = scan = None  # the TMSV, the grid and its stack, built when first needed
+    state0 = ts = scan = det_v = None  # the TMSV, the grid, its stack and det V, built when first needed
     roots = []
     for name in [quantity] if single else quantity:
         if name not in _SIGN_NOISE_FLOOR:
@@ -358,8 +395,8 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
             raise InvalidArgumentError(f"{name} must be positive at t = 0")
         if scan is None:
             ts = _scan_grid(t_max)
-            scan = channel.evolve_cms(state0, ts)
-        signs, args = _scan_signs(scan, name)
+            scan, _, det_v = channels._evolve_stack(state0.cm, (channel,), ts)
+        signs, args = _scan_signs(scan, name, det_v)
         brackets = _brackets(ts, signs)
         if len(brackets) > 1:
             raise MultiRootError(f"{name} changes sign {len(brackets)} times in (0, {t_max}]", brackets)

@@ -44,6 +44,9 @@ PHYSICALITY_TOL = 1e-7
 # Largest covariance eigenvalue for which det V and Delta^2 in the closed-form
 # symplectic spectrum stay finite (|Delta| <= 6 max_eig^2 for a positive matrix).
 _MAX_SCALE = np.finfo(float).max ** 0.25 / 4.0
+# ``_certified``'s bound on every entry: lambda_max <= 4 max |v_ij| stays
+# below _MAX_SCALE with room for the eigensolver's error.
+_CERTIFIED_SCALE = _MAX_SCALE / 8.0
 # ``_certified`` asks each row's scaled off-diagonal sum to stay this far
 # below 1, far more than the sum's rounding error.
 _DOMINANCE_MARGIN = 1e-12
@@ -235,23 +238,57 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     relative to its scale, small enough that det V cannot overflow, and obey
     the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
     Raises if any member fails; returns the symmetrized stack (bit-identical
-    to the input when that is symmetric).
+    to the input when that is symmetric), always a new array.
 
     The rule is read off ``eigvalsh``.  A stack first tries ``_certified``,
-    which proves without an eigensolver that the rule accepts every member;
-    only a stack with a member it cannot prove takes the eigensolver, on the
-    whole stack, so each decision, error type and message is the rule's.
-    One matrix always takes the eigensolver, which costs little there.
+    and one matrix ``_validate_rows``, which runs the same tests on Python
+    floats; each proves without an eigensolver that the rule accepts.  Only
+    what they cannot prove takes the eigensolver (a stack as a whole), so
+    each decision, error type and message is the rule's.
     """
+    if cms.ndim == 2:
+        return _validate_rows(cms.tolist())
+    return _validated_stack(cms)[0]
+
+
+def _validated_stack(cms: np.ndarray):
+    """(stack, det_v): ``_validate_cms`` of a (..., 4, 4) stack, and the det V
+    of each member that ``_certified`` computed to prove it, or None when
+    the stack took the eigvalsh rule."""
+    cms = _symmetrized(cms)
+    det_v = _certified(cms)
+    if det_v is None:
+        _check_eigvalsh_rule(cms)
+    return cms, det_v
+
+
+def _validate_rows(rows: list) -> np.ndarray:
+    """``_validate_cms`` of one matrix given as four rows of Python floats.
+
+    ``_certified_rows`` runs the certificate on the floats; a matrix it
+    cannot prove takes the eigvalsh rule as an array."""
+    cm = _certified_rows(rows)
+    if cm is None:
+        cm = _symmetrized(np.array(rows))
+        _check_eigvalsh_rule(cm)
+    return cm
+
+
+def _symmetrized(cms: np.ndarray) -> np.ndarray:
+    """(V + V^T)/2 of each matrix, after checking that it is finite and
+    symmetric to SYMMETRY_TOL."""
     if not np.isfinite(cms).all():
         raise InvalidArgumentError("covariance matrix must be finite")
     transposed = cms.mT
     asym = np.abs(cms - transposed).max()
     if asym > SYMMETRY_TOL:
         raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-    cms = 0.5 * (cms + transposed)
-    if cms.ndim > 2 and _certified(cms):
-        return cms
+    return 0.5 * (cms + transposed)
+
+
+def _check_eigvalsh_rule(cms: np.ndarray) -> None:
+    """Raise unless every finite, symmetric matrix of ``cms`` passes the rule
+    of ``_validate_cms``, read off ``eigvalsh``."""
     eigs = np.linalg.eigvalsh(cms)
     # The eigensolver's absolute error grows with the largest eigenvalue,
     # so the definiteness test must be relative to the matrix scale
@@ -272,12 +309,12 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
         raise UnphysicalStateError(
             f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
         )
-    return cms
 
 
-def _certified(cms: np.ndarray) -> bool:
-    """Whether every member of the symmetric stack ``cms`` provably passes
-    the eigvalsh rule of ``_validate_cms``, judged without an eigensolver.
+def _certified(cms: np.ndarray):
+    """det V of each member of the symmetric stack ``cms`` when every member
+    provably passes the eigvalsh rule of ``_validate_cms``, else None;
+    judged without an eigensolver.
 
     The certificate, for each matrix V with diagonal d:
       - every d_i > 0 and, for every row, sum_{j != i} |v_ij| / sqrt(d_i d_j)
@@ -287,25 +324,67 @@ def _certified(cms: np.ndarray) -> bool:
         positive definite V, LAPACK's computed eigenvalues obey
         lambda_min >= -p(4) eps lambda_max (LAPACK Users' Guide, section 4.7),
         far above the rule's -1e-9 max(1, lambda_max);
-      - max |v_ij| <= _MAX_SCALE / 8, so lambda_max <= ||V||_2 <= 4 max |v_ij|
-        stays below _MAX_SCALE with room for the eigensolver's error;
+      - max |v_ij| <= _CERTIFIED_SCALE = _MAX_SCALE / 8, so lambda_max <=
+        ||V||_2 <= 4 max |v_ij| stays below _MAX_SCALE with room for the
+        eigensolver's error;
       - nu1^2 > 0 and det V > 0, by ``_symplectic_spectra``'s own arithmetic;
       - nu2 >= 1 - PHYSICALITY_TOL, by the same arithmetic: with
         scale = max(1, lambda_max) >= 1, 1 - tol scale^2 <= 1 - tol.
-    A member that fails (NaN included) only makes the answer False.
+    A member that fails (NaN included) only makes the answer None.
     """
     with np.errstate(all="ignore"):  # a failing member may divide by zero or overflow
         magnitudes = np.abs(cms)
-        if not magnitudes.max() <= _MAX_SCALE / 8.0:
-            return False
+        if not magnitudes.max() <= _CERTIFIED_SCALE:
+            return None
         d = np.diagonal(cms, axis1=-2, axis2=-1)
         s = 1.0 / np.sqrt(d)
         coupling = ((magnitudes * _OFF_DIAGONAL) @ s[..., None])[..., 0] * s
         if not ((d > 0.0).all() and (coupling <= 1.0 - _DOMINANCE_MARGIN).all()):
-            return False
+            return None
         nu1_sq, det_v = _spectrum_terms(cms)
         nu2 = np.sqrt(det_v / nu1_sq)
-        return bool(((nu1_sq > 0.0) & (det_v > 0.0) & (nu2 >= 1.0 - PHYSICALITY_TOL)).all())
+        return det_v if ((nu1_sq > 0.0) & (det_v > 0.0) & (nu2 >= 1.0 - PHYSICALITY_TOL)).all() else None
+
+
+def _certified_rows(rows: list):
+    """``_certified`` of one matrix given as four rows of Python floats, run
+    on the floats: the symmetrized matrix as an array when it is proved, else
+    None.
+
+    Symmetry to SYMMETRY_TOL comes first (a NaN or infinite off-diagonal
+    entry fails it), then the scale and dominance tests, which refuse most
+    matrices that are not proved; only then does ``np.linalg.det`` give the
+    det V of nu2.  Each float operation of nu2 is the one the eigvalsh rule
+    makes on the array, so the two nu2 are the same float.
+    """
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
+    # The sum bounds the largest asymmetry, which the rule reads.
+    asym = abs(v01 - v10) + abs(v02 - v20) + abs(v03 - v30) + abs(v12 - v21) + abs(v13 - v31) + abs(v23 - v32)
+    if not asym <= SYMMETRY_TOL:
+        return None
+    s01, s02, s03 = 0.5 * (v01 + v10), 0.5 * (v02 + v20), 0.5 * (v03 + v30)
+    s12, s13, s23 = 0.5 * (v12 + v21), 0.5 * (v13 + v31), 0.5 * (v23 + v32)
+    a01, a02, a03, a12, a13, a23 = abs(s01), abs(s02), abs(s03), abs(s12), abs(s13), abs(s23)
+    if not (v00 > 0.0 and v11 > 0.0 and v22 > 0.0 and v33 > 0.0):  # NaN too
+        return None
+    if not max(v00, v11, v22, v33, a01, a02, a03, a12, a13, a23) <= _CERTIFIED_SCALE:
+        return None
+    w0, w1, w2, w3 = 1.0 / math.sqrt(v00), 1.0 / math.sqrt(v11), 1.0 / math.sqrt(v22), 1.0 / math.sqrt(v33)
+    coupling = max(
+        (a01 * w1 + a02 * w2 + a03 * w3) * w0,
+        (a01 * w0 + a12 * w2 + a13 * w3) * w1,
+        (a02 * w0 + a12 * w1 + a23 * w3) * w2,
+        (a03 * w0 + a13 * w1 + a23 * w2) * w3,
+    )
+    if not coupling <= 1.0 - _DOMINANCE_MARGIN:
+        return None
+    cm = np.array([[v00, s01, s02, s03], [s01, v11, s12, s13], [s02, s12, v22, s23], [s03, s13, s23, v33]])
+    try:
+        det_v = float(np.linalg.det(cm))
+        nu2 = _smaller_nu(v00 * v11 - s01 * s01, v22 * v33 - s23 * s23, s02 * s13 - s03 * s12, det_v)
+    except DegenerateInputError:
+        return None
+    return cm if nu2 >= 1.0 - PHYSICALITY_TOL else None
 
 
 def symplectic_eigenvalues(cm: np.ndarray):
@@ -332,12 +411,13 @@ def symplectic_eigenvalues(cm: np.ndarray):
     return nu1, nu2
 
 
-def _symplectic_spectra(cms: np.ndarray):
+def _symplectic_spectra(cms: np.ndarray, det_v=None):
     """``symplectic_eigenvalues`` of a (..., 4, 4) stack, without input checks.
 
     For validated stacks, or congruent ones like their partial transposes.
+    ``det_v``, when given, is det V of each matrix, computed elsewhere.
     """
-    nu1_sq, det_v = _spectrum_terms(cms)
+    nu1_sq, det_v = _spectrum_terms(cms, det_v)
     # Written so that a NaN fails as well; below _MAX_SCALE nothing overflows.
     if _any(~((nu1_sq > 0.0) & (det_v > 0.0))):
         raise DegenerateInputError("symplectic spectrum collapsed to zero")
@@ -346,15 +426,27 @@ def _symplectic_spectra(cms: np.ndarray):
     return np.sqrt(nu1_sq), np.sqrt(det_v / nu1_sq)
 
 
-def _spectrum_terms(cms: np.ndarray):
+def _spectrum_terms(cms: np.ndarray, det_v=None):
     """(nu1^2, det V) of ``_symplectic_spectra``, without its check."""
     a = _det2(cms[..., 0:2, 0:2])
     b = _det2(cms[..., 2:4, 2:4])
     c = _det2(cms[..., 0:2, 2:4])
     delta = a + b + 2.0 * c
-    det_v = np.linalg.det(cms)
+    if det_v is None:
+        det_v = np.linalg.det(cms)
     root = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
     return 0.5 * (delta + root), det_v
+
+
+def _smaller_nu(a: float, b: float, c: float, det_v: float) -> float:
+    """nu2 of ``_symplectic_spectra`` for one matrix, on Python floats, from
+    the determinants a, b, c of its blocks A, B, C and det V: the same float
+    operations, and the same raise."""
+    delta = a + b + 2.0 * c
+    nu1_sq = 0.5 * (delta + math.sqrt(max(delta * delta - 4.0 * det_v, 0.0)))
+    if not (nu1_sq > 0.0 and det_v > 0.0):
+        raise DegenerateInputError("symplectic spectrum collapsed to zero")
+    return math.sqrt(det_v / nu1_sq)
 
 
 def _check_scale(max_eig) -> None:
@@ -380,10 +472,6 @@ def _clamp(x):
 def _det2(m: np.ndarray):
     """Determinants of (..., 2, 2) blocks in closed form (np.linalg.det loses
     precision near steerable boundaries); a scalar for a single block."""
-    if m.ndim == 2:
-        # Plain indexing keeps the per-state path fast (and yields a numpy
-        # scalar rather than a 0-d array).
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 

@@ -385,8 +385,8 @@ def test_channel_spec_keeps_its_checked_params_out_of_eq_hash_and_repr():
 def test_evolve_stack_at_zero_duration_returns_the_input():
     s = make_tmsv(0.5)
     good = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.4) for v in (1.0, 0.2)]
-    stack, sq = _evolve_stack(s.cm, good, np.zeros(2))
-    assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None
+    stack, sq, det_v = _evolve_stack(s.cm, good, np.zeros(2))
+    assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None and det_v is None
     assert ChannelSpec(kind="thermal", nbar=0.5).evolve(s, 0.0) is s
 
 

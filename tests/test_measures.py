@@ -34,7 +34,7 @@ from cvsteer.measures import (
     two_way_laser_threshold,
     two_way_thermal_threshold,
 )
-from cvsteer.states import TwoModeGaussianState, make_tmsv, vacuum
+from cvsteer.states import _MAX_SCALE, TwoModeGaussianState, make_tmsv, vacuum
 from cvsteer.verify import random_physical_state
 
 
@@ -344,7 +344,7 @@ def test_root_below_the_first_scan_point_is_bracketed_from_the_origin(monkeypatc
     assert brackets == [(0.0, _scan_grid(50.0)[0])]
 
 
-def _crossing_twice(cms, quantity):
+def _crossing_twice(cms, quantity, det_v):
     """Scan signs that are negative on the middle third of a scan stack (the
     quantity is positive at t = 0), with no log arguments."""
     k = np.arange(len(cms))
@@ -731,8 +731,10 @@ def test_scan_signs_and_bracket_ends_equal_the_values_rule(monkeypatch, kind, si
 
 
 def test_threshold_table_solves_no_eigenproblem_on_a_stack(monkeypatch):
-    # Every scan stack of a table is certified; the eigensolver sees only the
-    # single states of the root phase.
+    # Every scan stack of a table is certified, and so is every single state
+    # of the root phase, on floats: no eigvalsh call, on a stack or on one
+    # matrix.  A TMSV at r = 8, which the certificate cannot prove, shows
+    # that the count sees one-matrix calls.
     shapes, eigvalsh = [], np.linalg.eigvalsh
 
     def logging_eigvalsh(a, *args, **kwargs):
@@ -742,7 +744,25 @@ def test_threshold_table_solves_no_eigenproblem_on_a_stack(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", logging_eigvalsh)
     for flags in (["--channel", "laser", "--g", "0.5", "--kappa", "1.3"], ["--channel", "thermal", "--nbar", "0.2"]):
         assert main(["threshold", *flags, "--r", "0.6", "--quantity", "all"]) == 0
-    assert shapes and set(shapes) == {(4, 4)}
+    assert shapes == []
+    make_tmsv(8.0)
+    assert shapes == [(4, 4)]
+
+
+def test_inseparability_scan_takes_det_v_from_its_validation(monkeypatch):
+    # The scan stack's certificate computes det V; the E_N sign scan takes it
+    # for the partial transpose, whose det is the same bits, so one root
+    # makes one stacked np.linalg.det call.
+    stacked, det = [], np.linalg.det
+
+    def logging_det(a):
+        if np.ndim(a) > 2:
+            stacked.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", logging_det)
+    root = numeric_threshold(ChannelSpec("laser", g=0.5, kappa=1.3), 0.9, "E_N", 50.0)
+    assert math.isfinite(root) and len(stacked) == 1
 
 
 def _per_helper_threshold_rows():
@@ -826,6 +846,61 @@ def test_stacked_scan_equals_per_state_values_exactly(kind, side, quantity, r, g
         assert _signed_quantity(channel.evolve_cms(state0, [t]), quantity)[0] == _per_state_quantity(
             channel.evolve(state0, t), quantity
         )
+
+
+def _value_or_error(evaluate):
+    """evaluate()'s float, or its error's type and message."""
+    try:
+        return float(evaluate())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    quantity=st.sampled_from(["G_AtoB", "G_BtoA", "G_twoway", "E_N"]),
+    r=st.floats(0.05, 3.0),
+    g=st.floats(0.1, 3.0),
+    kappa=st.floats(0.1, 3.0),
+    nbar=st.floats(0.0, 1.5),
+    m_fraction=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_stacked_scan_equals_per_state_values_at_strong_squeezing(kind, side, quantity, r, g, kappa, nbar, m_fraction):
+    # test_stacked_scan_equals_per_state_values_exactly up to r = 3, where
+    # the TMSV's entries reach cosh 6 = 202.
+    m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    state0 = make_tmsv(r)
+    ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))])
+    stacked = _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+    assert stacked.tolist() == [_per_state_quantity(channel.evolve(state0, t), quantity) for t in ts]
+
+
+@given(
+    side=st.sampled_from(list(ChannelSide)),
+    quantity=st.sampled_from(["G_AtoB", "G_BtoA", "G_twoway", "E_N"]),
+    r=st.floats(0.05, 3.0),
+    g=st.floats(0.1, 3.0),
+    gt=st.floats(20.0, 400.0),
+)
+@settings(max_examples=30, deadline=None)
+@example(side=ChannelSide.BOTH, quantity="E_N", r=0.5, g=1.0, gt=100.0)  # past _MAX_SCALE
+@example(side=ChannelSide.B, quantity="G_AtoB", r=3.0, g=3.0, gt=354.0)  # entries overflow, exp(2 g t) not
+@example(side=ChannelSide.A, quantity="G_twoway", r=0.05, g=0.1, gt=360.0)  # exp(2 g t) overflows
+def test_one_gain_duration_evaluates_or_raises_as_its_stack(side, quantity, r, g, gt):
+    # One duration takes the float path, a one-point stack the array path:
+    # the same value, or the same DegenerateInputError, and no RuntimeWarning.
+    channel, state0, t = ChannelSpec("gain", side, g=g), make_tmsv(r), gt / g
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = _value_or_error(lambda: _per_state_quantity(channel.evolve(state0, t), quantity))
+        stacked = _value_or_error(lambda: _signed_quantity(channel.evolve_cms(state0, [t]), quantity)[0])
+        root = _value_or_error(lambda: _signed_quantity(channel.evolve_cms(state0, t), quantity))
+    assert one == stacked == root
+    if 2.0 * gt > math.log(_MAX_SCALE):
+        assert one[0] is DegenerateInputError
 
 
 @pytest.mark.parametrize("t_max", [50.0, 200.0])  # 200: exp(2 g t) itself overflows

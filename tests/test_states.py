@@ -20,8 +20,10 @@ from cvsteer.states import (
     CfPoint,
     ModeLabel,
     TwoModeGaussianState,
+    _CERTIFIED_SCALE,
     _check_scale,
     _certified,
+    _partial_transpose_cms,
     _symplectic_spectra,
     _tmsv_cms,
     _validate_cms,
@@ -285,23 +287,26 @@ def _outcome(validate, cms):
         return type(exc), str(exc)
 
 
+_KINDS = ("loss", "gain", "thermal", "laser", "phase-sensitive")
+
+
 @st.composite
-def _channel_scans(draw):
-    """Unvalidated channel-map stacks of a TMSV: every kind and side, on
-    every 16th point of the threshold scan."""
+def _channel_scans(draw, kinds=_KINDS, sides=tuple(ChannelSide)):
+    """Unvalidated channel-map stacks of a TMSV: every kind and side (or the
+    given ones), on every 16th point of the threshold scan."""
     g, kappa = draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0))
     nbar = draw(st.floats(0.0, 1.5))
     m = draw(st.floats(-1.0, 1.0)) * math.sqrt(nbar * (nbar + 1.0))
     channel = ChannelSpec(
-        kind=draw(st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"])),
-        side=draw(st.sampled_from(list(ChannelSide))),
+        kind=draw(st.sampled_from(kinds)),
+        side=draw(st.sampled_from(sides)),
         g=g,
         kappa=kappa,
         nbar=nbar,
         m=m,
     )
     ts = _scan_grid(50.0 / (g + kappa))[::16]
-    with mock.patch.object(channels, "_validate_cms", lambda cms: cms):
+    with mock.patch.object(channels, "_validated_stack", lambda cms: (cms, None)):
         return channel.evolve_cms(make_tmsv(draw(st.floats(0.0, 3.0))), ts)
 
 
@@ -338,14 +343,36 @@ def _standard_form(a, b, c, z=-1.0):
     return np.array([[a, 0, c, 0], [0, a, 0, z * c], [c, 0, b, 0], [0, z * c, 0, b]], dtype=float)[None]
 
 
+@st.composite
+def _slightly_asymmetric(draw):
+    """Channel scans or Williamson states plus an antisymmetric error whose
+    largest asymmetry lies near SYMMETRY_TOL, on either side of it: the rule
+    symmetrizes these, or refuses them with the asymmetry in its message."""
+    stack = draw(st.one_of(_channel_scans(), _williamson_states()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.uniform(-1.0, 1.0, size=stack.shape)
+    noise = noise - noise.mT  # the asymmetry of V + noise is 2 |noise_ij|
+    noise *= draw(st.sampled_from([0.25, 0.5, 0.99, 1.0, 1.01, 2.0])) * 0.5e-9 / np.abs(noise).max()
+    return stack + noise
+
+
 _STACKS = st.one_of(
     _channel_scans(),
     _williamson_states(),
     _near_boundary_standard_forms(),
+    _slightly_asymmetric(),
     st.lists(st.floats(0.0, math.log(_MAX_SCALE) / 2.0), min_size=1, max_size=6).map(_tmsv_cms),
+    # r >= 7: tanh 2r is within 1e-12 of 1, past the certificate's margin.
+    st.lists(st.floats(7.0, 20.0), min_size=1, max_size=3).map(_tmsv_cms),
+    # nu * TMSV has both symplectic eigenvalues nu: near 1 the rule's slack
+    # 1e-7 max(1, lambda_max)^2 accepts some and refuses others.
+    st.tuples(st.floats(0.0, 3.0), st.floats(-1e-5, 1e-5)).map(lambda p: (1.0 + p[1]) * _tmsv_cms([p[0]])),
     st.sampled_from(list(_INDEFINITE.values())).map(lambda cm: cm[None]),
+    # ROADMAP item 4's bug 1: nu_min = 0.316, which the rule accepts.
+    st.just(np.diag([1e4, 1e-5, 1.0, 1.0])[None]),
     # Scales near _MAX_SCALE: the certificate's own bound is _MAX_SCALE / 8.
     st.floats(-6.0, 1.0).map(lambda k: (2.0**k * _MAX_SCALE) * make_tmsv(0.3).cm[None] / math.cosh(0.6)),
+    st.floats(0.99, 1.01).map(lambda x: (x * _CERTIFIED_SCALE) * make_tmsv(0.3).cm[None] / math.cosh(0.6)),
 )
 
 
@@ -356,25 +383,56 @@ _STACKS = st.one_of(
 @example(stack=_standard_form(1e13, 1e13, 1e13 * math.sqrt(1.0 - 2e-12)), valid_rows=1, position=0)
 # Indefinite (eigenvalue -500) with a coupling of 1.0005 and nu = 2000500, 500.
 @example(stack=_standard_form(1e6, 1e6, 1.0005e6, 1.0), valid_rows=3, position=1)
+# Every entry at the certificate's scale bound, and just past it.
+@example(stack=_CERTIFIED_SCALE * np.eye(4)[None], valid_rows=0, position=0)
+@example(stack=np.nextafter(_CERTIFIED_SCALE, math.inf) * np.eye(4)[None], valid_rows=0, position=0)
+@example(stack=_tmsv_cms([7.0, 7.5]), valid_rows=1, position=0)
 def test_stacked_validation_decides_as_the_eigvalsh_rule(stack, valid_rows, position):
     # The certificate may only skip the eigensolver where the rule accepts:
     # on acceptance the same bytes, on refusal the same error and message.
+    # One matrix takes the certificate on Python floats, under the same rule.
     stack = np.concatenate([_valid_stack()[:valid_rows], stack])
     stack = np.roll(stack, position, axis=0)
     assert _outcome(_validate_cms, stack) == _outcome(_eigvalsh_rule, stack)
+    for cm in stack:
+        assert _outcome(_validate_cms, cm) == _outcome(_eigvalsh_rule, cm)
 
 
-@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
+def _assert_partial_transpose_keeps_det_v(stack):
+    # The partial transpose D V D, D = diag(1, 1, 1, -1), meets the same LU
+    # operations as V up to exact sign flips, so the E_N scan takes its
+    # determinant from V's validation.
+    transposed = _partial_transpose_cms(stack, ModeLabel.B)
+    assert np.linalg.det(transposed).tobytes() == np.linalg.det(stack).tobytes()
+    for cm, pt in zip(stack, transposed):
+        assert np.linalg.det(pt).tobytes() == np.linalg.det(cm).tobytes()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("side", list(ChannelSide))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_partial_transpose_keeps_det_v_bit_for_bit_along_channels(kind, side, data):
+    _assert_partial_transpose_keeps_det_v(data.draw(_channel_scans(kinds=[kind], sides=[side])))
+
+
+@given(stack=_williamson_states())
+@settings(max_examples=50, deadline=None)
+def test_partial_transpose_keeps_det_v_bit_for_bit_on_williamson_states(stack):
+    _assert_partial_transpose_keeps_det_v(stack)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 @pytest.mark.parametrize("side", list(ChannelSide))
 def test_threshold_scans_are_certified(kind, side):
     # The scan stacks of a threshold skip the eigensolver; a member the
     # certificate cannot prove (a pure TMSV at r = 90, tanh 2r = 1) sends
     # its whole stack to it.
     channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
-    with mock.patch.object(channels, "_validate_cms", lambda cms: cms):
+    with mock.patch.object(channels, "_validated_stack", lambda cms: (cms, None)):
         stack = channel.evolve_cms(make_tmsv(0.8), _scan_grid(25.0))
-    assert _certified(0.5 * (stack + stack.mT))
-    assert not _certified(np.concatenate([stack, _tmsv_cms([90.0])]))
+    assert _certified(0.5 * (stack + stack.mT)) is not None
+    assert _certified(np.concatenate([stack, _tmsv_cms([90.0])])) is None
 
 
 def test_overflowing_scale_is_degenerate_without_warnings():
