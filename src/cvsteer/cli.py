@@ -360,19 +360,6 @@ _SWEEP_VARS = {
 }
 # The most rows a generic sweep computes: its (N, 4, 4) stack is then 12.8 MB.
 _MAX_STEPS = 100_000
-_SWEEP_COLUMNS = (
-    "reid_a_to_b",
-    "reid_b_to_a",
-    "entropic_a_to_b",
-    "entropic_b_to_a",
-    "g_a_to_b",
-    "g_b_to_a",
-    "g_twoway",
-    "e_n",
-    "steerable_a_to_b",
-    "steerable_b_to_a",
-    "separable",
-)
 
 
 def _generic_sweep_rows(args):
@@ -401,7 +388,8 @@ def _generic_sweep_rows(args):
         ts = _durations(args, channel, values)
     _check_rates_read(args)
     report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
-    return [args.var, *_SWEEP_COLUMNS], list(zip(values.tolist(), *(report[c] for c in _SWEEP_COLUMNS)))
+    del report["entangled"]  # the sweep prints its complement, separable
+    return [args.var, *report], list(zip(values.tolist(), *report.values()))
 
 
 def _cmd_sweep(args) -> int:

@@ -59,21 +59,29 @@ INFINITE_THRESHOLD = math.inf
 # by their analytic limits.
 _RATE_DEGENERACY_TOL = 1e-12
 
-# Signed quantities smaller in magnitude than this are indistinguishable from
-# rounding noise during the bracketing scan.  The steerability exponent comes
-# from a well-conditioned Schur complement; the entanglement exponent takes a
-# square root of a near-cancelling discriminant, which amplifies rounding
-# error of order eps to sqrt(eps) ~ 1e-8 when the eigenvalue sits near 1.
-_SIGN_NOISE_FLOOR = {"G_AtoB": 1e-13, "G_BtoA": 1e-13, "G_twoway": 1e-13, "E_N": 1e-7}
-# The scan reads the sign of a value -k ln x off its log argument x, without
-# the log, where x lies outside 1 -+ 100 floors / k (``_scan_signs``).
-_SIGN_BAND = {"G_AtoB": 2e-11, "G_BtoA": 2e-11, "G_twoway": 2e-11, "E_N": 1e-5}
+# Each signed quantity, name -> (k, steering directions, noise floor).  It is
+# -k ln x of one log argument x per direction (``_conditional_dets``), the
+# smaller value for G_twoway; no direction means E_N, whose x is the partial
+# transpose's nu_s (``_transposed_nus``).  Values smaller in magnitude than
+# the noise floor are indistinguishable from rounding noise during the
+# bracketing scan.  The steerability exponent comes from a well-conditioned
+# Schur complement; the entanglement exponent takes a square root of a
+# near-cancelling discriminant, which amplifies rounding error of order eps
+# to sqrt(eps) ~ 1e-8 when the eigenvalue sits near 1.
+_QUANTITIES = {
+    "G_AtoB": (0.5, (SteeringDirection.A_TO_B,), 1e-13),
+    "G_BtoA": (0.5, (SteeringDirection.B_TO_A,), 1e-13),
+    "G_twoway": (0.5, (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A), 1e-13),
+    "E_N": (1.0, (), 1e-7),
+}
+# The quantity that is the steerability in one direction.
+_STEERABILITY = {SteeringDirection.A_TO_B: "G_AtoB", SteeringDirection.B_TO_A: "G_BtoA"}
 
 # The squeezing r a threshold accepts: below _R_MIN the TMSV's steerability at
 # t = 0, ln cosh 2r, lies inside the scan's noise floor (and the two-way
 # closed form's coefficients cancel); above _R_MAX its covariance scale e^{2r}
 # exceeds the limit of the state's validation.
-_R_MIN = 0.5 * math.acosh(math.exp(_SIGN_NOISE_FLOOR["G_twoway"]))
+_R_MIN = 0.5 * math.acosh(math.exp(_QUANTITIES["G_twoway"][2]))
 _R_MAX = 0.5 * math.log(_MAX_SCALE)
 
 # A closed form whose ``ThresholdResult.relative_gap`` to its bisected root
@@ -84,16 +92,12 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _ADJUGATE_SIGNS.setflags(write=False)
 
 
-def _steerability_exponents(cms: np.ndarray, direction: SteeringDirection):
-    """``steerability_exponent`` of a (..., 4, 4) stack, or a float for one matrix."""
-    return -0.5 * _log(_conditional_dets(cms, direction))
-
-
 def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
-    """The log argument of ``_steerability_exponents``: the determinant of the
-    steered party's block conditioned on the steerer's optimal Gaussian
-    measurement.  That block is a Schur complement; its 2x2 determinant comes
-    in closed form for precision near the boundary.
+    """The log argument x of the steerability -(1/2) ln x in ``direction``:
+    the determinant of the steered party's block conditioned on the
+    steerer's optimal Gaussian measurement.  That block is a Schur
+    complement; its 2x2 determinant comes in closed form for precision near
+    the boundary.
 
     One matrix does its 2x2 arithmetic on Python floats, with the float
     operations of the stack, but still forms cross^T inverse cross with
@@ -127,14 +131,9 @@ def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
     return det_cond
 
 
-def _log_negativity_exponents(cms: np.ndarray):
-    """``log_negativity_exponent`` of a (..., 4, 4) stack, or a float for one matrix."""
-    return -_log(_transposed_nus(cms))
-
-
 def _transposed_nus(cms: np.ndarray, det_v=None):
-    """The log argument of ``_log_negativity_exponents``: the smaller
-    symplectic eigenvalue nu_s of the partial transpose.
+    """The log argument x of E_N's exponent -ln x: the smaller symplectic
+    eigenvalue nu_s of the partial transpose.
 
     The partial transpose is D V D with D = diag(1, 1, 1, -1), and LU with
     partial pivoting makes the same float operations on it up to exact sign
@@ -160,22 +159,22 @@ def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirect
     2x2 conditional block, using closed-form 2x2 determinants for precision
     near the boundary.
     """
-    return float(_steerability_exponents(state.cm, direction))
+    return float(_signed_quantity(state.cm, _STEERABILITY[direction]))
 
 
 def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Gaussian steerability quantifier, >= 0; zero iff not steerable."""
-    return float(_clamp(_steerability_exponents(state.cm, direction)))
+    return float(_clamp(_signed_quantity(state.cm, _STEERABILITY[direction])))
 
 
 def log_negativity_exponent(state: TwoModeGaussianState) -> float:
     """Unclamped -ln(nu_s) of the partial transpose; positive iff entangled."""
-    return float(_log_negativity_exponents(state.cm))
+    return float(_signed_quantity(state.cm, "E_N"))
 
 
 def log_negativity(state: TwoModeGaussianState) -> float:
     """Logarithmic negativity E_N = max(0, -ln nu_s), an entanglement monotone."""
-    return float(_clamp(_log_negativity_exponents(state.cm)))
+    return float(_clamp(_signed_quantity(state.cm, "E_N")))
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,7 @@ def _steering_reports(cms: np.ndarray) -> dict[str, list]:
     covariance matrices, as lists of Python floats and bools; entry k equals
     ``steering_report`` of matrix k bit for bit.  One (4, 4) matrix gives
     one float or bool per field."""
-    g_ab = _clamp(_steerability_exponents(cms, SteeringDirection.A_TO_B))
-    g_ba = _clamp(_steerability_exponents(cms, SteeringDirection.B_TO_A))
-    e_n = _clamp(_log_negativity_exponents(cms))
+    g_ab, g_ba, e_n = (_clamp(_signed_quantity(cms, name)) for name in ("G_AtoB", "G_BtoA", "E_N"))
     columns = {
         "reid_a_to_b": _reid_products(cms, SteeringDirection.A_TO_B),
         "reid_b_to_a": _reid_products(cms, SteeringDirection.B_TO_A),
@@ -282,35 +279,22 @@ class ThresholdResult:
 
 def _signed_quantity(cms: np.ndarray, quantity: str) -> np.ndarray:
     """The signed threshold quantity (positive before the threshold) over a
-    (..., 4, 4) stack; equal bit for bit to the per-state quantifiers."""
+    (..., 4, 4) stack, or a float for one matrix: the per-state quantifiers."""
     return _from_log_arguments(_log_arguments(cms, quantity), quantity)
-
-
-# The directions whose steerability a G quantity reads; G_twoway is the
-# smaller of the two.
-_STEERING_DIRECTIONS = {
-    "G_AtoB": (SteeringDirection.A_TO_B,),
-    "G_BtoA": (SteeringDirection.B_TO_A,),
-    "G_twoway": (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A),
-}
 
 
 def _log_arguments(cms: np.ndarray, quantity: str, det_v=None) -> tuple:
     """The arguments x of the logs a signed quantity takes, one per direction
-    it reads: the quantity is -k ln x, with k = 1/2 for steerability
-    (``_conditional_dets``) and k = 1 for E_N (``_transposed_nus``, which
-    takes ``det_v``), and the smaller of the two for G_twoway.  Every x is
-    > 0, or the quantity raises."""
-    if quantity == "E_N":
-        return (_transposed_nus(cms, det_v),)
-    return tuple(_conditional_dets(cms, direction) for direction in _STEERING_DIRECTIONS[quantity])
+    in ``_QUANTITIES``, or E_N's nu_s (given the stack's ``det_v``) for
+    none.  Every x is > 0, or the quantity raises."""
+    return tuple(_conditional_dets(cms, d) for d in _QUANTITIES[quantity][1]) or (_transposed_nus(cms, det_v),)
 
 
 def _from_log_arguments(args: tuple, quantity: str):
-    """The signed quantity of its ``_log_arguments``, arrays or floats."""
-    if quantity == "E_N":
-        return -_log(args[0])
-    values = [-0.5 * _log(x) for x in args]
+    """The signed quantity -k ln x of its ``_log_arguments``, arrays or
+    floats: the smaller value where there are two."""
+    k = _QUANTITIES[quantity][0]
+    values = [-k * _log(x) for x in args]
     return values[0] if len(values) == 1 else np.minimum(*values)
 
 
@@ -321,15 +305,16 @@ def _scan_signs(cms: np.ndarray, quantity: str, det_v=None):
     value bit for bit.
 
     The sign is 0 where |value| <= the quantity's noise floor, else the
-    value's sign.  With k the log's factor, a point whose every argument is
-    at most 1 - _SIGN_BAND[quantity] (100 floors / k) has a value of at least
-    about 100 floors, so its sign is +1; one with an argument of at least
-    1 + _SIGN_BAND[quantity] has a value of at most about -100 floors, so its
-    sign is -1.  The log is taken only at the points in between.
+    value's sign.  With k the log's factor and w = 100 floors / k, a point
+    whose every argument is at most 1 - w has a value of at least about 100
+    floors, so its sign is +1; one with an argument of at least 1 + w has a
+    value of at most about -100 floors, so its sign is -1.  The log is taken
+    only at the points in between.
     """
+    k, _, floor = _QUANTITIES[quantity]
     args = _log_arguments(cms, quantity, det_v)
     largest = args[0] if len(args) == 1 else np.maximum(*args)  # the smallest value's argument
-    width = _SIGN_BAND[quantity]
+    width = 100.0 * floor / k
     positive, negative = largest <= 1.0 - width, largest >= 1.0 + width
     signs = np.where(positive, 1.0, np.where(negative, -1.0, 0.0))
     unsure = np.flatnonzero(~(positive | negative))  # NaN too
@@ -337,7 +322,7 @@ def _scan_signs(cms: np.ndarray, quantity: str, det_v=None):
         # Quantities that decay towards zero without crossing it jitter at the
         # rounding level for large t; values inside the noise band carry no sign.
         values = _from_log_arguments(tuple(x[unsure] for x in args), quantity)
-        signs[unsure] = np.where(np.abs(values) <= _SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
+        signs[unsure] = np.where(np.abs(values) <= floor, 0.0, np.sign(values))
     return signs, args
 
 
@@ -384,8 +369,8 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     state0 = ts = scan = det_v = None  # the TMSV, the grid, its stack and det V, built when first needed
     roots = []
     for name in [quantity] if single else quantity:
-        if name not in _SIGN_NOISE_FLOOR:
-            raise InvalidArgumentError(f"unknown quantity {name!r}; expected one of {tuple(_SIGN_NOISE_FLOOR)}")
+        if name not in _QUANTITIES:
+            raise InvalidArgumentError(f"unknown quantity {name!r}; expected one of {tuple(_QUANTITIES)}")
         if not (t_max > 0.0 and math.isfinite(t_max)):
             raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
         if state0 is None:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cvsteer import channels, measures, verify
@@ -97,6 +97,39 @@ def test_two_side_loss_steers_less_than_one_side_loss_until_their_shared_time(r,
     assert g_one > g_two > 0.0
     after = [steering_report(channel.evolve(state, 1.02 * shared)).g_twoway for channel in (one_side, two_side)]
     assert after == [0.0, 0.0]
+
+
+@given(r=st.floats(0.05, 2.0), kappa=st.floats(0.05, 3.0), gains=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+@settings(max_examples=60, deadline=None)
+def test_more_gain_shortens_every_steerable_and_inseparable_time(r, kappa, gains):
+    # The abstract: "the gain process will introduce additional noise ...
+    # such that the steerable time is reduced".  Every row of the laser
+    # table (two-way on both sides, a->b and b->a on B, inseparability on B
+    # and on both sides) ends sooner at the larger gain, on both paths.
+    g1, g2 = sorted(gains)
+    assume(g2 - g1 >= 1e-3)  # times of nearly equal gains may tie in the last bits
+    low, high = (threshold_table(ChannelSpec("laser", g=g, kappa=kappa), r) for g in (g1, g2))
+    for before, after in zip(low, high):
+        assert (before.channel.side, before.direction) == (after.channel.side, after.direction)
+        if before.status != "ok" or after.status != "ok":
+            continue
+        for t1, t2 in ((before.t_closed, after.t_closed), (before.t_numeric, after.t_numeric)):
+            assert t2 < t1 or t1 == t2 == math.inf, (before, after)
+
+
+@given(r=st.floats(0.05, 2.0), kappa=st.floats(0.05, 3.0), g=st.floats(0.0, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_the_gained_party_steers_longer_above_the_balance_point(r, kappa, g):
+    # The abstract: "the more gained party can steer the other's state, while
+    # the other party cannot steer the gained party in a certain threshold
+    # value".  With the laser channel on B, B steers A for longer exactly when
+    # g / kappa > tanh^2 r: the thermal balance point nbar = sinh^2 r of
+    # acceptance test 5, where g / kappa = nbar / (nbar + 1).
+    balance = math.tanh(r) ** 2
+    assume(abs(g / kappa - balance) > 1e-6 * balance)
+    a_to_b, b_to_a = one_side_thresholds(g, kappa, r)
+    assert (b_to_a.t_closed > a_to_b.t_closed) == (g / kappa > balance)
+    assert (b_to_a.t_numeric > a_to_b.t_numeric) == (g / kappa > balance)
 
 
 def test_gain_two_way_threshold_bounded():
@@ -688,7 +721,7 @@ def test_loss_and_gain_rows_equal_their_laser_twins_bit_for_bit(kind, rates, sid
 
 def _today_signs(values, quantity):
     """The scan's sign rule on the values themselves."""
-    return np.where(np.abs(values) <= measures._SIGN_NOISE_FLOOR[quantity], 0.0, np.sign(values))
+    return np.where(np.abs(values) <= measures._QUANTITIES[quantity][2], 0.0, np.sign(values))
 
 
 @pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser", "phase-sensitive"])
@@ -715,7 +748,8 @@ def test_scan_signs_and_bracket_ends_equal_the_values_rule(monkeypatch, kind, si
             values = _signed_quantity(stack, name)
             signs, args = measures._scan_signs(stack, name)
             assert signs.tolist() == _today_signs(values, name).tolist()
-            width = measures._SIGN_BAND[name]
+            k, _, floor = measures._QUANTITIES[name]
+            width = 100.0 * floor / k
             in_band += int(np.count_nonzero(np.abs(np.maximum.reduce(args) - 1.0) < width))
             del ends[:]
             try:
