@@ -89,11 +89,14 @@ def _check_nonnegative(**rates: float) -> None:
 
 
 def _laser_factors(g: float, kappa: float, t):
-    """Survival R and added noise A of the laser channel, elementwise in t."""
+    """Survival R and added noise A of the laser channel, elementwise in t;
+    float rates and a float t give numpy scalars without an array."""
     x = 2.0 * (kappa - g) * t
     rate_t = 2.0 * (kappa + g) * t
     # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
     # where x = 0 it keeps its limit 2 (kappa + g) t.
+    if isinstance(x, float):
+        return np.exp(-x), rate_t * (-np.expm1(-x)) / x if x != 0.0 else rate_t
     noise = np.divide(rate_t * (-np.expm1(-x)), x, out=np.array(rate_t, dtype=float), where=x != 0.0)
     return np.exp(-x), noise[()]
 
@@ -261,18 +264,24 @@ class ChannelSpec:
     m: complex = 0.0
     # The checked rates at t = 0; None for the identity kind, which reads none.
     _params: LaserChannelParams | PhaseSensitiveParams | None = field(init=False, repr=False, compare=False)
+    # The 2x2 block that a decohered mode's added noise scales: the bath's
+    # ``v_infinity`` for the phase-sensitive kind, else the identity.
+    _block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, params = self.kind, None
+        kind, params, block = self.kind, None, _EYE2
         if kind not in _KIND_RATES:
             raise InvalidArgumentError(f"unknown channel kind {kind!r}; expected one of {tuple(_KIND_RATES)}")
         if kind == "phase-sensitive":
             params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=0.0)
+            block = v_infinity(params)
+            block.setflags(write=False)
         elif kind == "thermal":
             params = thermal_preset(self.kappa, self.nbar, 0.0)
         elif kind != "identity":
             params = LaserChannelParams(0.0 if kind == "loss" else self.g, 0.0 if kind == "gain" else self.kappa, 0.0)
         object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_block", block)
 
     def laser_params(self, t: float) -> LaserChannelParams:
         """The laser rates of this loss, gain, thermal or laser channel at duration t."""
@@ -348,28 +357,33 @@ def _evolve_stack(cms: np.ndarray, channels, t):
         return np.broadcast_to(cms, np.shape(t) + (4, 4)), None, None
     if isinstance(t, float):
         with np.errstate(**_OVERFLOW_QUIET):
-            keep, added = _stack_terms([first._params], t)
-        keep = float(keep)
+            keep, added = _stack_terms([first], t)
         sq = math.sqrt(keep)
-        return _validate_rows(_channel_map_rows(cms.tolist(), sq, keep, added.tolist(), first.side)), sq, None
+        return _validate_rows(_channel_map_rows(cms.tolist(), sq, keep, added, first.side)), sq, None
     with np.errstate(**_OVERFLOW_QUIET):
-        keep, added = _stack_terms([c._params for c in channels], t[..., None, None])
+        keep, added = _stack_terms(channels, t[..., None, None])
         sq = np.sqrt(keep)
         cms = _channel_map(cms, sq, keep, added, first.side)
     cms, det_v = _validated_stack(cms)
     return cms, sq, det_v
 
 
-def _stack_terms(params: list, t):
-    """The (keep, added) arguments of the channel map for durations t, a
-    float (``_channel_map_rows``) or an (N, 1, 1) array (``_channel_map``),
-    from the channels' checked ``_params``, all of one kind: the terms of
-    every row are computed once, elementwise."""
+def _stack_terms(channels, t):
+    """The (keep, added) arguments of the channel map for durations t, from
+    the channels' checked ``_params`` and ``_block``, all of one kind: the
+    terms of every row are computed once, elementwise.  A float t, with one
+    channel, gives a float and a nested list (``_channel_map_rows``); an
+    (N, 1, 1) array gives arrays (``_channel_map``).  exp and expm1 stay
+    numpy's either way, whose last bit differs from math's."""
+    params = [c._params for c in channels]
     if isinstance(params[0], PhaseSensitiveParams):
-        transmission, mixing = _bath_factors(_column([p.kappa for p in params]), t)
-        return transmission, mixing * _column([v_infinity(p) for p in params])
-    survival, noise = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)
-    return survival, noise * _EYE2
+        keep, scale = _bath_factors(_column([p.kappa for p in params]), t)
+    else:
+        keep, scale = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)
+    if isinstance(t, float):
+        scale = float(scale)
+        return float(keep), [[scale * v for v in row] for row in channels[0]._block.tolist()]
+    return keep, scale * _column([c._block for c in channels])
 
 
 def _column(values: list):

@@ -20,9 +20,10 @@ import numpy as np
 
 from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _steering_reports, _two_way_thermal_time
+from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _signed_quantity, _steering_reports
+from .measures import _two_way_thermal_time
 from .measures import steering_report, threshold_table
-from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
+from .states import TwoModeGaussianState, _clamp, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "state_to_dict", "state_from_dict"]
@@ -286,18 +287,23 @@ def _log_time(xs: np.ndarray) -> np.ndarray:
 # "<name>_values" lists; r sets the TMSV and the others the channel rates.
 _X_TO_T = {"kt": lambda xs: xs, "one_minus_R": _log_time, "one_minus_inv_R": _log_time, "one_minus_T": _log_time}
 _PRESET_RATES = {"nbar": "nbar", "gamma": "g", "m": "m"}
-# Report columns: column -> (channel side, SteeringReport field).  g1 is the
-# one-side channel on B, g2 the two-side one; a preset with a "side" takes
-# every column from that side.
+# Quantity columns: column -> (channel side, signed quantity), printed
+# clamped at 0 like the ``SteeringReport`` field of the same name.  g1 is
+# the one-side channel on B, g2 the two-side one; a preset with a "side"
+# takes every column from that side.
 _PRESET_QUANTITIES = {
-    "g1_a_to_b": ("b", "g_a_to_b"),
-    "g1_b_to_a": ("b", "g_b_to_a"),
-    "g2_twoway": ("two", "g_twoway"),
-    "e_n": ("two", "e_n"),
+    "g1_a_to_b": ("b", "G_AtoB"),
+    "g1_b_to_a": ("b", "G_BtoA"),
+    "g2_twoway": ("two", "G_twoway"),
+    "e_n": ("two", "E_N"),
 }
 
 
 def _preset_rows(name: str):
+    """(columns, rows) of a figure preset.  Figures 2a-5 compute only the
+    quantity columns they print, each once, on the joined stacks of its
+    side: the clamped ``_signed_quantity``, bit for bit the
+    ``_steering_reports`` field, E_N with the det V of their validation."""
     preset = FIGURE_PRESETS[name]
     if name == "1":
         # The grid is checked once, as the threshold functions check each
@@ -320,19 +326,23 @@ def _preset_rows(name: str):
     swept = {key[: -len("_values")]: values for key, values in preset.items() if key.endswith("_values")}
     points = [dict(zip(swept, combo)) for combo in itertools.product(*swept.values())]
     quantities = {
-        column: (preset.get("side", side), field)
-        for column, (side, field) in _PRESET_QUANTITIES.items()
+        column: (preset.get("side", side), name)
+        for column, (side, name) in _PRESET_QUANTITIES.items()
         if column in preset["columns"]
     }
-    sides = list(dict.fromkeys(side for side, _ in quantities.values()))
-    stacks = []
+    evolved = {side: [] for side, _ in quantities.values()}  # side -> (stack, sq, det_v) per point
     for point in points:
         rates = {"nbar": preset.get("nbar", 0.0)}
         rates.update((_PRESET_RATES[key], value) for key, value in point.items() if key != "r")
-        for side in sides:
+        cm = make_tmsv(point["r"]).cm
+        for side, results in evolved.items():
             channel = ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **rates)
-            stacks.append(channel.evolve_cms(make_tmsv(point["r"]), ts))
-    report = _steering_reports(np.concatenate(stacks))
+            results.append(_evolve_stack(cm, (channel,), ts))
+    values = {}
+    for column, (side, name) in quantities.items():
+        cms, _, dets = zip(*evolved[side])
+        det_v = None if any(d is None for d in dets) else np.concatenate(dets)
+        values[column] = _clamp(_signed_quantity(np.concatenate(cms), name, det_v)).tolist()
     n, rows = len(ts), []
     for p, point in enumerate(points):
         columns = []
@@ -342,9 +352,7 @@ def _preset_rows(name: str):
             elif column in point:
                 columns.append([point[column]] * n)
             else:
-                side, field = quantities[column]
-                start = (p * len(sides) + sides.index(side)) * n
-                columns.append(report[field][start : start + n])
+                columns.append(values[column][p * n : (p + 1) * n])
         rows.extend(zip(*columns))
     return preset["columns"], rows
 
@@ -387,7 +395,8 @@ def _generic_sweep_rows(args):
         cms = make_tmsv(args.r).cm
         ts = _durations(args, channel, values)
     _check_rates_read(args)
-    report = _steering_reports(_evolve_stack(cms, channels, ts)[0])
+    stack, _, det_v = _evolve_stack(cms, channels, ts)
+    report = _steering_reports(stack, det_v)
     del report["entangled"]  # the sweep prints its complement, separable
     return [args.var, *report], list(zip(values.tolist(), *report.values()))
 

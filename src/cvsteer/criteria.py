@@ -130,9 +130,15 @@ def _reid_products(cms: np.ndarray, direction: SteeringDirection):
 
 def _entropic_sums(cms: np.ndarray, direction: SteeringDirection):
     """``entropic_sum`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
+    return _entropic_sum(_inferred_variances(cms, direction, quad) for quad in (Quadrature.Q, Quadrature.P))
+
+
+def _entropic_sum(variances):
+    """The entropic sum of one direction's Q and P inferred variances, given
+    in that order; each is checked when it is reached, so a lazy iterable
+    raises as ``_entropic_sums`` does."""
     total = 0.0
-    for quad in (Quadrature.Q, Quadrature.P):
-        var = _inferred_variances(cms, direction, quad)
+    for var in variances:
         if _any(var <= 0.0):
             raise DegenerateInputError("conditional distribution is degenerate")
         total += 0.5 * _log(2.0 * math.pi * math.e * var)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channels
 from .channels import ChannelSide, ChannelSpec
-from .criteria import SteeringDirection, _entropic_sums, _reid_products
+from .criteria import Quadrature, SteeringDirection, _entropic_sum, _inferred_variances
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from .states import (
     _MAX_SCALE,
@@ -219,17 +219,28 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
     return SteeringReport(**_steering_reports(state.cm))
 
 
-def _steering_reports(cms: np.ndarray) -> dict[str, list]:
+def _steering_reports(cms: np.ndarray, det_v=None) -> dict[str, list]:
     """Every ``SteeringReport`` field over an (N, 4, 4) stack of physical
     covariance matrices, as lists of Python floats and bools; entry k equals
     ``steering_report`` of matrix k bit for bit.  One (4, 4) matrix gives
-    one float or bool per field."""
-    g_ab, g_ba, e_n = (_clamp(_signed_quantity(cms, name)) for name in ("G_AtoB", "G_BtoA", "E_N"))
+    one float or bool per field.
+
+    Each quantity is computed once: E_N takes the det V of the stack's
+    validation (``channels._evolve_stack``) when given, and each direction's
+    Q and P inferred variances serve both its Reid product and its entropic
+    sum.  The checks raise in the order of the public functions: G a->b,
+    G b->a, E_N, conditioning variances, then the entropic sums'.
+    """
+    g_ab, g_ba, e_n = (_clamp(_signed_quantity(cms, name, det_v)) for name in ("G_AtoB", "G_BtoA", "E_N"))
+    (q_ab, p_ab), (q_ba, p_ba) = (
+        [_inferred_variances(cms, direction, quad) for quad in (Quadrature.Q, Quadrature.P)]
+        for direction in (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A)
+    )
     columns = {
-        "reid_a_to_b": _reid_products(cms, SteeringDirection.A_TO_B),
-        "reid_b_to_a": _reid_products(cms, SteeringDirection.B_TO_A),
-        "entropic_a_to_b": _entropic_sums(cms, SteeringDirection.A_TO_B),
-        "entropic_b_to_a": _entropic_sums(cms, SteeringDirection.B_TO_A),
+        "reid_a_to_b": q_ab * p_ab,
+        "reid_b_to_a": q_ba * p_ba,
+        "entropic_a_to_b": _entropic_sum((q_ab, p_ab)),
+        "entropic_b_to_a": _entropic_sum((q_ba, p_ba)),
         "g_a_to_b": g_ab,
         "g_b_to_a": g_ba,
         "g_twoway": np.minimum(g_ab, g_ba),
@@ -277,10 +288,11 @@ class ThresholdResult:
         }
 
 
-def _signed_quantity(cms: np.ndarray, quantity: str) -> np.ndarray:
+def _signed_quantity(cms: np.ndarray, quantity: str, det_v=None) -> np.ndarray:
     """The signed threshold quantity (positive before the threshold) over a
-    (..., 4, 4) stack, or a float for one matrix: the per-state quantifiers."""
-    return _from_log_arguments(_log_arguments(cms, quantity), quantity)
+    (..., 4, 4) stack (E_N given the stack's ``det_v``, if known), or a
+    float for one matrix: the per-state quantifiers."""
+    return _from_log_arguments(_log_arguments(cms, quantity, det_v), quantity)
 
 
 def _log_arguments(cms: np.ndarray, quantity: str, det_v=None) -> tuple:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,12 +18,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvsteer
+from cvsteer import channels, criteria, measures
 from cvsteer.channels import _KIND_RATES, ChannelSide, ChannelSpec, thermal_preset
-from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _command_parser, _fmt, _preset_rows, _write_table, main
+from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _PRESET_RATES, _X_TO_T, _command_parser, _fmt, _preset_rows
+from cvsteer.cli import _write_table, main
 from cvsteer.cli import state_from_dict, state_to_dict
 from cvsteer.criteria import SteeringDirection, _entropic_sums
 from cvsteer.errors import DegenerateInputError
-from cvsteer.measures import ThresholdResult, _closed_form
+from cvsteer.measures import ThresholdResult, _closed_form, _steering_reports
 from cvsteer.states import make_tmsv
 
 
@@ -728,6 +731,78 @@ def test_figure_1_builds_no_per_cell_objects(monkeypatch):
     assert main(["sweep", "--figure", "1", "--out", os.devnull]) == 0
     # 625 cells; one object per cell (or per grid row) would exceed this.
     assert max(counts.values()) <= 2, counts
+
+
+# Each quantity column of figures 2a-5: (channel side, SteeringReport field).
+_PRESET_FIELDS = {
+    "g1_a_to_b": ("b", "g_a_to_b"),
+    "g1_b_to_a": ("b", "g_b_to_a"),
+    "g2_twoway": ("two", "g_twoway"),
+    "e_n": ("two", "e_n"),
+}
+_SWEEP_FIGURES = ["2a", "2b", "3", "4", "5"]
+
+
+@pytest.mark.parametrize("name", _SWEEP_FIGURES)
+def test_preset_columns_equal_the_full_report_of_each_point_bit_for_bit(name):
+    # Each point's stack rebuilt alone and given the whole report: every
+    # printed quantity column is its field, bit for bit.
+    preset = FIGURE_PRESETS[name]
+    columns, rows = _preset_rows(name)
+    ts = _X_TO_T[preset["x"]](np.linspace(*preset["x_range"], preset["steps"]))
+    swept = {key[: -len("_values")]: values for key, values in preset.items() if key.endswith("_values")}
+    points = [dict(zip(swept, combo)) for combo in itertools.product(*swept.values())]
+    n, printed = len(ts), [column for column in columns if column in _PRESET_FIELDS]
+    assert len(rows) == len(points) * n and printed
+    for p, point in enumerate(points):
+        rates = {"nbar": preset.get("nbar", 0.0)}
+        rates.update((_PRESET_RATES[key], value) for key, value in point.items() if key != "r")
+        for column in printed:
+            side, field = _PRESET_FIELDS[column]
+            channel = ChannelSpec(preset["channel"], ChannelSide(preset.get("side", side)), **rates)
+            report = _steering_reports(channel.evolve_cms(make_tmsv(point["r"]), ts))
+            values = [row[columns.index(column)] for row in rows[p * n : (p + 1) * n]]
+            assert [v.hex() for v in values] == [v.hex() for v in report[field]], (column, point)
+
+
+@pytest.mark.parametrize("name", _SWEEP_FIGURES)
+def test_presets_compute_no_inferred_variance(monkeypatch, name):
+    # No Reid or entropic column is printed, so none is computed.
+    calls, inferred = [], criteria._inferred_variances
+
+    def counting(*args):
+        calls.append(args[1:])
+        return inferred(*args)
+
+    monkeypatch.setattr(criteria, "_inferred_variances", counting)
+    monkeypatch.setattr(measures, "_inferred_variances", counting)
+    assert main(["sweep", "--figure", name, "--out", os.devnull]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", _SWEEP_FIGURES)
+def test_presets_take_det_v_from_their_validations(monkeypatch, name):
+    # The only stacked np.linalg.det calls are the validations' own: E_N
+    # takes the det V they computed.
+    inside, validating_dets, other_dets = [False], [], []
+    det, validated_stack = np.linalg.det, channels._validated_stack
+
+    def logging_det(a):
+        if np.ndim(a) > 2:
+            (validating_dets if inside[0] else other_dets).append(np.shape(a))
+        return det(a)
+
+    def validating(cms):
+        inside[0] = True
+        try:
+            return validated_stack(cms)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.linalg, "det", logging_det)
+    monkeypatch.setattr(channels, "_validated_stack", validating)
+    assert main(["sweep", "--figure", name, "--out", os.devnull]) == 0
+    assert validating_dets and other_dets == []
 
 
 def _csv_lines(columns, rows):

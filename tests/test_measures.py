@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cvsteer import channels, measures, verify
+from cvsteer import channels, criteria, measures, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.cli import main
 from cvsteer.criteria import SteeringDirection
@@ -965,6 +965,95 @@ def _assert_stacked_report_matches(states):
         assert report.e_n == log_negativity(state)
         assert report.entangled is (report.e_n > 0.0)
         assert report.separable is (not report.entangled)
+
+
+def _report_bits(cms, *det_v):
+    """``_steering_reports``' columns with every float as its hex string,
+    or its error's type and message."""
+    try:
+        report = _steering_reports(cms, *det_v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {name: [v.hex() if isinstance(v, float) else v for v in values] for name, values in report.items()}
+
+
+@given(
+    kind=st.sampled_from(["loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    r=st.floats(0.0, 3.0),
+    g=st.floats(0.1, 3.0),
+    kappa=st.floats(0.1, 3.0),
+    nbar=st.floats(0.0, 1.5),
+    m_fraction=st.floats(-1.0, 1.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_report_with_det_v_from_validation_equals_the_report_without(kind, side, r, g, kappa, nbar, m_fraction):
+    # E_N of the partial transpose takes validation's det V: the same bits.
+    # At some r >= 2 (r = 2.0 among them) the pure TMSV at t = 0 fails the
+    # certificate, and the stack has no det V.
+    m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
+    channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
+    ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))[::8]])
+    stack, _, det_v = channels._evolve_stack(make_tmsv(r).cm, (channel,), ts)
+    assert _report_bits(stack, det_v) == _report_bits(stack)
+
+
+@pytest.mark.parametrize("r", [0.5, 3.0])
+@pytest.mark.parametrize("side", [ChannelSide.A, ChannelSide.B])
+def test_report_of_an_uncertified_stack_takes_det_v_itself(side, r):
+    # Entries past _MAX_SCALE / 8 fail the certificate but pass the eigvalsh
+    # rule: validation returns no det V, and the report computes it, equal
+    # to each state's own report.
+    channel, state0 = ChannelSpec("gain", side, g=1.0), make_tmsv(r)
+    ts = np.linspace(0.0, 0.5 * math.log(_MAX_SCALE / (2.0 * math.cosh(2.0 * r))), 5)
+    stack, _, det_v = channels._evolve_stack(state0.cm, (channel,), ts)
+    assert det_v is None and np.abs(stack).max() > _MAX_SCALE / 8.0
+    assert _report_bits(stack, det_v) == _report_bits(stack)
+    _assert_stacked_report_matches([channel.evolve(state0, t) for t in ts.tolist()])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_a_report_computes_each_inferred_variance_once(monkeypatch, stacked):
+    # Q and P in each direction, shared by the Reid product and the entropic sum.
+    calls, inferred = [], criteria._inferred_variances
+
+    def counting(cms, direction, quadrature):
+        calls.append((direction, quadrature))
+        return inferred(cms, direction, quadrature)
+
+    monkeypatch.setattr(criteria, "_inferred_variances", counting)
+    monkeypatch.setattr(measures, "_inferred_variances", counting)
+    state = ChannelSpec("laser", g=0.5, kappa=1.3).evolve(make_tmsv(0.7), 0.2)
+    if stacked:
+        _steering_reports(np.stack([state.cm] * 3))
+    else:
+        steering_report(state)
+    assert len(calls) == len(set(calls)) == 4
+
+
+# Blocks I, I and 2 diag(1, -1): G and E_N pass their checks, and the Q
+# inferred variance of A -> B, 1/2 (1 - 4), is clamped to 0.
+_DEGENERATE_CONDITIONAL = np.array([[1.0, 0, 2, 0], [0, 1, 0, -2], [2, 0, 1, 0], [0, -2, 0, 1]])
+# diag(1, 1, -1, -1): G and E_N pass their checks, and B -> A conditions on -1.
+_NON_POSITIVE_CONDITIONING = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    ("cms", "message"),
+    [
+        (_DEGENERATE_CONDITIONAL[None], "conditional distribution is degenerate"),
+        # One matrix's clamped 0.0 is a Python float, whose comparison is a Python bool.
+        (_DEGENERATE_CONDITIONAL, "conditional distribution is degenerate"),
+        (_NON_POSITIVE_CONDITIONING[None], "conditioning variance is not positive"),
+        (_NON_POSITIVE_CONDITIONING, "conditioning variance is not positive"),
+        # Every Reid check comes before the entropic ones, whichever matrix is first.
+        (np.stack([_DEGENERATE_CONDITIONAL, _NON_POSITIVE_CONDITIONING]), "conditioning variance is not positive"),
+    ],
+    ids=["degenerate", "degenerate-one", "conditioning", "conditioning-one", "both"],
+)
+def test_report_raises_in_the_order_of_the_public_functions(cms, message):
+    with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+        _steering_reports(cms)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
