@@ -89,14 +89,11 @@ def _check_nonnegative(**rates: float) -> None:
 
 
 def _laser_factors(g: float, kappa: float, t):
-    """Survival R and added noise A of the laser channel, elementwise in t;
-    float rates and a float t give numpy scalars without an array."""
+    """Survival R and added noise A of the laser channel, elementwise in t."""
     x = 2.0 * (kappa - g) * t
     rate_t = 2.0 * (kappa + g) * t
     # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
     # where x = 0 it keeps its limit 2 (kappa + g) t.
-    if isinstance(x, float):
-        return np.exp(-x), rate_t * (-np.expm1(-x)) / x if x != 0.0 else rate_t
     noise = np.divide(rate_t * (-np.expm1(-x)), x, out=np.array(rate_t, dtype=float), where=x != 0.0)
     return np.exp(-x), noise[()]
 

@@ -20,10 +20,10 @@ import numpy as np
 
 from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _signed_quantity, _steering_reports
+from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _report_columns, _steering_reports
 from .measures import _two_way_thermal_time
 from .measures import steering_report, threshold_table
-from .states import TwoModeGaussianState, _clamp, _tmsv_cms, _validate_cms, make_tmsv
+from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "state_to_dict", "state_from_dict"]
@@ -287,23 +287,22 @@ def _log_time(xs: np.ndarray) -> np.ndarray:
 # "<name>_values" lists; r sets the TMSV and the others the channel rates.
 _X_TO_T = {"kt": lambda xs: xs, "one_minus_R": _log_time, "one_minus_inv_R": _log_time, "one_minus_T": _log_time}
 _PRESET_RATES = {"nbar": "nbar", "gamma": "g", "m": "m"}
-# Quantity columns: column -> (channel side, signed quantity), printed
-# clamped at 0 like the ``SteeringReport`` field of the same name.  g1 is
-# the one-side channel on B, g2 the two-side one; a preset with a "side"
-# takes every column from that side.
+# Report columns: column -> (channel side, SteeringReport field).  g1 is the
+# one-side channel on B, g2 the two-side one; a preset with a "side" takes
+# every column from that side.
 _PRESET_QUANTITIES = {
-    "g1_a_to_b": ("b", "G_AtoB"),
-    "g1_b_to_a": ("b", "G_BtoA"),
-    "g2_twoway": ("two", "G_twoway"),
-    "e_n": ("two", "E_N"),
+    "g1_a_to_b": ("b", "g_a_to_b"),
+    "g1_b_to_a": ("b", "g_b_to_a"),
+    "g2_twoway": ("two", "g_twoway"),
+    "e_n": ("two", "e_n"),
 }
 
 
 def _preset_rows(name: str):
     """(columns, rows) of a figure preset.  Figures 2a-5 compute only the
-    quantity columns they print, each once, on the joined stacks of its
-    side: the clamped ``_signed_quantity``, bit for bit the
-    ``_steering_reports`` field, E_N with the det V of their validation."""
+    report fields they print, each once, on the joined stacks of each side
+    that prints one (``measures._report_columns``), E_N with the det V of
+    their validation."""
     preset = FIGURE_PRESETS[name]
     if name == "1":
         # The grid is checked once, as the threshold functions check each
@@ -325,12 +324,11 @@ def _preset_rows(name: str):
     ts = _X_TO_T[preset["x"]](xs)
     swept = {key[: -len("_values")]: values for key, values in preset.items() if key.endswith("_values")}
     points = [dict(zip(swept, combo)) for combo in itertools.product(*swept.values())]
-    quantities = {
-        column: (preset.get("side", side), name)
-        for column, (side, name) in _PRESET_QUANTITIES.items()
-        if column in preset["columns"]
-    }
-    evolved = {side: [] for side, _ in quantities.values()}  # side -> (stack, sq, det_v) per point
+    fields = {}  # side -> {column: SteeringReport field}
+    for column, (side, field) in _PRESET_QUANTITIES.items():
+        if column in preset["columns"]:
+            fields.setdefault(preset.get("side", side), {})[column] = field
+    evolved = {side: [] for side in fields}  # side -> (stack, sq, det_v) per point
     for point in points:
         rates = {"nbar": preset.get("nbar", 0.0)}
         rates.update((_PRESET_RATES[key], value) for key, value in point.items() if key != "r")
@@ -339,10 +337,11 @@ def _preset_rows(name: str):
             channel = ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **rates)
             results.append(_evolve_stack(cm, (channel,), ts))
     values = {}
-    for column, (side, name) in quantities.items():
+    for side, columns in fields.items():
         cms, _, dets = zip(*evolved[side])
         det_v = None if any(d is None for d in dets) else np.concatenate(dets)
-        values[column] = _clamp(_signed_quantity(np.concatenate(cms), name, det_v)).tolist()
+        report = _report_columns(np.concatenate(cms), columns.values(), det_v)
+        values.update((column, report[field].tolist()) for column, field in columns.items())
     n, rows = len(ts), []
     for p, point in enumerate(points):
         columns = []

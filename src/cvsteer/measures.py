@@ -219,19 +219,44 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
     return SteeringReport(**_steering_reports(state.cm))
 
 
+# The clamped quantifier fields of a ``SteeringReport``: field -> the signed
+# quantity it clamps at 0.  g_twoway is the smaller of the two clamped G.
+_REPORT_QUANTITIES = {"g_a_to_b": "G_AtoB", "g_b_to_a": "G_BtoA", "e_n": "E_N"}
+
+
+def _report_columns(cms: np.ndarray, fields, det_v=None) -> dict:
+    """The quantifier fields of ``SteeringReport`` named in ``fields`` (of
+    g_a_to_b, g_b_to_a, g_twoway and e_n) over a (..., 4, 4) stack, as
+    arrays, or floats for one matrix; E_N takes the stack's ``det_v`` when
+    given.  Each is computed once, in the order of ``_REPORT_QUANTITIES``,
+    and only if asked for (g_twoway asks for both G)."""
+    fields = list(fields)
+    wanted = set(fields) | ({"g_a_to_b", "g_b_to_a"} if "g_twoway" in fields else set())
+    columns = {
+        field: _clamp(_signed_quantity(cms, quantity, det_v))
+        for field, quantity in _REPORT_QUANTITIES.items()
+        if field in wanted
+    }
+    if "g_twoway" in fields:
+        columns["g_twoway"] = np.minimum(columns["g_a_to_b"], columns["g_b_to_a"])
+    return {field: columns[field] for field in fields}
+
+
 def _steering_reports(cms: np.ndarray, det_v=None) -> dict[str, list]:
     """Every ``SteeringReport`` field over an (N, 4, 4) stack of physical
     covariance matrices, as lists of Python floats and bools; entry k equals
     ``steering_report`` of matrix k bit for bit.  One (4, 4) matrix gives
     one float or bool per field.
 
-    Each quantity is computed once: E_N takes the det V of the stack's
-    validation (``channels._evolve_stack``) when given, and each direction's
-    Q and P inferred variances serve both its Reid product and its entropic
-    sum.  The checks raise in the order of the public functions: G a->b,
-    G b->a, E_N, conditioning variances, then the entropic sums'.
+    Each quantity is computed once: the G and E_N fields by
+    ``_report_columns``, E_N with the det V of the stack's validation
+    (``channels._evolve_stack``) when given, and each direction's Q and P
+    inferred variances serve both its Reid product and its entropic sum.
+    The checks raise in the order of the public functions: G a->b, G b->a,
+    E_N, conditioning variances, then the entropic sums'.
     """
-    g_ab, g_ba, e_n = (_clamp(_signed_quantity(cms, name, det_v)) for name in ("G_AtoB", "G_BtoA", "E_N"))
+    quantifiers = _report_columns(cms, ("g_a_to_b", "g_b_to_a", "g_twoway", "e_n"), det_v)
+    g_ab, g_ba, e_n = quantifiers["g_a_to_b"], quantifiers["g_b_to_a"], quantifiers["e_n"]
     (q_ab, p_ab), (q_ba, p_ba) = (
         [_inferred_variances(cms, direction, quad) for quad in (Quadrature.Q, Quadrature.P)]
         for direction in (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A)
@@ -241,10 +266,7 @@ def _steering_reports(cms: np.ndarray, det_v=None) -> dict[str, list]:
         "reid_b_to_a": q_ba * p_ba,
         "entropic_a_to_b": _entropic_sum((q_ab, p_ab)),
         "entropic_b_to_a": _entropic_sum((q_ba, p_ba)),
-        "g_a_to_b": g_ab,
-        "g_b_to_a": g_ba,
-        "g_twoway": np.minimum(g_ab, g_ba),
-        "e_n": e_n,
+        **quantifiers,
         "steerable_a_to_b": g_ab > 0.0,
         "steerable_b_to_a": g_ba > 0.0,
         "entangled": e_n > 0.0,

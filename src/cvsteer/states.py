@@ -457,9 +457,8 @@ def _check_scale(max_eig) -> None:
 
 
 def _any(mask) -> bool:
-    """``mask.any()``; a single matrix's scalar mask, a numpy or (from a
-    value ``_clamp`` set to 0.0) a Python bool, skips the costlier reduction."""
-    return bool(mask) if isinstance(mask, bool) or mask.ndim == 0 else bool(mask.any())
+    """``mask.any()``; a single matrix's scalar mask skips the costlier reduction."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
 
 
 def _clamp(x):
