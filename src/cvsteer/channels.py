@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .states import ModeLabel, TwoModeGaussianState, _validate_rows, _validated_stack
+from .states import ModeLabel, TwoModeGaussianState, _all, _any, _entries, _matrix, _sqrt, _validated_stack, _value
 
 __all__ = [
     "ChannelSide",
@@ -33,7 +33,7 @@ _EYE2 = np.eye(2)
 _EYE2.setflags(write=False)
 
 # Strong gain overflows exp at long durations.  The channel terms and map are
-# computed with these floating-point warnings off, and ``_channel_map`` turns
+# computed with these floating-point warnings off, and ``_evolve_stack`` turns
 # a non-finite result into DegenerateInputError.
 _OVERFLOW_QUIET = {"over": "ignore", "invalid": "ignore"}
 
@@ -120,45 +120,29 @@ def apply_laser(
     return ChannelSpec("laser", side, g=params.g, kappa=params.kappa).evolve(state, params.t)
 
 
-def _channel_map(cms: np.ndarray, sq, keep, added: np.ndarray, side: ChannelSide) -> np.ndarray:
-    """The Gaussian channel V -> X V X^T + Y on the covariance matrix.
+# The first index of each decohered mode's 2x2 block, by channel side.
+_BLOCK_STARTS = {ChannelSide.A: (0,), ChannelSide.B: (2,), ChannelSide.BOTH: (0, 2)}
+
+
+def _channel_map(v, sq, keep, added, side: ChannelSide) -> np.ndarray:
+    """The Gaussian channel V -> X V X^T + Y on the entries v of V.
 
     X scales each decohered mode by sq = sqrt(keep) and Y adds ``added`` to
-    its diagonal block, which becomes added + keep * block.  ``keep`` is an
-    (N, 1, 1) stack and ``added`` (N, 2, 2), giving the (N, 4, 4) stack;
-    ``cms`` is one 4x4 matrix or a stack of that shape.  The result is finite
-    (or this raises DegenerateInputError) but otherwise unvalidated.
+    its diagonal block, which becomes added + keep * block.  v, sq, keep and
+    the 2x2 entries ``added`` are those of one matrix, or arrays over a
+    stack (v may be one matrix shared by every row), and the result is the
+    assembled, unvalidated matrix or stack of ``keep``'s shape.
     """
-    cm = np.empty(np.shape(keep)[:-2] + (4, 4))
-    cm[...] = cms
-    for mode in side.modes:
-        blk = mode.block
-        cm[..., blk, :] *= sq
-        cm[..., :, blk] *= sq
-        cm[..., blk, blk] = added + keep * cms[..., blk, blk]
-    if not np.isfinite(cm).all():
-        raise DegenerateInputError("covariance matrix overflows the float range")
-    return cm
-
-
-def _channel_map_rows(rows: list, sq: float, keep: float, added: list, side: ChannelSide) -> list:
-    """``_channel_map`` of one matrix on Python floats: ``rows`` and
-    ``added`` are nested lists, and every entry takes the float operations
-    it takes in the array map, in the same order."""
-    cm = [row[:] for row in rows]
-    for mode in side.modes:
-        lo = mode.block.start
-        for i in (lo, lo + 1):
-            cm[i] = [v * sq for v in cm[i]]
-        for row in cm:
-            row[lo] *= sq
-            row[lo + 1] *= sq
-        for p in (0, 1):
-            for q in (0, 1):
-                cm[lo + p][lo + q] = added[p][q] + keep * rows[lo + p][lo + q]
-    if not all(map(math.isfinite, cm[0] + cm[1] + cm[2] + cm[3])):
-        raise DegenerateInputError("covariance matrix overflows the float range")
-    return cm
+    starts = _BLOCK_STARTS[side]
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (d00, d01, b00, b01), (d10, d11, b10, b11) = v
+    for _ in starts:  # each decohered mode scales the correlations once
+        c00, c01, c10, c11, d00, d01, d10, d11 = (x * sq for x in (c00, c01, c10, c11, d00, d01, d10, d11))
+    rows = [[a00, a01, c00, c01], [a10, a11, c10, c11], [d00, d01, b00, b01], [d10, d11, b10, b11]]
+    (y00, y01), (y10, y11) = added
+    for lo in starts:
+        rows[lo][lo : lo + 2] = y00 + keep * v[lo][lo], y01 + keep * v[lo][lo + 1]
+        rows[lo + 1][lo : lo + 2] = y10 + keep * v[lo + 1][lo], y11 + keep * v[lo + 1][lo + 1]
+    return _matrix(rows, np.shape(keep))
 
 
 @dataclass(frozen=True)
@@ -332,61 +316,50 @@ def _evolve_stack(cms: np.ndarray, channels, t):
     ``cms`` is one 4x4 matrix shared by every row or an (N, 4, 4) stack with
     one matrix per row; ``channels`` is one ChannelSpec shared by every row or
     N of them with the same kind and side, which may differ in their rates.
-    A 0-d t, with one channel and one matrix, gives one 4x4 matrix: its
-    ``keep`` and ``added`` still come from numpy's exp and expm1, but the map
-    and the validation run on Python floats (``_channel_map_rows``,
-    ``states._validate_rows``), with the same float operations as the
-    stack's.  ``sq`` = sqrt(keep) is the factor of each decohered mode;
-    ``det_v`` is the det V of every row that the stack's validation computed
-    (``states._validated_stack``), or None.  Zero duration and the identity
-    kind return ``cms`` broadcast and unvalidated, with sq = det_v = None.
+    A 0-d t, with one channel and one matrix, gives one 4x4 matrix, whose map
+    and validation run on its entries as Python floats; ``keep`` and
+    ``added`` still come from numpy's exp and expm1.  A map that overflows
+    raises DegenerateInputError.  ``sq`` = sqrt(keep) is the factor of each
+    decohered mode; ``det_v`` is the det V of every row that the validation
+    computed (``states._validated_stack``), or None.  Zero duration and the
+    identity kind return ``cms`` broadcast and unvalidated, with
+    sq = det_v = None.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
         t = float(t)
-        valid, zero = 0.0 <= t < math.inf, t == 0.0
-    else:
-        valid, zero = bool(np.isfinite(t).all() and (t >= 0.0).all()), not t.any()
-    if not valid:
+    if not _all((0.0 <= t) & (t < math.inf)):
         raise InvalidArgumentError("durations must be finite and >= 0")
     first = channels[0]
-    if first.kind == "identity" or zero:
+    if first.kind == "identity" or not _any(t != 0.0):
         return np.broadcast_to(cms, np.shape(t) + (4, 4)), None, None
-    if isinstance(t, float):
-        with np.errstate(**_OVERFLOW_QUIET):
-            keep, added = _stack_terms([first], t)
-        sq = math.sqrt(keep)
-        return _validate_rows(_channel_map_rows(cms.tolist(), sq, keep, added, first.side)), sq, None
     with np.errstate(**_OVERFLOW_QUIET):
-        keep, added = _stack_terms(channels, t[..., None, None])
-        sq = np.sqrt(keep)
-        cms = _channel_map(cms, sq, keep, added, first.side)
-    cms, det_v = _validated_stack(cms)
+        keep, added = _stack_terms(channels, t)
+        sq = _sqrt(keep)
+        cms = _channel_map(_entries(cms), sq, keep, added, first.side)
+    try:
+        cms, det_v = _validated_stack(cms)
+    except InvalidArgumentError:  # validation's first check: a non-finite entry, here an overflow
+        raise DegenerateInputError("covariance matrix overflows the float range") from None
     return cms, sq, det_v
 
 
 def _stack_terms(channels, t):
     """The (keep, added) arguments of the channel map for durations t, from
     the channels' checked ``_params`` and ``_block``, all of one kind: the
-    terms of every row are computed once, elementwise.  A float t, with one
-    channel, gives a float and a nested list (``_channel_map_rows``); an
-    (N, 1, 1) array gives arrays (``_channel_map``).  exp and expm1 stay
-    numpy's either way, whose last bit differs from math's."""
+    terms of every row are computed once, elementwise, ``added`` as the
+    entries of a 2x2 block.  exp and expm1 are numpy's, whose last bit
+    differs from math's."""
     params = [c._params for c in channels]
     if isinstance(params[0], PhaseSensitiveParams):
         keep, scale = _bath_factors(_column([p.kappa for p in params]), t)
     else:
         keep, scale = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)
-    if isinstance(t, float):
-        scale = float(scale)
-        return float(keep), [[scale * v for v in row] for row in channels[0]._block.tolist()]
-    return keep, scale * _column([c._block for c in channels])
+    keep, scale = _value(keep), _value(scale)
+    return keep, [[scale * x for x in row] for row in _entries(_column([c._block for c in channels]))]
 
 
 def _column(values: list):
     """One rate or 2x2 matrix as it is, or one per row along a new leading
-    axis: rates as an (N, 1, 1) column, matrices as an (N, 2, 2) stack."""
-    if len(values) == 1:
-        return values[0]
-    rows = np.array(values)
-    return rows if rows.ndim == 3 else rows[:, None, None]
+    axis: rates as an (N,) array, matrices as an (N, 2, 2) stack."""
+    return values[0] if len(values) == 1 else np.array(values)

@@ -24,7 +24,6 @@ from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _report_colu
 from .measures import _two_way_thermal_time
 from .measures import steering_report, threshold_table
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
-from .verify import SUITES, run_suites
 
 __all__ = ["main", "state_to_dict", "state_from_dict"]
 
@@ -299,10 +298,10 @@ _PRESET_QUANTITIES = {
 
 
 def _preset_rows(name: str):
-    """(columns, rows) of a figure preset.  Figures 2a-5 compute only the
-    report fields they print, each once, on the joined stacks of each side
-    that prints one (``measures._report_columns``), E_N with the det V of
-    their validation."""
+    """(columns, rows) of a figure preset.  Figures 2a-5 evolve the points
+    of each side that prints a field as one stack, and compute only the
+    report fields they print, each once (``measures._report_columns``), E_N
+    with the det V of the stack's validation."""
     preset = FIGURE_PRESETS[name]
     if name == "1":
         # The grid is checked once, as the threshold functions check each
@@ -328,21 +327,17 @@ def _preset_rows(name: str):
     for column, (side, field) in _PRESET_QUANTITIES.items():
         if column in preset["columns"]:
             fields.setdefault(preset.get("side", side), {})[column] = field
-    evolved = {side: [] for side in fields}  # side -> (stack, sq, det_v) per point
-    for point in points:
-        rates = {"nbar": preset.get("nbar", 0.0)}
-        rates.update((_PRESET_RATES[key], value) for key, value in point.items() if key != "r")
-        cm = make_tmsv(point["r"]).cm
-        for side, results in evolved.items():
-            channel = ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **rates)
-            results.append(_evolve_stack(cm, (channel,), ts))
+    # One stack per side: row p * n + i is point p at duration ts[i].
+    n = len(ts)
+    cms = np.repeat(np.stack([make_tmsv(point["r"]).cm for point in points]), n, axis=0)
+    rates = [{"nbar": preset.get("nbar", 0.0), **{_PRESET_RATES[k]: x for k, x in p.items() if k != "r"}} for p in points]
     values = {}
     for side, columns in fields.items():
-        cms, _, dets = zip(*evolved[side])
-        det_v = None if any(d is None for d in dets) else np.concatenate(dets)
-        report = _report_columns(np.concatenate(cms), columns.values(), det_v)
+        specs = [ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **r) for r in rates]
+        stack, _, det_v = _evolve_stack(cms, [spec for spec in specs for _ in ts], np.tile(ts, len(points)))
+        report = _report_columns(stack, columns.values(), det_v)
         values.update((column, report[field].tolist()) for column, field in columns.items())
-    n, rows = len(ts), []
+    rows = []
     for p, point in enumerate(points):
         columns = []
         for column in preset["columns"]:
@@ -447,6 +442,8 @@ def _cmd_threshold(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites  # the oracle suites load with this command alone
+
     results = run_suites(args.suite)
     ok = True
     for res in results:
@@ -497,6 +494,8 @@ def _threshold_args(p):
 
 
 def _verify_args(p):
+    from .verify import SUITES
+
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.set_defaults(func=_cmd_verify)
 

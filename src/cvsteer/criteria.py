@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .states import TwoModeGaussianState, _any, _clamp, _log
+from .states import TwoModeGaussianState, _any, _clamp, _entries, _log
 
 __all__ = [
     "SteeringDirection",
@@ -110,17 +110,14 @@ def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> f
 def _inferred_variances(cms: np.ndarray, direction: SteeringDirection, quadrature: Quadrature):
     """``reid_inferred_variance`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
     i, j = _moment_indices(direction, quadrature)
-    if cms.ndim > 2:
-        # Matrix axes first, so that plain indexing serves both cases and one
-        # matrix's entries stay numpy scalars (the fast per-state path).
-        cms = np.moveaxis(cms, (-2, -1), (0, 1))
-    v_in = cms[i, i]
+    v = _entries(cms)
+    v_in = v[i][i]
     if _any(v_in <= 0.0):
         raise DegenerateInputError("conditioning variance is not positive")
-    # x * x, not x ** 2: a numpy scalar's power rounds differently from an
-    # array's square, and one matrix must give the stack's values bit for bit.
-    cross = cms[i, j]
-    return _clamp(0.5 * (cms[j, j] - cross * cross / v_in))
+    # x * x, not x ** 2: a float's power need not round as an array's square
+    # does, and one matrix must give the stack's values bit for bit.
+    cross = v[i][j]
+    return _clamp(0.5 * (v[j][j] - cross * cross / v_in))
 
 
 def _reid_products(cms: np.ndarray, direction: SteeringDirection):

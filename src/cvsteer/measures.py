@@ -22,15 +22,15 @@ from .criteria import Quadrature, SteeringDirection, _entropic_sum, _inferred_va
 from .errors import DegenerateInputError, InvalidArgumentError, MultiRootError
 from .states import (
     _MAX_SCALE,
-    ModeLabel,
     TwoModeGaussianState,
-    _any,
+    _all,
+    _block_dets,
     _clamp,
-    _det2,
+    _entries,
     _log,
-    _partial_transpose_cms,
-    _smaller_nu,
-    _symplectic_spectra,
+    _matrix,
+    _spectra,
+    _value,
     make_tmsv,
 )
 
@@ -88,45 +88,29 @@ _R_MAX = 0.5 * math.log(_MAX_SCALE)
 # exceeds this disagrees with it; also the ``verify thresholds`` tolerance.
 _THRESHOLD_REL_TOL = 1e-6
 
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-_ADJUGATE_SIGNS.setflags(write=False)
-
 
 def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
     """The log argument x of the steerability -(1/2) ln x in ``direction``:
     the determinant of the steered party's block conditioned on the
     steerer's optimal Gaussian measurement.  That block is a Schur
-    complement; its 2x2 determinant comes in closed form for precision near
-    the boundary.
-
-    One matrix does its 2x2 arithmetic on Python floats, with the float
-    operations of the stack, but still forms cross^T inverse cross with
-    numpy's matmul: BLAS fuses its multiply-adds, so plain floats would give
-    other bits.
+    complement; its 2x2 determinants come in closed form from the entries,
+    for precision near the boundary.  cross^T inverse cross stays numpy's
+    matmul on the matrices and a contiguous inverse: BLAS fuses its
+    multiply-adds, so the entries would give other bits.
     """
     if direction is SteeringDirection.A_TO_B:
         steerer, steered, cross = cms[..., 0:2, 0:2], cms[..., 2:4, 2:4], cms[..., 0:2, 2:4]
     else:
         steerer, steered, cross = cms[..., 2:4, 2:4], cms[..., 0:2, 0:2], cms[..., 0:2, 2:4].mT
-    if cms.ndim == 2:
-        (s00, s01), (s10, s11) = steerer.tolist()
-        det_s = s00 * s11 - s01 * s10
-        if not det_s > 0.0:
-            raise DegenerateInputError("steering party block is singular")
-        inverse = np.array([[s11 / det_s, -s01 / det_s], [-s10 / det_s, s00 / det_s]])
-        (p00, p01), (p10, p11) = (cross.mT @ inverse @ cross).tolist()
-        (t00, t01), (t10, t11) = steered.tolist()
-        det_cond = (t00 - p00) * (t11 - p11) - (t01 - p01) * (t10 - p10)
-        if not det_cond > 0.0:
-            raise DegenerateInputError("conditional covariance is singular")
-        return det_cond
-    det_s = _det2(steerer)
-    if _any(~(det_s > 0.0)):
+    (s00, s01), (s10, s11) = _entries(steerer)
+    det_s = s00 * s11 - s01 * s10
+    if not _all(det_s > 0.0):
         raise DegenerateInputError("steering party block is singular")
-    # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]: both axes reversed, transposed, signed.
-    inverse = steerer[..., ::-1, ::-1].mT * _ADJUGATE_SIGNS / det_s[..., None, None]
-    det_cond = _det2(steered - cross.mT @ inverse @ cross)
-    if _any(~(det_cond > 0.0)):
+    inverse = _matrix(((s11 / det_s, -s01 / det_s), (-s10 / det_s, s00 / det_s)), cms.shape[:-2])
+    (p00, p01), (p10, p11) = _entries(cross.mT @ inverse @ cross)
+    (t00, t01), (t10, t11) = _entries(steered)
+    det_cond = (t00 - p00) * (t11 - p11) - (t01 - p01) * (t10 - p10)
+    if not _all(det_cond > 0.0):
         raise DegenerateInputError("conditional covariance is singular")
     return det_cond
 
@@ -135,20 +119,14 @@ def _transposed_nus(cms: np.ndarray, det_v=None):
     """The log argument x of E_N's exponent -ln x: the smaller symplectic
     eigenvalue nu_s of the partial transpose.
 
-    The partial transpose is D V D with D = diag(1, 1, 1, -1), and LU with
-    partial pivoting makes the same float operations on it up to exact sign
-    flips, so its ``np.linalg.det`` is det V bit for bit.  A stack takes
-    ``det_v``, the det V of each matrix, when given (a scan takes it from its
-    validation); one matrix takes det V itself and the rest on floats.
+    The partial transpose is D V D with D = diag(1, 1, 1, -1), which keeps
+    det A and det B and negates det C exactly.  LU with partial pivoting
+    makes the same float operations on it as on V up to exact sign flips,
+    so its ``np.linalg.det`` is det V bit for bit: ``det_v``, the det V of
+    each matrix, when given (a scan takes it from its validation).
     """
-    if cms.ndim == 2:
-        (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = cms.tolist()
-        # The partial transpose negates v_i3 and v_3i for i != 3.
-        a = v00 * v11 - v01 * v10
-        b = v22 * v33 - (-v23) * (-v32)
-        c = v02 * (-v13) - (-v03) * v12
-        return _smaller_nu(a, b, c, float(np.linalg.det(cms)))
-    return _symplectic_spectra(_partial_transpose_cms(cms, ModeLabel.B), det_v)[1]
+    a, b, c = _block_dets(_entries(cms))
+    return _spectra(a, b, -c, _value(np.linalg.det(cms)) if det_v is None else det_v)[1]
 
 
 def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirection) -> float:

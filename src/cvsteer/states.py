@@ -9,7 +9,9 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,15 +45,13 @@ SYMMETRY_TOL = 1e-9
 PHYSICALITY_TOL = 1e-7
 # Largest covariance eigenvalue for which det V and Delta^2 in the closed-form
 # symplectic spectrum stay finite (|Delta| <= 6 max_eig^2 for a positive matrix).
-_MAX_SCALE = np.finfo(float).max ** 0.25 / 4.0
-# ``_certified``'s bound on every entry: lambda_max <= 4 max |v_ij| stays
+_MAX_SCALE = float(np.finfo(float).max) ** 0.25 / 4.0
+# ``_certified``'s bound on the diagonal: lambda_max <= 2 max_i v_ii stays
 # below _MAX_SCALE with room for the eigensolver's error.
 _CERTIFIED_SCALE = _MAX_SCALE / 8.0
 # ``_certified`` asks each row's scaled off-diagonal sum to stay this far
 # below 1, far more than the sum's rounding error.
 _DOMINANCE_MARGIN = 1e-12
-_OFF_DIAGONAL = 1.0 - np.eye(4)
-_OFF_DIAGONAL.setflags(write=False)
 
 
 class ModeLabel(enum.Enum):
@@ -239,56 +239,34 @@ def _validate_cms(cms: np.ndarray) -> np.ndarray:
     the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
     Raises if any member fails; returns the symmetrized stack (bit-identical
     to the input when that is symmetric), always a new array.
-
-    The rule is read off ``eigvalsh``.  A stack first tries ``_certified``,
-    and one matrix ``_validate_rows``, which runs the same tests on Python
-    floats; each proves without an eigensolver that the rule accepts.  Only
-    what they cannot prove takes the eigensolver (a stack as a whole), so
-    each decision, error type and message is the rule's.
     """
-    if cms.ndim == 2:
-        return _validate_rows(cms.tolist())
     return _validated_stack(cms)[0]
 
 
 def _validated_stack(cms: np.ndarray):
-    """(stack, det_v): ``_validate_cms`` of a (..., 4, 4) stack, and the det V
-    of each member that ``_certified`` computed to prove it, or None when
-    the stack took the eigvalsh rule."""
-    cms = _symmetrized(cms)
-    det_v = _certified(cms)
-    if det_v is None:
-        _check_eigvalsh_rule(cms)
-    return cms, det_v
+    """(cms, det_v): ``_validate_cms`` of one matrix or a (..., 4, 4) stack,
+    and the det V of each member that ``_certified`` computed to prove it,
+    or None when the matrices took the eigvalsh rule.
+
+    The rule is read off ``eigvalsh``.  ``_certified`` proves without an
+    eigensolver that the rule accepts; only what it cannot prove takes the
+    eigensolver (a stack as a whole), so each decision, error type and
+    message is the rule's.
+    """
+    return _certified(cms) or (_eigvalsh_rule(cms), None)
 
 
-def _validate_rows(rows: list) -> np.ndarray:
-    """``_validate_cms`` of one matrix given as four rows of Python floats.
-
-    ``_certified_rows`` runs the certificate on the floats; a matrix it
-    cannot prove takes the eigvalsh rule as an array."""
-    cm = _certified_rows(rows)
-    if cm is None:
-        cm = _symmetrized(np.array(rows))
-        _check_eigvalsh_rule(cm)
-    return cm
-
-
-def _symmetrized(cms: np.ndarray) -> np.ndarray:
-    """(V + V^T)/2 of each matrix, after checking that it is finite and
-    symmetric to SYMMETRY_TOL."""
+def _eigvalsh_rule(cms: np.ndarray) -> np.ndarray:
+    """(V + V^T)/2 of each matrix, after checking that it is finite,
+    symmetric to SYMMETRY_TOL and passes the rule of ``_validate_cms``, read
+    off ``eigvalsh``."""
     if not np.isfinite(cms).all():
         raise InvalidArgumentError("covariance matrix must be finite")
     transposed = cms.mT
     asym = np.abs(cms - transposed).max()
     if asym > SYMMETRY_TOL:
         raise UnphysicalStateError(f"covariance matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-    return 0.5 * (cms + transposed)
-
-
-def _check_eigvalsh_rule(cms: np.ndarray) -> None:
-    """Raise unless every finite, symmetric matrix of ``cms`` passes the rule
-    of ``_validate_cms``, read off ``eigvalsh``."""
+    cms = 0.5 * (cms + transposed)
     eigs = np.linalg.eigvalsh(cms)
     # The eigensolver's absolute error grows with the largest eigenvalue,
     # so the definiteness test must be relative to the matrix scale
@@ -306,85 +284,66 @@ def _check_eigvalsh_rule(cms: np.ndarray) -> None:
     # be rejected.
     violated = nu2 < 1.0 - PHYSICALITY_TOL * (scale * scale)
     if _any(violated):
-        raise UnphysicalStateError(
-            f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
-        )
+        smallest = np.min(nu2, where=violated, initial=math.inf)
+        raise UnphysicalStateError(f"uncertainty relation violated: smallest symplectic eigenvalue {smallest:.12g} < 1")
+    return cms
 
 
 def _certified(cms: np.ndarray):
-    """det V of each member of the symmetric stack ``cms`` when every member
-    provably passes the eigvalsh rule of ``_validate_cms``, else None;
-    judged without an eigensolver.
+    """(V, det_v) of one matrix or a stack ``cms`` when every member
+    provably passes the eigvalsh rule of ``_validate_cms``, else None; judged
+    on the entries, without an eigensolver.  V is the symmetrized matrix or
+    stack, (cms + cms^T)/2 bit for bit, and det_v the det V of each member.
 
-    The certificate, for each matrix V with diagonal d:
-      - every d_i > 0 and, for every row, sum_{j != i} |v_ij| / sqrt(d_i d_j)
-        <= 1 - _DOMINANCE_MARGIN.  Then D^{-1/2} V D^{-1/2} is strictly
-        diagonally dominant with a unit diagonal, so V is positive definite
-        (the margin dwarfs the sums' rounding error of a few eps).  For a
-        positive definite V, LAPACK's computed eigenvalues obey
-        lambda_min >= -p(4) eps lambda_max (LAPACK Users' Guide, section 4.7),
-        far above the rule's -1e-9 max(1, lambda_max);
-      - max |v_ij| <= _CERTIFIED_SCALE = _MAX_SCALE / 8, so lambda_max <=
-        ||V||_2 <= 4 max |v_ij| stays below _MAX_SCALE with room for the
-        eigensolver's error;
-      - nu1^2 > 0 and det V > 0, by ``_symplectic_spectra``'s own arithmetic;
-      - nu2 >= 1 - PHYSICALITY_TOL, by the same arithmetic: with
-        scale = max(1, lambda_max) >= 1, 1 - tol scale^2 <= 1 - tol.
-    A member that fails (NaN included) only makes the answer None.
+    The certificate, for each matrix with diagonal d and symmetrized entries
+    s_ij = (v_ij + v_ji)/2:
+      - every d_i > 0, max_i d_i <= _CERTIFIED_SCALE = _MAX_SCALE / 8, and
+        sum_{i<j} |v_ij - v_ji| <= SYMMETRY_TOL, which bounds the largest
+        asymmetry the rule reads.  A NaN or an infinity fails one of these;
+      - for every row, sum_{j != i} |s_ij| / sqrt(d_i d_j) <= 1 -
+        _DOMINANCE_MARGIN.  Then D^{-1/2} V D^{-1/2} is strictly diagonally
+        dominant with a unit diagonal, so its eigenvalues lie in (0, 2) (the
+        margin dwarfs the sums' rounding error of a few eps): V is positive
+        definite with lambda_max <= 2 max_i d_i <= _MAX_SCALE / 4, below the
+        rule's scale bound.  For a positive definite V, LAPACK's computed
+        eigenvalues obey lambda_min >= -p(4) eps lambda_max (LAPACK Users'
+        Guide, section 4.7), far above the rule's -1e-9 max(1, lambda_max);
+      - nu1^2 > 0 and det V > 0, by the rule's own arithmetic (``_spectra``
+        of V and its ``np.linalg.det``), so the nu2 below is the rule's;
+      - nu2 >= 1 - PHYSICALITY_TOL s^2 with s = max(1, (1 - 1e-12) max_i d_i).
+        The rule's slack has scale = max(1, lambda_max) in place of s.
+        lambda_max >= max_i d_i (the Rayleigh quotient of a unit vector), and
+        the eigensolver's error, a few eps lambda_max <= a few eps max_i d_i,
+        is far below 1e-12 max_i d_i: the computed scale is at least s, so
+        the rule's bound is at most this one.
+    A member that fails only makes the answer None.  An overflow on the way
+    only fails a test, so a stack computes with numpy's warnings off.
     """
-    with np.errstate(all="ignore"):  # a failing member may divide by zero or overflow
-        magnitudes = np.abs(cms)
-        if not magnitudes.max() <= _CERTIFIED_SCALE:
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = _entries(cms)
+    with _quiet(v00):
+        d_max = _max(v00, v11, v22, v33)
+        if not _all((v00 > 0.0) & (v11 > 0.0) & (v22 > 0.0) & (v33 > 0.0) & (d_max <= _CERTIFIED_SCALE)):
             return None
-        d = np.diagonal(cms, axis1=-2, axis2=-1)
-        s = 1.0 / np.sqrt(d)
-        coupling = ((magnitudes * _OFF_DIAGONAL) @ s[..., None])[..., 0] * s
-        if not ((d > 0.0).all() and (coupling <= 1.0 - _DOMINANCE_MARGIN).all()):
+        asym = abs(v01 - v10) + abs(v02 - v20) + abs(v03 - v30) + abs(v12 - v21) + abs(v13 - v31) + abs(v23 - v32)
+        s01, s02, s03 = 0.5 * (v01 + v10), 0.5 * (v02 + v20), 0.5 * (v03 + v30)
+        s12, s13, s23 = 0.5 * (v12 + v21), 0.5 * (v13 + v31), 0.5 * (v23 + v32)
+        # Only this test reads w, so x ** 0.5 (pow on a float) serves.
+        w0, w1, w2, w3 = 1.0 / v00**0.5, 1.0 / v11**0.5, 1.0 / v22**0.5, 1.0 / v33**0.5
+        c01, c02, c03 = abs(s01) * w0 * w1, abs(s02) * w0 * w2, abs(s03) * w0 * w3
+        c12, c13, c23 = abs(s12) * w1 * w2, abs(s13) * w1 * w3, abs(s23) * w2 * w3
+        coupling = _max(c01 + c02 + c03, c01 + c12 + c13, c02 + c12 + c23, c03 + c13 + c23)
+        if not _all((asym <= SYMMETRY_TOL) & (coupling <= 1.0 - _DOMINANCE_MARGIN)):
             return None
-        nu1_sq, det_v = _spectrum_terms(cms)
-        nu2 = np.sqrt(det_v / nu1_sq)
-        return det_v if ((nu1_sq > 0.0) & (det_v > 0.0) & (nu2 >= 1.0 - PHYSICALITY_TOL)).all() else None
-
-
-def _certified_rows(rows: list):
-    """``_certified`` of one matrix given as four rows of Python floats, run
-    on the floats: the symmetrized matrix as an array when it is proved, else
-    None.
-
-    Symmetry to SYMMETRY_TOL comes first (a NaN or infinite off-diagonal
-    entry fails it), then the scale and dominance tests, which refuse most
-    matrices that are not proved; only then does ``np.linalg.det`` give the
-    det V of nu2.  Each float operation of nu2 is the one the eigvalsh rule
-    makes on the array, so the two nu2 are the same float.
-    """
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = rows
-    # The sum bounds the largest asymmetry, which the rule reads.
-    asym = abs(v01 - v10) + abs(v02 - v20) + abs(v03 - v30) + abs(v12 - v21) + abs(v13 - v31) + abs(v23 - v32)
-    if not asym <= SYMMETRY_TOL:
-        return None
-    s01, s02, s03 = 0.5 * (v01 + v10), 0.5 * (v02 + v20), 0.5 * (v03 + v30)
-    s12, s13, s23 = 0.5 * (v12 + v21), 0.5 * (v13 + v31), 0.5 * (v23 + v32)
-    a01, a02, a03, a12, a13, a23 = abs(s01), abs(s02), abs(s03), abs(s12), abs(s13), abs(s23)
-    if not (v00 > 0.0 and v11 > 0.0 and v22 > 0.0 and v33 > 0.0):  # NaN too
-        return None
-    if not max(v00, v11, v22, v33, a01, a02, a03, a12, a13, a23) <= _CERTIFIED_SCALE:
-        return None
-    w0, w1, w2, w3 = 1.0 / math.sqrt(v00), 1.0 / math.sqrt(v11), 1.0 / math.sqrt(v22), 1.0 / math.sqrt(v33)
-    coupling = max(
-        (a01 * w1 + a02 * w2 + a03 * w3) * w0,
-        (a01 * w0 + a12 * w2 + a13 * w3) * w1,
-        (a02 * w0 + a12 * w1 + a23 * w3) * w2,
-        (a03 * w0 + a13 * w1 + a23 * w2) * w3,
-    )
-    if not coupling <= 1.0 - _DOMINANCE_MARGIN:
-        return None
-    cm = np.array([[v00, s01, s02, s03], [s01, v11, s12, s13], [s02, s12, v22, s23], [s03, s13, s23, v33]])
+    # (v + v)/2 = v exactly, so the diagonal is the symmetrized one.
+    s = ((v00, s01, s02, s03), (s01, v11, s12, s13), (s02, s12, v22, s23), (s03, s13, s23, v33))
+    cms = _matrix(s, cms.shape[:-2])
+    det_v = _value(np.linalg.det(cms))
     try:
-        det_v = float(np.linalg.det(cm))
-        nu2 = _smaller_nu(v00 * v11 - s01 * s01, v22 * v33 - s23 * s23, s02 * s13 - s03 * s12, det_v)
+        _, nu2 = _spectra(*_block_dets(s), det_v)
     except DegenerateInputError:
         return None
-    return cm if nu2 >= 1.0 - PHYSICALITY_TOL else None
+    scale = _max((1.0 - _DOMINANCE_MARGIN) * d_max, 1.0)
+    return (cms, det_v) if _all(nu2 >= 1.0 - PHYSICALITY_TOL * (scale * scale)) else None
 
 
 def symplectic_eigenvalues(cm: np.ndarray):
@@ -411,42 +370,32 @@ def symplectic_eigenvalues(cm: np.ndarray):
     return nu1, nu2
 
 
-def _symplectic_spectra(cms: np.ndarray, det_v=None):
-    """``symplectic_eigenvalues`` of a (..., 4, 4) stack, without input checks.
+def _symplectic_spectra(cms: np.ndarray):
+    """``symplectic_eigenvalues`` of one matrix or a (..., 4, 4) stack,
+    without input checks: for validated stacks, or congruent ones like
+    their partial transposes."""
+    nu1_sq, nu2 = _spectra(*_block_dets(_entries(cms)), np.linalg.det(cms))
+    return _sqrt(nu1_sq), nu2
 
-    For validated stacks, or congruent ones like their partial transposes.
-    ``det_v``, when given, is det V of each matrix, computed elsewhere.
-    """
-    nu1_sq, det_v = _spectrum_terms(cms, det_v)
+
+def _block_dets(v):
+    """(det A, det B, det C) of the 2x2 blocks of the matrices with entries
+    v, in closed form (np.linalg.det loses precision near the boundaries)."""
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = v
+    return v00 * v11 - v01 * v10, v22 * v33 - v23 * v32, v02 * v13 - v03 * v12
+
+
+def _spectra(a, b, c, det_v):
+    """(nu1^2, nu2) from the block determinants a, b, c and det V:
+    2 nu^2 = Delta +- sqrt(Delta^2 - 4 det V) with Delta = a + b + 2c."""
+    delta = a + b + 2.0 * c
+    nu1_sq = 0.5 * (delta + _sqrt(_max(delta * delta - 4.0 * det_v, 0.0)))
     # Written so that a NaN fails as well; below _MAX_SCALE nothing overflows.
-    if _any(~((nu1_sq > 0.0) & (det_v > 0.0))):
+    if not _all((nu1_sq > 0.0) & (det_v > 0.0)):
         raise DegenerateInputError("symplectic spectrum collapsed to zero")
     # (delta - root)/2 cancels catastrophically when nu1 >> nu2 (strongly
     # amplified states); the product form is algebraically identical.
-    return np.sqrt(nu1_sq), np.sqrt(det_v / nu1_sq)
-
-
-def _spectrum_terms(cms: np.ndarray, det_v=None):
-    """(nu1^2, det V) of ``_symplectic_spectra``, without its check."""
-    a = _det2(cms[..., 0:2, 0:2])
-    b = _det2(cms[..., 2:4, 2:4])
-    c = _det2(cms[..., 0:2, 2:4])
-    delta = a + b + 2.0 * c
-    if det_v is None:
-        det_v = np.linalg.det(cms)
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0))
-    return 0.5 * (delta + root), det_v
-
-
-def _smaller_nu(a: float, b: float, c: float, det_v: float) -> float:
-    """nu2 of ``_symplectic_spectra`` for one matrix, on Python floats, from
-    the determinants a, b, c of its blocks A, B, C and det V: the same float
-    operations, and the same raise."""
-    delta = a + b + 2.0 * c
-    nu1_sq = 0.5 * (delta + math.sqrt(max(delta * delta - 4.0 * det_v, 0.0)))
-    if not (nu1_sq > 0.0 and det_v > 0.0):
-        raise DegenerateInputError("symplectic spectrum collapsed to zero")
-    return math.sqrt(det_v / nu1_sq)
+    return nu1_sq, _sqrt(det_v / nu1_sq)
 
 
 def _check_scale(max_eig) -> None:
@@ -456,9 +405,55 @@ def _check_scale(max_eig) -> None:
         )
 
 
+# Shape helpers: each stage of the engine is written once on the entries of
+# a matrix, Python floats for one matrix and arrays over a stack for a stack.
+# Past ``channels._evolve_stack``'s test for one duration, only these
+# helpers tell the two apart.
+
+
+def _entries(cms):
+    """The entries v[i][j] of one n x n matrix as Python floats, or of a
+    (..., n, n) stack as arrays over its leading axes (a view, matrix axes
+    first)."""
+    return cms.tolist() if cms.ndim == 2 else cms.transpose(-2, -1, *range(cms.ndim - 2))
+
+
+def _value(x):
+    """One matrix's 0-d result as a Python float; a stack's array as it is."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _matrix(rows, shape: tuple) -> np.ndarray:
+    """The C-ordered array of the n x n entries ``rows``: one matrix for
+    shape (), else a shape + (n, n) stack of entries that broadcast to shape."""
+    if not shape:
+        return np.array(rows)
+    out = np.empty((len(rows), len(rows)) + shape)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return np.ascontiguousarray(out.transpose(*range(2, out.ndim), 0, 1))
+
+
 def _any(mask) -> bool:
-    """``mask.any()``; a single matrix's scalar mask skips the costlier reduction."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+    """``mask.any()``; one value's mask (a bool, numpy's or 0-d) skips the
+    costlier reduction."""
+    return mask if type(mask) is bool else bool(mask.any() if mask.ndim else mask)
+
+
+def _all(mask) -> bool:
+    """``mask.all()``; one value's mask (a bool, numpy's or 0-d) skips the
+    costlier reduction."""
+    return mask if type(mask) is bool else bool(mask.all() if mask.ndim else mask)
+
+
+_NO_CONTEXT = contextlib.nullcontext()
+
+
+def _quiet(x):
+    """numpy's floating-point warnings off for an array's arithmetic; no
+    context for a Python float's, which warns of nothing."""
+    return _NO_CONTEXT if type(x) is float else np.errstate(all="ignore")
 
 
 def _clamp(x):
@@ -469,10 +464,16 @@ def _clamp(x):
     return np.where(x > 0.0, x, 0.0)
 
 
-def _det2(m: np.ndarray):
-    """Determinants of (..., 2, 2) blocks in closed form (np.linalg.det loses
-    precision near steerable boundaries); a scalar for a single block."""
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _max(*values):
+    """The largest of ``values``: plain ``max`` of Python floats, else
+    ``np.maximum`` elementwise (which propagates NaN)."""
+    return max(values) if type(values[0]) is float else functools.reduce(np.maximum, values)
+
+
+def _sqrt(x):
+    """Square root elementwise: ``math.sqrt`` of a Python float, ``np.sqrt``
+    of an array or a numpy scalar (both correctly rounded)."""
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
 
 
 def _log(x):

@@ -263,17 +263,17 @@ def fresh_cli(*argv):
     return fresh_python("-m", "cvsteer", *argv)
 
 
-def modules_after(*calls):
+def modules_after(*calls, names=("scipy", "scipy.optimize", "scipy.linalg", "mpmath")):
     """In a new interpreter, import cvsteer.cli and run each argv through
-    ``main``; after each call, the scipy and mpmath modules of interest then
-    loaded (mpmath is a test-only dependency)."""
+    ``main``; after each call, the modules of ``names`` then loaded (by
+    default scipy's of interest and mpmath, a test-only dependency)."""
     script = (
         "import contextlib, io, sys\n"
         "from cvsteer import cli\n"
         f"for argv in {calls!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(list(argv)) == 0, argv\n"
-        "    print(' '.join(m for m in ('scipy', 'scipy.optimize', 'scipy.linalg', 'mpmath') if m in sys.modules))\n"
+        f"    print(' '.join(m for m in {names!r} if m in sys.modules))\n"
     )
     code, out, err = fresh_python("-c", script)
     assert code == 0, err
@@ -295,6 +295,19 @@ def test_threshold_and_random_states_load_their_scipy_module():
     after_threshold, after_thresholds_suite, after_symplectic = modules_after(*calls)
     assert after_threshold == after_thresholds_suite == []
     assert after_symplectic == ["scipy", "scipy.linalg"]
+
+
+def test_only_verify_loads_the_oracle_suites():
+    # The oracle suites and their scipy are for ``verify`` alone; every other
+    # command's process skips their import (ROADMAP item 13).
+    calls = (
+        ("eval", "--r", "0.5", "--channel", "loss", "--t", "0.2"),
+        ("sweep", "--figure", "1"),
+        ("threshold", "--channel", "laser", "--g", "0.1", "--kappa", "1", "--r", "0.5"),
+        ("verify", "thresholds"),
+    )
+    after = modules_after(*calls, names=("cvsteer.verify", "cvsteer.oracle", "scipy"))
+    assert after == [[], [], [], ["cvsteer.verify", "cvsteer.oracle"]]
 
 
 def test_python_m_cvsteer_runs_the_cli(capsys):

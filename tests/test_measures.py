@@ -622,6 +622,49 @@ def test_brackets_equal_the_loop_over_the_grid(signs):
     assert _brackets(ts, np.array(signs)) == _brackets_loop(ts, signs)
 
 
+def _lapack_calls(monkeypatch):
+    """A dict that counts ``np.linalg.det`` and ``np.linalg.eigvalsh`` calls
+    by (name, "one" for one 4x4 matrix or "stack")."""
+    calls = {}
+
+    def counting(name, function):
+        def wrapper(a, *args, **kwargs):
+            key = (name, "one" if np.ndim(a) == 2 else "stack")
+            calls[key] = calls.get(key, 0) + 1
+            return function(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return calls
+
+
+_LASER = ChannelSpec("laser", ChannelSide.BOTH, g=0.5, kappa=1.3)
+_TMSV = make_tmsv(0.7)
+_EVOLVED = _LASER.evolve_cms(_TMSV, 0.3)
+
+
+@pytest.mark.parametrize(
+    ("call", "expected"),
+    [
+        (lambda: _LASER.evolve_cms(_TMSV, 0.3), {("det", "one"): 1}),
+        (lambda: _signed_quantity(_EVOLVED, "G_twoway"), {}),
+        (lambda: _signed_quantity(_EVOLVED, "E_N"), {("det", "one"): 1}),
+        (lambda: steering_report(_LASER.evolve(_TMSV, 0.3)), {("det", "one"): 2}),
+        (lambda: numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0), {("det", "one"): 14, ("det", "stack"): 1}),
+    ],
+    ids=["evolve_cms", "G_twoway", "E_N", "steering_report", "numeric_threshold"],
+)
+def test_lapack_work_of_one_matrix_and_a_scan(monkeypatch, call, expected):
+    # Timing on a shared host swings by more than these calls cost, so the
+    # work itself is pinned: one det V per validation and per E_N, none for
+    # G, one stacked det per scan, and no eigensolver for a certified state.
+    calls = _lapack_calls(monkeypatch)
+    call()
+    assert calls == expected
+
+
 def _scan_stacks(monkeypatch):
     """A list that counts every multi-duration stack the channel driver builds."""
     built, evolve = [], channels._evolve_stack

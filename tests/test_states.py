@@ -435,6 +435,19 @@ def test_threshold_scans_are_certified(kind, side):
     assert _certified(np.concatenate([stack, _tmsv_cms([90.0])])) is None
 
 
+def test_pure_tmsvs_are_certified():
+    # A pure TMSV's nu2 comes through a discriminant that vanishes, so its
+    # rounding grows with the squared scale; the certificate's slack grows
+    # with the largest diagonal entry as the rule's does with the largest
+    # eigenvalue, and proves these without the eigensolver, keeping det V.
+    stack = _tmsv_cms(np.linspace(0.5, 5.5, 101))
+    proved, det_v = _certified(stack)
+    assert proved.tobytes() == stack.tobytes()
+    assert det_v.tobytes() == np.linalg.det(stack).tobytes()
+    for cm in stack:
+        assert _certified(cm) is not None
+
+
 def test_overflowing_scale_is_degenerate_without_warnings():
     cm = make_tmsv(0.5).cm * 1e130
     with warnings.catch_warnings():
@@ -482,7 +495,7 @@ def test_rejects_unphysical_state_with_a_large_entry():
 @pytest.mark.xfail(
     strict=True,
     raises=DegenerateInputError,
-    reason="np.linalg.det loses det V = 1 at entries near 1e8 (ROADMAP item 4)",
+    reason="in float64 cosh(20) == sinh(20), so the stored matrix is exactly singular from r = 9.75 on (ROADMAP item 4)",
 )
 def test_accepts_strongly_squeezed_tmsv():
     assert np.array_equal(make_tmsv(10.0).cm, _tmsv_cms(10.0))
