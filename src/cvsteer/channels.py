@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
-from .states import ModeLabel, TwoModeGaussianState, _all, _any, _entries, _matrix, _sqrt, _validated_stack, _value
+from .states import ModeLabel, TwoModeGaussianState, _all, _any, _entries, _quotient, _sqrt, _validated_stack, _value
 
 __all__ = [
     "ChannelSide",
@@ -28,9 +28,6 @@ __all__ = [
     "v_infinity",
     "apply_phase_sensitive",
 ]
-
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
 
 # Strong gain overflows exp at long durations.  The channel terms and map are
 # computed with these floating-point warnings off, and ``_evolve_stack`` turns
@@ -88,14 +85,13 @@ def _check_nonnegative(**rates: float) -> None:
             raise InvalidArgumentError(f"{name} must be finite and >= 0, got {v}")
 
 
-def _laser_factors(g: float, kappa: float, t):
-    """Survival R and added noise A of the laser channel, elementwise in t."""
+def _laser_factors(g, kappa, t):
+    """Survival R and added noise A of the laser channel, elementwise (floats for floats)."""
     x = 2.0 * (kappa - g) * t
     rate_t = 2.0 * (kappa + g) * t
     # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
     # where x = 0 it keeps its limit 2 (kappa + g) t.
-    noise = np.divide(rate_t * (-np.expm1(-x)), x, out=np.array(rate_t, dtype=float), where=x != 0.0)
-    return np.exp(-x), noise[()]
+    return _value(np.exp(-x)), _quotient(rate_t * -_value(np.expm1(-x)), x, rate_t)
 
 
 def thermal_preset(kappa: float, nbar: float, t: float) -> LaserChannelParams:
@@ -124,14 +120,14 @@ def apply_laser(
 _BLOCK_STARTS = {ChannelSide.A: (0,), ChannelSide.B: (2,), ChannelSide.BOTH: (0, 2)}
 
 
-def _channel_map(v, sq, keep, added, side: ChannelSide) -> np.ndarray:
+def _channel_map(v, sq, keep, added, side: ChannelSide) -> list:
     """The Gaussian channel V -> X V X^T + Y on the entries v of V.
 
     X scales each decohered mode by sq = sqrt(keep) and Y adds ``added`` to
     its diagonal block, which becomes added + keep * block.  v, sq, keep and
     the 2x2 entries ``added`` are those of one matrix, or arrays over a
     stack (v may be one matrix shared by every row), and the result is the
-    assembled, unvalidated matrix or stack of ``keep``'s shape.
+    entries of the unvalidated matrix or stack, each of ``keep``'s shape.
     """
     starts = _BLOCK_STARTS[side]
     (a00, a01, c00, c01), (a10, a11, c10, c11), (d00, d01, b00, b01), (d10, d11, b10, b11) = v
@@ -142,7 +138,9 @@ def _channel_map(v, sq, keep, added, side: ChannelSide) -> np.ndarray:
     for lo in starts:
         rows[lo][lo : lo + 2] = y00 + keep * v[lo][lo], y01 + keep * v[lo][lo + 1]
         rows[lo + 1][lo : lo + 2] = y10 + keep * v[lo + 1][lo], y11 + keep * v[lo + 1][lo + 1]
-    return _matrix(rows, np.shape(keep))
+    if type(keep) is not float:  # a shared matrix's entries that no decohered mode touched
+        rows = [[np.full(keep.shape, x) if type(x) is float else x for x in row] for row in rows]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -187,10 +185,10 @@ class PhaseSensitiveParams:
         return float(_bath_factors(self.kappa, self.t)[0])
 
 
-def _bath_factors(kappa: float, t):
-    """Transmission T = exp(-2 kappa t) and mixing R = 1 - T, elementwise in t."""
+def _bath_factors(kappa, t):
+    """Transmission T = exp(-2 kappa t) and mixing R = 1 - T, elementwise (floats for floats)."""
     x = -2.0 * kappa * t
-    return np.exp(x), -np.expm1(x)
+    return _value(np.exp(x)), -_value(np.expm1(x))
 
 
 def v_infinity(params: PhaseSensitiveParams) -> np.ndarray:
@@ -245,18 +243,17 @@ class ChannelSpec:
     m: complex = 0.0
     # The checked rates at t = 0; None for the identity kind, which reads none.
     _params: LaserChannelParams | PhaseSensitiveParams | None = field(init=False, repr=False, compare=False)
-    # The 2x2 block that a decohered mode's added noise scales: the bath's
-    # ``v_infinity`` for the phase-sensitive kind, else the identity.
-    _block: np.ndarray = field(init=False, repr=False, compare=False)
+    # The entries (floats) of the 2x2 block that a decohered mode's added noise
+    # scales: the bath's ``v_infinity`` for the phase-sensitive kind, else I.
+    _block: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, params, block = self.kind, None, _EYE2
+        kind, params, block = self.kind, None, ((1.0, 0.0), (0.0, 1.0))
         if kind not in _KIND_RATES:
             raise InvalidArgumentError(f"unknown channel kind {kind!r}; expected one of {tuple(_KIND_RATES)}")
         if kind == "phase-sensitive":
             params = PhaseSensitiveParams(kappa=self.kappa, nbar=self.nbar, m=self.m, t=0.0)
-            block = v_infinity(params)
-            block.setflags(write=False)
+            block = tuple(map(tuple, v_infinity(params).tolist()))
         elif kind == "thermal":
             params = thermal_preset(self.kappa, self.nbar, 0.0)
         elif kind != "identity":
@@ -278,7 +275,7 @@ class ChannelSpec:
         mode scales by the same sqrt(keep) as its rows and columns.  Zero
         duration and the identity kind return ``state`` itself.
         """
-        cm, sq, _ = _evolve_stack(state.cm, (self,), t)
+        cm, sq, det_v = _evolve_stack(state.cm, state._det_v, (self,), t)
         if sq is None:
             return state
         mean = state.mean.copy()
@@ -287,7 +284,7 @@ class ChannelSpec:
                 mean[mode.block] *= sq
         if not np.isfinite(mean).all():
             raise InvalidArgumentError("mean must be finite")
-        return TwoModeGaussianState._validated(mean, cm)
+        return TwoModeGaussianState._validated(mean, cm, det_v)
 
     def evolve_cms(self, state: TwoModeGaussianState, t) -> np.ndarray:
         """Covariance matrices after each duration in t, as one stack.
@@ -297,7 +294,7 @@ class ChannelSpec:
         validated once with the constructor's checks.  Entries equal those of
         ``evolve(state, t).cm`` bit for bit.
         """
-        return _evolve_stack(state.cm, (self,), t)[0]
+        return _evolve_stack(state.cm, state._det_v, (self,), t)[0]
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""
@@ -308,37 +305,36 @@ class ChannelSpec:
         return out
 
 
-def _evolve_stack(cms: np.ndarray, channels, t):
+def _evolve_stack(cms: np.ndarray, det_v, channels, t):
     """(stack, sq, det_v): row i of the (N, 4, 4) stack is the covariance
-    matrix after duration t[i] in channels[i], built by one channel map and
-    validated once.
+    matrix after duration t[i] in channels[i], from one channel map on the
+    entries of ``cms`` and one validation, which gives det_v, each row's det V.
 
-    ``cms`` is one 4x4 matrix shared by every row or an (N, 4, 4) stack with
-    one matrix per row; ``channels`` is one ChannelSpec shared by every row or
-    N of them with the same kind and side, which may differ in their rates.
-    A 0-d t, with one channel and one matrix, gives one 4x4 matrix, whose map
-    and validation run on its entries as Python floats; ``keep`` and
-    ``added`` still come from numpy's exp and expm1.  A map that overflows
-    raises DegenerateInputError.  ``sq`` = sqrt(keep) is the factor of each
-    decohered mode; ``det_v`` is the det V of every row that the validation
-    computed (``states._validated_stack``), or None.  Zero duration and the
-    identity kind return ``cms`` broadcast and unvalidated, with
-    sq = det_v = None.
+    ``cms`` is one validated 4x4 matrix shared by every row or an (N, 4, 4)
+    stack with one per row, and ``det_v`` its det V; ``channels`` is one
+    ChannelSpec shared by every row or N of them with the same kind and
+    side, which may differ in their rates.  A 0-d t, with one channel and one
+    matrix, gives one 4x4 matrix, whose map and validation run on its entries
+    as Python floats; ``keep`` and ``added`` still come from numpy's exp and
+    expm1.  A map that overflows raises DegenerateInputError.  ``sq`` =
+    sqrt(keep) is the factor of each decohered mode.  Zero duration and the
+    identity kind return ``cms`` and ``det_v`` broadcast, with sq = None.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
-        t = float(t)
+    if type(t) is not float:
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:  # one duration: plain floats keep the one-state path fast
+            t = float(t)
     if not _all((0.0 <= t) & (t < math.inf)):
         raise InvalidArgumentError("durations must be finite and >= 0")
-    first = channels[0]
+    first, shape = channels[0], np.shape(t)
     if first.kind == "identity" or not _any(t != 0.0):
-        return np.broadcast_to(cms, np.shape(t) + (4, 4)), None, None
+        return np.broadcast_to(cms, shape + (4, 4)), None, _value(np.broadcast_to(det_v, shape))
     with np.errstate(**_OVERFLOW_QUIET):
         keep, added = _stack_terms(channels, t)
         sq = _sqrt(keep)
-        cms = _channel_map(_entries(cms), sq, keep, added, first.side)
+        v = _channel_map(_entries(cms), sq, keep, added, first.side)
     try:
-        cms, det_v = _validated_stack(cms)
+        cms, det_v = _validated_stack(v, shape)
     except InvalidArgumentError:  # validation's first check: a non-finite entry, here an overflow
         raise DegenerateInputError("covariance matrix overflows the float range") from None
     return cms, sq, det_v
@@ -348,18 +344,13 @@ def _stack_terms(channels, t):
     """The (keep, added) arguments of the channel map for durations t, from
     the channels' checked ``_params`` and ``_block``, all of one kind: the
     terms of every row are computed once, elementwise, ``added`` as the
-    entries of a 2x2 block.  exp and expm1 are numpy's, whose last bit
-    differs from math's."""
-    params = [c._params for c in channels]
-    if isinstance(params[0], PhaseSensitiveParams):
-        keep, scale = _bath_factors(_column([p.kappa for p in params]), t)
+    entries of a 2x2 block; Python floats for one channel and one duration.
+    exp and expm1 are numpy's, whose last bit differs from math's."""
+    one = len(channels) == 1  # else one rate and block per row, along a new leading axis
+    rate = lambda name: getattr(channels[0]._params, name) if one else np.array([getattr(c._params, name) for c in channels])
+    if isinstance(channels[0]._params, PhaseSensitiveParams):
+        keep, scale = _bath_factors(rate("kappa"), t)
     else:
-        keep, scale = _laser_factors(_column([p.g for p in params]), _column([p.kappa for p in params]), t)
-    keep, scale = _value(keep), _value(scale)
-    return keep, [[scale * x for x in row] for row in _entries(_column([c._block for c in channels]))]
-
-
-def _column(values: list):
-    """One rate or 2x2 matrix as it is, or one per row along a new leading
-    axis: rates as an (N,) array, matrices as an (N, 2, 2) stack."""
-    return values[0] if len(values) == 1 else np.array(values)
+        keep, scale = _laser_factors(rate("g"), rate("kappa"), t)
+    (b00, b01), (b10, b11) = channels[0]._block if one else _entries(np.array([c._block for c in channels]))
+    return keep, ((scale * b00, scale * b01), (scale * b10, scale * b11))

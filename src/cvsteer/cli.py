@@ -329,13 +329,14 @@ def _preset_rows(name: str):
             fields.setdefault(preset.get("side", side), {})[column] = field
     # One stack per side: row p * n + i is point p at duration ts[i].
     n = len(ts)
-    cms = np.repeat(np.stack([make_tmsv(point["r"]).cm for point in points]), n, axis=0)
+    tmsvs = [make_tmsv(point["r"]) for point in points]
+    cms, det_v = np.repeat([s.cm for s in tmsvs], n, axis=0), np.repeat([s._det_v for s in tmsvs], n)
     rates = [{"nbar": preset.get("nbar", 0.0), **{_PRESET_RATES[k]: x for k, x in p.items() if k != "r"}} for p in points]
     values = {}
     for side, columns in fields.items():
         specs = [ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **r) for r in rates]
-        stack, _, det_v = _evolve_stack(cms, [spec for spec in specs for _ in ts], np.tile(ts, len(points)))
-        report = _report_columns(stack, columns.values(), det_v)
+        stack, _, stack_det_v = _evolve_stack(cms, det_v, [spec for spec in specs for _ in ts], np.tile(ts, len(points)))
+        report = _report_columns(stack, columns.values(), stack_det_v)
         values.update((column, report[field].tolist()) for column, field in columns.items())
     rows = []
     for p, point in enumerate(points):
@@ -381,15 +382,12 @@ def _generic_sweep_rows(args):
         # r and nbar change the state or the bath at one duration: row i is
         # the TMSV with the i-th r, or the channel with the i-th nbar.
         ts = np.full(len(values), _durations(args, channel))
-        if args.var == "r":
-            cms = _validate_cms(_tmsv_cms(values))  # checks each TMSV, as make_tmsv does
-        else:
-            cms = make_tmsv(args.r).cm
+        cms, det_v = _validate_cms(_tmsv_cms(values if args.var == "r" else args.r))  # checks each TMSV, as make_tmsv does
     else:
-        cms = make_tmsv(args.r).cm
+        cms, det_v = _validate_cms(_tmsv_cms(args.r))
         ts = _durations(args, channel, values)
     _check_rates_read(args)
-    stack, _, det_v = _evolve_stack(cms, channels, ts)
+    stack, _, det_v = _evolve_stack(cms, det_v, channels, ts)
     report = _steering_reports(stack, det_v)
     del report["entangled"]  # the sweep prints its complement, separable
     return [args.var, *report], list(zip(values.tolist(), *report.values()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .states import (
     _log,
     _matrix,
     _spectra,
-    _value,
     make_tmsv,
 )
 
@@ -89,44 +88,45 @@ _R_MAX = 0.5 * math.log(_MAX_SCALE)
 _THRESHOLD_REL_TOL = 1e-6
 
 
-def _conditional_dets(cms: np.ndarray, direction: SteeringDirection):
+def _conditional_dets(cms: np.ndarray, v, direction: SteeringDirection):
     """The log argument x of the steerability -(1/2) ln x in ``direction``:
     the determinant of the steered party's block conditioned on the
-    steerer's optimal Gaussian measurement.  That block is a Schur
-    complement; its 2x2 determinants come in closed form from the entries,
-    for precision near the boundary.  cross^T inverse cross stays numpy's
-    matmul on the matrices and a contiguous inverse: BLAS fuses its
-    multiply-adds, so the entries would give other bits.
+    steerer's optimal Gaussian measurement, for the matrix or stack ``cms``
+    with entries v (``_entries``).  That block is a Schur complement; its
+    2x2 determinants come in closed form from the entries, for precision
+    near the boundary.  cross^T inverse cross stays numpy's matmul on the
+    matrices and a contiguous inverse: BLAS fuses its multiply-adds, so the
+    entries would give other bits.
     """
     if direction is SteeringDirection.A_TO_B:
-        steerer, steered, cross = cms[..., 0:2, 0:2], cms[..., 2:4, 2:4], cms[..., 0:2, 2:4]
+        (s00, s01, _, _), (s10, s11, _, _), (_, _, t00, t01), (_, _, t10, t11) = v
+        cross = cms[..., 0:2, 2:4]
     else:
-        steerer, steered, cross = cms[..., 2:4, 2:4], cms[..., 0:2, 0:2], cms[..., 0:2, 2:4].mT
-    (s00, s01), (s10, s11) = _entries(steerer)
+        (t00, t01, _, _), (t10, t11, _, _), (_, _, s00, s01), (_, _, s10, s11) = v
+        cross = cms[..., 0:2, 2:4].mT
     det_s = s00 * s11 - s01 * s10
     if not _all(det_s > 0.0):
         raise DegenerateInputError("steering party block is singular")
     inverse = _matrix(((s11 / det_s, -s01 / det_s), (-s10 / det_s, s00 / det_s)), cms.shape[:-2])
     (p00, p01), (p10, p11) = _entries(cross.mT @ inverse @ cross)
-    (t00, t01), (t10, t11) = _entries(steered)
     det_cond = (t00 - p00) * (t11 - p11) - (t01 - p01) * (t10 - p10)
     if not _all(det_cond > 0.0):
         raise DegenerateInputError("conditional covariance is singular")
     return det_cond
 
 
-def _transposed_nus(cms: np.ndarray, det_v=None):
+def _transposed_nus(v, det_v):
     """The log argument x of E_N's exponent -ln x: the smaller symplectic
-    eigenvalue nu_s of the partial transpose.
+    eigenvalue nu_s of the partial transpose of the matrices with entries v.
 
     The partial transpose is D V D with D = diag(1, 1, 1, -1), which keeps
     det A and det B and negates det C exactly.  LU with partial pivoting
     makes the same float operations on it as on V up to exact sign flips,
-    so its ``np.linalg.det`` is det V bit for bit: ``det_v``, the det V of
-    each matrix, when given (a scan takes it from its validation).
+    so its ``np.linalg.det`` is det V bit for bit: ``det_v``, the det V that
+    each matrix's validation kept, and no LAPACK call is made here.
     """
-    a, b, c = _block_dets(_entries(cms))
-    return _spectra(a, b, -c, _value(np.linalg.det(cms)) if det_v is None else det_v)[1]
+    a, b, c = _block_dets(v)
+    return _spectra(a, b, -c, det_v)[1]
 
 
 def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -137,22 +137,22 @@ def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirect
     2x2 conditional block, using closed-form 2x2 determinants for precision
     near the boundary.
     """
-    return float(_signed_quantity(state.cm, _STEERABILITY[direction]))
+    return float(_signed_quantity(state.cm, _STEERABILITY[direction], state._det_v))
 
 
 def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Gaussian steerability quantifier, >= 0; zero iff not steerable."""
-    return float(_clamp(_signed_quantity(state.cm, _STEERABILITY[direction])))
+    return float(_clamp(_signed_quantity(state.cm, _STEERABILITY[direction], state._det_v)))
 
 
 def log_negativity_exponent(state: TwoModeGaussianState) -> float:
     """Unclamped -ln(nu_s) of the partial transpose; positive iff entangled."""
-    return float(_signed_quantity(state.cm, "E_N"))
+    return float(_signed_quantity(state.cm, "E_N", state._det_v))
 
 
 def log_negativity(state: TwoModeGaussianState) -> float:
     """Logarithmic negativity E_N = max(0, -ln nu_s), an entanglement monotone."""
-    return float(_clamp(_signed_quantity(state.cm, "E_N")))
+    return float(_clamp(_signed_quantity(state.cm, "E_N", state._det_v)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
     with the Reid product crossing 1/4 and the entropic sum crossing
     ln(e*pi).  Steerability in either direction implies entanglement.
     """
-    return SteeringReport(**_steering_reports(state.cm))
+    return SteeringReport(**_steering_reports(state.cm, state._det_v))
 
 
 # The clamped quantifier fields of a ``SteeringReport``: field -> the signed
@@ -202,16 +202,16 @@ def steering_report(state: TwoModeGaussianState) -> SteeringReport:
 _REPORT_QUANTITIES = {"g_a_to_b": "G_AtoB", "g_b_to_a": "G_BtoA", "e_n": "E_N"}
 
 
-def _report_columns(cms: np.ndarray, fields, det_v=None) -> dict:
+def _report_columns(cms: np.ndarray, fields, det_v) -> dict:
     """The quantifier fields of ``SteeringReport`` named in ``fields`` (of
     g_a_to_b, g_b_to_a, g_twoway and e_n) over a (..., 4, 4) stack, as
-    arrays, or floats for one matrix; E_N takes the stack's ``det_v`` when
-    given.  Each is computed once, in the order of ``_REPORT_QUANTITIES``,
+    arrays, or floats for one matrix; E_N reads ``det_v``, the det V of each
+    matrix.  Each is computed once, in the order of ``_REPORT_QUANTITIES``,
     and only if asked for (g_twoway asks for both G)."""
-    fields = list(fields)
+    fields, v = list(fields), _entries(cms)
     wanted = set(fields) | ({"g_a_to_b", "g_b_to_a"} if "g_twoway" in fields else set())
     columns = {
-        field: _clamp(_signed_quantity(cms, quantity, det_v))
+        field: _clamp(_from_log_arguments(_log_arguments(cms, v, quantity, det_v), quantity))
         for field, quantity in _REPORT_QUANTITIES.items()
         if field in wanted
     }
@@ -220,15 +220,15 @@ def _report_columns(cms: np.ndarray, fields, det_v=None) -> dict:
     return {field: columns[field] for field in fields}
 
 
-def _steering_reports(cms: np.ndarray, det_v=None) -> dict[str, list]:
+def _steering_reports(cms: np.ndarray, det_v) -> dict[str, list]:
     """Every ``SteeringReport`` field over an (N, 4, 4) stack of physical
-    covariance matrices, as lists of Python floats and bools; entry k equals
-    ``steering_report`` of matrix k bit for bit.  One (4, 4) matrix gives
-    one float or bool per field.
+    covariance matrices with det V ``det_v``, as lists of Python floats and
+    bools; entry k equals ``steering_report`` of matrix k bit for bit.  One
+    (4, 4) matrix gives one float or bool per field.
 
     Each quantity is computed once: the G and E_N fields by
-    ``_report_columns``, E_N with the det V of the stack's validation
-    (``channels._evolve_stack``) when given, and each direction's Q and P
+    ``_report_columns``, E_N with the det V that the stack's validation
+    kept, and each direction's Q and P
     inferred variances serve both its Reid product and its entropic sum.
     The checks raise in the order of the public functions: G a->b, G b->a,
     E_N, conditioning variances, then the entropic sums'.
@@ -272,9 +272,7 @@ class ThresholdResult:
     @property
     def relative_gap(self) -> float:
         """agreement / max(1, |t_closed|); infinite when exactly one time is."""
-        if math.isinf(self.t_closed) or math.isinf(self.t_numeric):
-            return 0.0 if self.agreement == 0.0 else math.inf
-        return self.agreement / max(1.0, abs(self.t_closed))
+        return _relative_gap(self.t_closed, self.t_numeric)
 
     def as_dict(self) -> dict:
         fmt = lambda v: "inf" if math.isinf(v) else v
@@ -288,18 +286,27 @@ class ThresholdResult:
         }
 
 
-def _signed_quantity(cms: np.ndarray, quantity: str, det_v=None) -> np.ndarray:
+def _relative_gap(t_closed: float, t_numeric: float) -> float:
+    """``ThresholdResult.relative_gap`` of the two times."""
+    if math.isinf(t_closed) or math.isinf(t_numeric):
+        return 0.0 if math.isinf(t_closed) and math.isinf(t_numeric) else math.inf
+    return abs(t_closed - t_numeric) / max(1.0, abs(t_closed))
+
+
+def _signed_quantity(cms: np.ndarray, quantity: str, det_v) -> np.ndarray:
     """The signed threshold quantity (positive before the threshold) over a
-    (..., 4, 4) stack (E_N given the stack's ``det_v``, if known), or a
-    float for one matrix: the per-state quantifiers."""
-    return _from_log_arguments(_log_arguments(cms, quantity, det_v), quantity)
+    (..., 4, 4) stack, or a float for one matrix: the per-state quantifiers.
+    ``det_v`` is the det V of each matrix, which only E_N reads."""
+    return _from_log_arguments(_log_arguments(cms, _entries(cms), quantity, det_v), quantity)
 
 
-def _log_arguments(cms: np.ndarray, quantity: str, det_v=None) -> tuple:
-    """The arguments x of the logs a signed quantity takes, one per direction
-    in ``_QUANTITIES``, or E_N's nu_s (given the stack's ``det_v``) for
-    none.  Every x is > 0, or the quantity raises."""
-    return tuple(_conditional_dets(cms, d) for d in _QUANTITIES[quantity][1]) or (_transposed_nus(cms, det_v),)
+def _log_arguments(cms: np.ndarray, v, quantity: str, det_v) -> tuple:
+    """The arguments x of the logs a signed quantity takes on the matrices
+    ``cms`` with entries v, one per direction in ``_QUANTITIES``, or E_N's
+    nu_s (from the matrices' ``det_v``) for none.  Every x is > 0, or the
+    quantity raises."""
+    directions = _QUANTITIES[quantity][1]
+    return tuple(_conditional_dets(cms, v, d) for d in directions) or (_transposed_nus(v, det_v),)
 
 
 def _from_log_arguments(args: tuple, quantity: str):
@@ -310,9 +317,9 @@ def _from_log_arguments(args: tuple, quantity: str):
     return values[0] if len(values) == 1 else np.minimum(*values)
 
 
-def _scan_signs(cms: np.ndarray, quantity: str, det_v=None):
+def _scan_signs(cms: np.ndarray, quantity: str, det_v):
     """(signs, args): the bracketing scan's sign of the signed quantity at
-    every matrix of the stack, and its ``_log_arguments`` (given the stack's
+    every matrix of the stack, and its ``_log_arguments`` (from the stack's
     ``det_v``), from which ``_from_log_arguments`` gives any one matrix's
     value bit for bit.
 
@@ -324,7 +331,7 @@ def _scan_signs(cms: np.ndarray, quantity: str, det_v=None):
     only at the points in between.
     """
     k, _, floor = _QUANTITIES[quantity]
-    args = _log_arguments(cms, quantity, det_v)
+    args = _log_arguments(cms, _entries(cms), quantity, det_v)
     largest = args[0] if len(args) == 1 else np.maximum(*args)  # the smallest value's argument
     width = 100.0 * floor / k
     positive, negative = largest <= 1.0 - width, largest >= 1.0 + width
@@ -359,9 +366,8 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     stacked batch: the TMSV, the grid and, from a single channel map, the
     (800, 4, 4) covariance matrices are built once per call, whatever the
     number of quantities, and the matrices are validated once with the state
-    constructor's checks (a certified stack skips the eigensolver, and its
-    certificate's det V is kept for the E_N scan).  In one loop each
-    quantity then takes its own checks, sign scan of that stack
+    constructor's checks (a certified stack skips the eigensolver).  In one
+    loop each quantity then takes its own checks, sign scan of that stack
     (``_scan_signs``, which takes the log only at points near the noise
     band), noise floor and bracket, and ``brentq`` refines the one
     bracketing pair.  It starts from the values at both bracket ends, the
@@ -369,8 +375,10 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
     scan's stored log arguments, and evaluates only the points inside, on
     one 4x4 matrix each, whose channel map, validation and quantity run on
     Python floats; the scan's signs and every point equal the per-state
-    quantifiers' bit for bit.  No closed-form threshold expression enters,
-    so the bisected value is an independent check on them.
+    quantifiers' bit for bit.  E_N reads the det V that each validation
+    kept, the TMSV's at t = 0, so each matrix is factored once.  No
+    closed-form threshold expression enters, so the bisected value is an
+    independent check on them.
 
     A quantity that stays positive on the whole interval gives the infinite
     sentinel.  A non-monotone sign pattern (several crossings) raises
@@ -387,12 +395,12 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
             raise InvalidArgumentError(f"t_max must be finite and > 0, got {t_max}")
         if state0 is None:
             state0 = make_tmsv(r)
-        f0 = _signed_quantity(state0.cm, name)
+        f0 = _signed_quantity(state0.cm, name, state0._det_v)
         if f0 <= 0.0:
             raise InvalidArgumentError(f"{name} must be positive at t = 0")
         if scan is None:
             ts = _scan_grid(t_max)
-            scan, _, det_v = channels._evolve_stack(state0.cm, (channel,), ts)
+            scan, _, det_v = channels._evolve_stack(state0.cm, state0._det_v, (channel,), ts)
         signs, args = _scan_signs(scan, name, det_v)
         brackets = _brackets(ts, signs)
         if len(brackets) > 1:
@@ -405,7 +413,8 @@ def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str,
             i = ts.searchsorted(t)
             if i < len(ts) and ts[i] == t:
                 return _from_log_arguments(tuple(x[i] for x in args), name)
-            return _signed_quantity(channel.evolve_cms(state0, float(t)), name)
+            cm, _, det_t = channels._evolve_stack(state0.cm, state0._det_v, (channel,), t)
+            return _signed_quantity(cm, name, det_t)
 
         # f(0) > 0, so a bracket that opens at the origin is a bracket as it is.
         # brentq's xtol is absolute; scaled by a horizon below 1, it still
@@ -622,11 +631,11 @@ def _closed_form(channel: ChannelSpec, direction: str, r: float) -> float:
     """The closed-form time of the threshold row (channel, direction), on
     checked arguments: the thermal channel's two-way row, or any row of a
     laser channel, whose inseparability form depends on its side.  A loss
-    or gain channel is the laser channel of its rates (``laser_params``)."""
+    or gain channel is the laser channel of its rates, which the channel
+    checked when it was made (``ChannelSpec._params``)."""
     if channel.kind == "thermal":
         return _two_way_thermal_time(channel.nbar, r)
-    rates = channel.laser_params(0.0)
-    g, kappa = rates.g, rates.kappa
+    g, kappa = channel._params.g, channel._params.kappa
     if direction in ("a_to_b", "b_to_a"):
         return _one_side_times(g, kappa, r)[direction == "b_to_a"]
     degenerate = abs(kappa - g) <= _RATE_DEGENERACY_TOL * (kappa + g)
@@ -663,18 +672,21 @@ _ROOT_QUANTITY = {"two-way": "G_twoway", "a_to_b": "G_AtoB", "b_to_a": "G_BtoA",
 def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[ThresholdResult]:
     """The result of each threshold row (channel, direction), in row order.
 
-    Each row's laser rates g and kappa (not both zero), then r, are checked
-    and its closed form taken, row by row; a thermal two-way row in the
-    window nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one ``numeric_threshold`` call,
-    so one scan, roots every row of a distinct channel: 50 time units for the
-    thermal channel (kappa = 1), ``_default_t_max`` for a laser channel.  An
-    infinite root against a finite closed form is not "ok":
-    "beyond-scan-horizon" when the closed form lies past the scan, else
-    "unresolved".  Any other relative gap above the tolerance is "disagree",
-    and so is a closed form that divides by zero, taken as NaN."""
+    Each row's laser rates g and kappa (not both zero), read once from the
+    channel's checked params, then r, are checked and its closed form
+    taken, row by row; a thermal two-way row in the window
+    nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one
+    ``numeric_threshold`` call, so one scan, roots every row of a distinct
+    channel: 50 time units for the thermal channel (kappa = 1),
+    ``_default_t_max`` for a laser channel.  An infinite root against a
+    finite closed form is not "ok": "beyond-scan-horizon" when the closed
+    form lies past the scan, else "unresolved".  Any other relative gap
+    above the tolerance is "disagree", and so is a closed form that divides
+    by zero, taken as NaN.  Each result is made once, when its root is
+    known."""
     results, groups = [], {}
     for channel, direction in rows:
-        rates = channel.laser_params(0.0)  # g and kappa, checked when the channel was made
+        rates = channel._params  # g and kappa, checked when the channel was made
         if rates.g == 0.0 and rates.kappa == 0.0:  # the scan horizon 50 / (g + kappa) needs a rate
             raise InvalidArgumentError("g and kappa cannot both be zero")
         _check_r(r)
@@ -686,15 +698,15 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
         except ZeroDivisionError:  # undefined at this point: no time to compare with
             t_closed = math.nan
         groups.setdefault(channel, []).append(len(results))
-        results.append(ThresholdResult(channel, direction, t_closed, math.nan))
+        results.append((direction, t_closed))
     for channel, indices in groups.items():
-        rates = channel.laser_params(0.0)
+        rates = channel._params
         t_max = 50.0 if channel.kind == "thermal" else _default_t_max(rates.g, rates.kappa)
-        roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[results[i].direction] for i in indices), t_max)
+        roots = numeric_threshold(channel, r, tuple(_ROOT_QUANTITY[results[i][0]] for i in indices), t_max)
         for i, t_numeric in zip(indices, roots):
-            res = replace(results[i], t_numeric=t_numeric)
-            status = "ok" if res.relative_gap <= _THRESHOLD_REL_TOL else "disagree"  # NaN disagrees
-            if math.isinf(t_numeric) and math.isfinite(res.t_closed):  # no root to compare with
-                status = "beyond-scan-horizon" if res.t_closed > t_max else "unresolved"
-            results[i] = replace(res, status=status)
+            direction, t_closed = results[i]
+            status = "ok" if _relative_gap(t_closed, t_numeric) <= _THRESHOLD_REL_TOL else "disagree"  # NaN disagrees
+            if math.isinf(t_numeric) and math.isfinite(t_closed):  # no root to compare with
+                status = "beyond-scan-horizon" if t_closed > t_max else "unresolved"
+            results[i] = ThresholdResult(channel, direction, t_closed, t_numeric, status)
     return results

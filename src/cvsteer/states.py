@@ -105,7 +105,7 @@ class TwoModeGaussianState:
     >= 1 - PHYSICALITY_TOL).
     """
 
-    __slots__ = ("_mean", "_cm")
+    __slots__ = ("_mean", "_cm", "_det_v")
 
     def __init__(self, mean, cm):
         mean, cm = _float_array(mean, "mean").reshape(-1), _float_array(cm, "cm")
@@ -115,21 +115,23 @@ class TwoModeGaussianState:
             raise InvalidArgumentError(f"cm must be 4x4, got shape {cm.shape}")
         if not np.all(np.isfinite(mean)):
             raise InvalidArgumentError("mean must be finite")
-        self._freeze(mean, _validate_cms(cm))
+        self._freeze(mean, *_validate_cms(cm))
 
     @classmethod
-    def _validated(cls, mean: np.ndarray, cm: np.ndarray) -> "TwoModeGaussianState":
-        """The state of a finite length-4 mean and a 4x4 matrix that
-        ``_validate_cms`` returned, without checking either again."""
+    def _validated(cls, mean: np.ndarray, cm: np.ndarray, det_v: float) -> "TwoModeGaussianState":
+        """The state of a finite length-4 mean, and a 4x4 matrix and its det V
+        that ``_validate_cms`` returned, without checking them again."""
         state = object.__new__(cls)
-        state._freeze(mean, cm)
+        state._freeze(mean, cm, det_v)
         return state
 
-    def _freeze(self, mean: np.ndarray, cm: np.ndarray) -> None:
+    def _freeze(self, mean: np.ndarray, cm: np.ndarray, det_v: float) -> None:
         mean.setflags(write=False)
         cm.setflags(write=False)
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_cm", cm)
+        # np.linalg.det(cm) bit for bit, from the validation that accepted cm.
+        object.__setattr__(self, "_det_v", det_v)
 
     def __setattr__(self, name, value):
         raise AttributeError("TwoModeGaussianState is immutable")
@@ -231,35 +233,37 @@ def _partial_transpose_cms(cms: np.ndarray, mode: ModeLabel) -> np.ndarray:
     return cms * np.outer(flip, flip)
 
 
-def _validate_cms(cms: np.ndarray) -> np.ndarray:
+def _validate_cms(cms: np.ndarray):
     """The state constructor's checks on a (..., 4, 4) stack, or one matrix.
 
     Each matrix must be finite, symmetric to SYMMETRY_TOL, positive definite
     relative to its scale, small enough that det V cannot overflow, and obey
     the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
-    Raises if any member fails; returns the symmetrized stack (bit-identical
-    to the input when that is symmetric), always a new array.
+    Raises if any member fails; returns (V, det_v): the symmetrized stack
+    (bit-identical to the input when that is symmetric), always a new array,
+    and its det V (``_validated_stack``).
     """
-    return _validated_stack(cms)[0]
+    return _validated_stack(_entries(cms), cms.shape[:-2])
 
 
-def _validated_stack(cms: np.ndarray):
-    """(cms, det_v): ``_validate_cms`` of one matrix or a (..., 4, 4) stack,
-    and the det V of each member that ``_certified`` computed to prove it,
-    or None when the matrices took the eigvalsh rule.
+def _validated_stack(v, shape: tuple):
+    """(cms, det_v): the matrix or ``shape`` stack of entries v (``_entries``:
+    Python floats for shape (), else arrays of that shape), symmetrized,
+    after the checks of ``_validate_cms``, and the det V of each member,
+    ``np.linalg.det`` of the returned matrix or stack bit for bit.
 
     The rule is read off ``eigvalsh``.  ``_certified`` proves without an
     eigensolver that the rule accepts; only what it cannot prove takes the
-    eigensolver (a stack as a whole), so each decision, error type and
-    message is the rule's.
+    eigensolver (a stack as a whole, assembled from v), so each decision,
+    error type and message is the rule's.
     """
-    return _certified(cms) or (_eigvalsh_rule(cms), None)
+    return _certified(v, shape) or _eigvalsh_rule(_matrix(v, shape))
 
 
-def _eigvalsh_rule(cms: np.ndarray) -> np.ndarray:
-    """(V + V^T)/2 of each matrix, after checking that it is finite,
-    symmetric to SYMMETRY_TOL and passes the rule of ``_validate_cms``, read
-    off ``eigvalsh``."""
+def _eigvalsh_rule(cms: np.ndarray):
+    """(V, det_v): (V + V^T)/2 of each matrix and its det V, after checking
+    that it is finite, symmetric to SYMMETRY_TOL and passes the rule of
+    ``_validate_cms``, read off ``eigvalsh``."""
     if not np.isfinite(cms).all():
         raise InvalidArgumentError("covariance matrix must be finite")
     transposed = cms.mT
@@ -276,7 +280,8 @@ def _eigvalsh_rule(cms: np.ndarray) -> np.ndarray:
     if _any(eigs[..., 0] <= -1e-9 * scale):
         raise UnphysicalStateError("covariance matrix is not positive definite")
     _check_scale(top)
-    _, nu2 = _symplectic_spectra(cms)
+    det_v = _value(np.linalg.det(cms))
+    _, nu2 = _spectra(*_block_dets(_entries(cms)), det_v)
     # For pure states the discriminant under the square root vanishes
     # identically, so its rounding error (of order eps times the fourth
     # power of the matrix norm) dominates: the slack must grow with the
@@ -286,14 +291,15 @@ def _eigvalsh_rule(cms: np.ndarray) -> np.ndarray:
     if _any(violated):
         smallest = np.min(nu2, where=violated, initial=math.inf)
         raise UnphysicalStateError(f"uncertainty relation violated: smallest symplectic eigenvalue {smallest:.12g} < 1")
-    return cms
+    return cms, det_v
 
 
-def _certified(cms: np.ndarray):
-    """(V, det_v) of one matrix or a stack ``cms`` when every member
-    provably passes the eigvalsh rule of ``_validate_cms``, else None; judged
-    on the entries, without an eigensolver.  V is the symmetrized matrix or
-    stack, (cms + cms^T)/2 bit for bit, and det_v the det V of each member.
+def _certified(v, shape: tuple):
+    """(V, det_v) of the matrix or ``shape`` stack of entries v when every
+    member provably passes the eigvalsh rule of ``_validate_cms``, else None;
+    judged on the entries, without an eigensolver.  V is the symmetrized
+    matrix or stack, (V + V^T)/2 bit for bit, assembled once, and det_v its
+    ``np.linalg.det``.
 
     The certificate, for each matrix with diagonal d and symmetrized entries
     s_ij = (v_ij + v_ji)/2:
@@ -319,7 +325,7 @@ def _certified(cms: np.ndarray):
     A member that fails only makes the answer None.  An overflow on the way
     only fails a test, so a stack computes with numpy's warnings off.
     """
-    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = _entries(cms)
+    (v00, v01, v02, v03), (v10, v11, v12, v13), (v20, v21, v22, v23), (v30, v31, v32, v33) = v
     with _quiet(v00):
         d_max = _max(v00, v11, v22, v33)
         if not _all((v00 > 0.0) & (v11 > 0.0) & (v22 > 0.0) & (v33 > 0.0) & (d_max <= _CERTIFIED_SCALE)):
@@ -336,7 +342,7 @@ def _certified(cms: np.ndarray):
             return None
     # (v + v)/2 = v exactly, so the diagonal is the symmetrized one.
     s = ((v00, s01, s02, s03), (s01, v11, s12, s13), (s02, s12, v22, s23), (s03, s13, s23, v33))
-    cms = _matrix(s, cms.shape[:-2])
+    cms = _matrix(s, shape)
     det_v = _value(np.linalg.det(cms))
     try:
         _, nu2 = _spectra(*_block_dets(s), det_v)
@@ -468,6 +474,13 @@ def _max(*values):
     """The largest of ``values``: plain ``max`` of Python floats, else
     ``np.maximum`` elementwise (which propagates NaN)."""
     return max(values) if type(values[0]) is float else functools.reduce(np.maximum, values)
+
+
+def _quotient(num, den, limit):
+    """num / den elementwise, ``limit`` where den == 0 (Python floats for a float den)."""
+    if isinstance(den, float):
+        return num / den if den != 0.0 else limit
+    return np.divide(num, den, out=np.array(limit, dtype=float), where=den != 0.0)
 
 
 def _sqrt(x):

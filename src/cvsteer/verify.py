@@ -75,13 +75,14 @@ def random_physical_state(rng: np.random.Generator, *, with_mean: bool = False) 
     V = S diag(nu1, nu1, nu2, nu2) S^T with S = expm(Omega H) symplectic for
     symmetric H, so physicality holds by construction.
     """
-    means, cms = _random_physical_cms(rng, 1, with_mean=with_mean)
-    return TwoModeGaussianState._validated(means[0], cms[0])
+    means, cms, det_v = _random_physical_cms(rng, 1, with_mean=with_mean)
+    return TwoModeGaussianState._validated(means[0], cms[0], float(det_v[0]))
 
 
 def _random_physical_cms(rng: np.random.Generator, n: int, *, with_mean: bool = False):
-    """(means, cms) of n ``random_physical_state`` draws, as an (n, 4) array and
-    a validated (n, 4, 4) stack, bit for bit the states of n calls in a row.
+    """(means, cms, det_v) of n ``random_physical_state`` draws, as an (n, 4)
+    array, a validated (n, 4, 4) stack and its det V, bit for bit the states
+    of n calls in a row.
 
     The draws keep the per-state order (H, then nu, then the mean); the
     matrix work is done once on the stack.  scipy.linalg is imported here,
@@ -98,7 +99,7 @@ def _random_physical_cms(rng: np.random.Generator, n: int, *, with_mean: bool = 
     s = expm(SYMPLECTIC_FORM @ (hs + hs.mT))
     d = np.zeros((n, 4, 4))
     d[:, range(4), range(4)] = np.repeat(nus, 2, axis=1)
-    return means, _validate_cms(s @ d @ s.mT)
+    return (means, *_validate_cms(s @ d @ s.mT))
 
 
 def _decohered_family():
@@ -195,7 +196,7 @@ def _suite_moments() -> SuiteResult:
 
 
 def _suite_symplectic() -> SuiteResult:
-    _, cms = _random_physical_cms(np.random.default_rng(20240817), 1000)
+    _, cms, _ = _random_physical_cms(np.random.default_rng(20240817), 1000)
     # Sample k's matrix and its partial transpose are rows 2k and 2k + 1, so
     # the first maximum is the worst case a per-sample loop would report.
     stack = np.stack([cms, _partial_transpose_cms(cms, ModeLabel.B)], axis=1).reshape(-1, 4, 4)

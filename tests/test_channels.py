@@ -336,9 +336,10 @@ def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
     nbars = np.linspace(0.6, 1.5, 7)
     ts = np.array([0.0, 1e-7, 0.05, 0.4, 2.0, 0.3, 0.3])
     # One state per row (an r sweep) and one channel per row (an nbar sweep).
-    per_state = _evolve_stack(_tmsv_cms(rs), (spec,), ts)[0]
+    tmsvs = [make_tmsv(r) for r in rs]
+    per_state = _evolve_stack(_tmsv_cms(rs), [s._det_v for s in tmsvs], (spec,), ts)[0]
     channels = [replace(spec, nbar=v) for v in nbars.tolist()]
-    per_channel = _evolve_stack(make_tmsv(0.6).cm, channels, ts)[0]
+    per_channel = _evolve_stack(make_tmsv(0.6).cm, make_tmsv(0.6)._det_v, channels, ts)[0]
     for r, channel, t, a, b in zip(rs, channels, ts, per_state, per_channel):
         assert np.array_equal(a, spec.evolve(make_tmsv(r), t).cm)
         assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
@@ -385,8 +386,9 @@ def test_channel_spec_keeps_its_checked_params_out_of_eq_hash_and_repr():
 def test_evolve_stack_at_zero_duration_returns_the_input():
     s = make_tmsv(0.5)
     good = [ChannelSpec(kind="phase-sensitive", nbar=v, m=0.4) for v in (1.0, 0.2)]
-    stack, sq, det_v = _evolve_stack(s.cm, good, np.zeros(2))
-    assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None and det_v is None
+    stack, sq, det_v = _evolve_stack(s.cm, s._det_v, good, np.zeros(2))
+    assert np.array_equal(stack, np.stack([s.cm, s.cm])) and sq is None
+    assert det_v.tolist() == [s._det_v, s._det_v]
     assert ChannelSpec(kind="thermal", nbar=0.5).evolve(s, 0.0) is s
 
 

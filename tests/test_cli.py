@@ -773,7 +773,8 @@ def test_preset_columns_equal_the_full_report_of_each_point_bit_for_bit(name):
         for column in printed:
             side, field = _PRESET_FIELDS[column]
             channel = ChannelSpec(preset["channel"], ChannelSide(preset.get("side", side)), **rates)
-            report = _steering_reports(channel.evolve_cms(make_tmsv(point["r"]), ts))
+            stack = channel.evolve_cms(make_tmsv(point["r"]), ts)
+            report = _steering_reports(stack, np.linalg.det(stack))
             values = [row[columns.index(column)] for row in rows[p * n : (p + 1) * n]]
             assert [v.hex() for v in values] == [v.hex() for v in report[field]], (column, point)
 
@@ -805,10 +806,10 @@ def test_presets_take_det_v_from_their_validations(monkeypatch, name):
             (validating_dets if inside[0] else other_dets).append(np.shape(a))
         return det(a)
 
-    def validating(cms):
+    def validating(v, shape):
         inside[0] = True
         try:
-            return validated_stack(cms)
+            return validated_stack(v, shape)
         finally:
             inside[0] = False
 

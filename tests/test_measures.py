@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cvsteer import channels, criteria, measures, verify
+from cvsteer import channels, criteria, measures, states, verify
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.cli import main
 from cvsteer.criteria import SteeringDirection
@@ -525,19 +525,19 @@ def test_bisection_takes_its_bracket_ends_from_the_scan(monkeypatch, kind, side)
     # sign check and the scan hold: no single-state evaluation repeats them.
     from scipy.optimize import brentq as scipy_brentq
 
-    durations, evolve = [], ChannelSpec.evolve_cms
+    durations, evolve = [], channels._evolve_stack
     brackets, port = [], measures.brentq
 
-    def logging_evolve(self, state, t):
+    def logging_evolve(cms, det_v, specs, t):
         if isinstance(t, float):
             durations.append(t)
-        return evolve(self, state, t)
+        return evolve(cms, det_v, specs, t)
 
     def logging_brentq(f, a, b, **kwargs):
         brackets.append((a, b, kwargs))
         return port(f, a, b, **kwargs)
 
-    monkeypatch.setattr(ChannelSpec, "evolve_cms", logging_evolve)
+    monkeypatch.setattr(channels, "_evolve_stack", logging_evolve)
     monkeypatch.setattr(measures, "brentq", logging_brentq)
     channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
     known = {0.0, *_scan_grid(50.0).tolist()}
@@ -555,8 +555,9 @@ def test_bisection_takes_its_bracket_ends_from_the_scan(monkeypatch, kind, side)
                 roots.append((state0, name, root, *brackets[0]))
     assert roots and durations
     assert known.isdisjoint(durations)
+    monkeypatch.undo()
     for state0, name, root, a, b, kwargs in roots:
-        fresh = lambda t: _signed_quantity(evolve(channel, state0, t), name)
+        fresh = lambda t: _evolved_quantity(channel, state0, t, name)
         assert scipy_brentq(fresh, a, b, **kwargs).hex() == root.hex()
 
 
@@ -642,37 +643,61 @@ def _lapack_calls(monkeypatch):
 
 _LASER = ChannelSpec("laser", ChannelSide.BOTH, g=0.5, kappa=1.3)
 _TMSV = make_tmsv(0.7)
-_EVOLVED = _LASER.evolve_cms(_TMSV, 0.3)
+_EVOLVED = _LASER.evolve(_TMSV, 0.3)
 
 
 @pytest.mark.parametrize(
     ("call", "expected"),
     [
         (lambda: _LASER.evolve_cms(_TMSV, 0.3), {("det", "one"): 1}),
-        (lambda: _signed_quantity(_EVOLVED, "G_twoway"), {}),
-        (lambda: _signed_quantity(_EVOLVED, "E_N"), {("det", "one"): 1}),
-        (lambda: steering_report(_LASER.evolve(_TMSV, 0.3)), {("det", "one"): 2}),
-        (lambda: numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0), {("det", "one"): 14, ("det", "stack"): 1}),
+        (lambda: _signed_quantity(_EVOLVED.cm, "G_twoway", _EVOLVED._det_v), {}),
+        (lambda: _signed_quantity(_EVOLVED.cm, "E_N", _EVOLVED._det_v), {}),
+        (lambda: steering_report(_LASER.evolve(_TMSV, 0.3)), {("det", "one"): 1}),
+        (lambda: numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0), {("det", "one"): 9, ("det", "stack"): 1}),
     ],
     ids=["evolve_cms", "G_twoway", "E_N", "steering_report", "numeric_threshold"],
 )
 def test_lapack_work_of_one_matrix_and_a_scan(monkeypatch, call, expected):
     # Timing on a shared host swings by more than these calls cost, so the
-    # work itself is pinned: one det V per validation and per E_N, none for
-    # G, one stacked det per scan, and no eigensolver for a certified state.
+    # work itself is pinned: one det V per validation, which every later
+    # quantity reads (none for G or E_N), one stacked det per scan, and no
+    # eigensolver for a certified state.  numeric_threshold validates the
+    # TMSV and one matrix per root step: 1 + 8.
     calls = _lapack_calls(monkeypatch)
     call()
     assert calls == expected
+
+
+def test_each_root_step_assembles_one_4x4_matrix(monkeypatch):
+    # The channel map hands its entries to validation, which assembles the
+    # one matrix (or the scan's one stack) that LAPACK's det reads.
+    assembled, matrix = [], states._matrix
+    steps, evolve = [], channels._evolve_stack
+
+    def counting_matrix(rows, shape):
+        assembled.append((len(rows), bool(shape)))
+        return matrix(rows, shape)
+
+    def counting_evolve(cms, det_v, specs, t):
+        steps.append(np.ndim(t) == 0)
+        return evolve(cms, det_v, specs, t)
+
+    monkeypatch.setattr(states, "_matrix", counting_matrix)
+    monkeypatch.setattr(channels, "_evolve_stack", counting_evolve)
+    numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0)
+    assert steps.count(True) == 8 and steps.count(False) == 1
+    # The TMSV's validation, then one per root step; the scan's stack.
+    assert assembled.count((4, False)) == 1 + 8 and assembled.count((4, True)) == 1
 
 
 def _scan_stacks(monkeypatch):
     """A list that counts every multi-duration stack the channel driver builds."""
     built, evolve = [], channels._evolve_stack
 
-    def counting(cms, specs, t):
+    def counting(cms, det_v, specs, t):
         if np.size(t) > 1:
             built.append(specs[0])
-        return evolve(cms, specs, t)
+        return evolve(cms, det_v, specs, t)
 
     monkeypatch.setattr(channels, "_evolve_stack", counting)
     return built
@@ -747,6 +772,15 @@ def test_closed_form_that_divides_by_zero_disagrees_with_its_root(channel):
     assert math.isnan(row.t_closed) and math.isnan(row.agreement) and row.status == "disagree"
     assert math.isclose(row.t_numeric, 0.0357905911027, rel_tol=1e-11)
 
+@pytest.mark.parametrize("quantity", ["all", "two-way", "inseparability"])
+def test_threshold_table_refuses_the_phase_sensitive_channel(quantity):
+    # Every row reads laser rates, which this kind has not; the rows read
+    # their rates from the channels' checked params, not from laser_params.
+    message = "^channel kind 'phase-sensitive' has no laser parameterization$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        threshold_table(ChannelSpec("phase-sensitive", nbar=0.4, m=0.3), 0.5, quantity)
+
+
 @pytest.mark.parametrize("kind, rates", [("loss", {"kappa": 0.7}), ("gain", {"g": 0.6})])
 @pytest.mark.parametrize("side", [ChannelSide.B, ChannelSide.BOTH])
 def test_loss_and_gain_rows_equal_their_laser_twins_bit_for_bit(kind, rates, side):
@@ -786,10 +820,10 @@ def test_scan_signs_and_bracket_ends_equal_the_values_rule(monkeypatch, kind, si
     in_band = bracketed = 0
     for r in (1e-4, 1e-3, 0.6):
         state0 = make_tmsv(r)
-        stack = channel.evolve_cms(state0, ts)
+        stack, _, det_v = channels._evolve_stack(state0.cm, state0._det_v, (channel,), ts)
         for name in ("G_AtoB", "G_BtoA", "G_twoway", "E_N"):
-            values = _signed_quantity(stack, name)
-            signs, args = measures._scan_signs(stack, name)
+            values = _signed_quantity(stack, name, det_v)
+            signs, args = measures._scan_signs(stack, name, det_v)
             assert signs.tolist() == _today_signs(values, name).tolist()
             k, _, floor = measures._QUANTITIES[name]
             width = 100.0 * floor / k
@@ -802,7 +836,7 @@ def test_scan_signs_and_bracket_ends_equal_the_values_rule(monkeypatch, kind, si
             bracketed += len(ends)
             for f_a, f_b, a, b in ends:
                 for t, value in ((a, f_a), (b, f_b)):
-                    known = _signed_quantity(state0.cm, name) if t == 0.0 else values[ts.searchsorted(t)]
+                    known = _signed_quantity(state0.cm, name, state0._det_v) if t == 0.0 else values[ts.searchsorted(t)]
                     assert float(value).hex() == float(known).hex()
     assert in_band > 0 and bracketed > 0
 
@@ -916,13 +950,21 @@ def test_stacked_scan_equals_per_state_values_exactly(kind, side, quantity, r, g
     channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
     state0 = make_tmsv(r)
     ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))])
-    stacked = _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+    stacked = _evolved_quantity(channel, state0, ts, quantity)
     per_state = [_per_state_quantity(channel.evolve(state0, t), quantity) for t in ts]
     assert stacked.tolist() == per_state
     for t in ts[::97]:
-        assert _signed_quantity(channel.evolve_cms(state0, [t]), quantity)[0] == _per_state_quantity(
+        assert _evolved_quantity(channel, state0, [t], quantity)[0] == _per_state_quantity(
             channel.evolve(state0, t), quantity
         )
+
+
+def _evolved_quantity(channel, state0, t, quantity):
+    """``_signed_quantity`` of state0's matrix after one duration t, or of
+    the stack after each duration in t, with the det V of its validation:
+    the root phase's and the scan's arithmetic."""
+    cms, _, det_v = channels._evolve_stack(state0.cm, state0._det_v, (channel,), t)
+    return _signed_quantity(cms, quantity, det_v)
 
 
 def _value_or_error(evaluate):
@@ -951,7 +993,7 @@ def test_stacked_scan_equals_per_state_values_at_strong_squeezing(kind, side, qu
     channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
     state0 = make_tmsv(r)
     ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))])
-    stacked = _signed_quantity(channel.evolve_cms(state0, ts), quantity)
+    stacked = _evolved_quantity(channel, state0, ts, quantity)
     assert stacked.tolist() == [_per_state_quantity(channel.evolve(state0, t), quantity) for t in ts]
 
 
@@ -973,8 +1015,8 @@ def test_one_gain_duration_evaluates_or_raises_as_its_stack(side, quantity, r, g
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         one = _value_or_error(lambda: _per_state_quantity(channel.evolve(state0, t), quantity))
-        stacked = _value_or_error(lambda: _signed_quantity(channel.evolve_cms(state0, [t]), quantity)[0])
-        root = _value_or_error(lambda: _signed_quantity(channel.evolve_cms(state0, t), quantity))
+        stacked = _value_or_error(lambda: _evolved_quantity(channel, state0, [t], quantity)[0])
+        root = _value_or_error(lambda: _evolved_quantity(channel, state0, t, quantity))
     assert one == stacked == root
     if 2.0 * gt > math.log(_MAX_SCALE):
         assert one[0] is DegenerateInputError
@@ -991,7 +1033,8 @@ def test_overflowing_scan_is_degenerate_without_warnings(t_max):
 def _assert_stacked_report_matches(states):
     # Each stacked column entry equals the one-state report field and the
     # scalar API value exactly, with the same Python type.
-    columns = _steering_reports(np.stack([s.cm for s in states]))
+    stack = np.stack([s.cm for s in states])
+    columns = _steering_reports(stack, np.linalg.det(stack))
     assert list(columns) == [f for f in SteeringReport.__dataclass_fields__]
     for k, state in enumerate(states):
         report = steering_report(state)
@@ -1010,11 +1053,11 @@ def _assert_stacked_report_matches(states):
         assert report.separable is (not report.entangled)
 
 
-def _report_bits(cms, *det_v):
+def _report_bits(cms, det_v):
     """``_steering_reports``' columns with every float as its hex string,
     or its error's type and message."""
     try:
-        report = _steering_reports(cms, *det_v)
+        report = _steering_reports(cms, det_v)
     except Exception as exc:
         return type(exc), str(exc)
     return {name: [v.hex() if isinstance(v, float) else v for v in values] for name, values in report.items()}
@@ -1033,26 +1076,84 @@ def _report_bits(cms, *det_v):
 def test_report_with_det_v_from_validation_equals_the_report_without(kind, side, r, g, kappa, nbar, m_fraction):
     # E_N of the partial transpose takes validation's det V: the same bits.
     # At some r >= 2 (r = 2.0 among them) the pure TMSV at t = 0 fails the
-    # certificate, and the stack has no det V.
+    # certificate, and the eigvalsh rule's det V is kept instead.
     m = m_fraction * math.sqrt(nbar * (nbar + 1.0))
     channel = ChannelSpec(kind=kind, side=side, g=g, kappa=kappa, nbar=nbar, m=m)
     ts = np.concatenate([[0.0], _scan_grid(50.0 / (g + kappa))[::8]])
-    stack, _, det_v = channels._evolve_stack(make_tmsv(r).cm, (channel,), ts)
-    assert _report_bits(stack, det_v) == _report_bits(stack)
+    state0 = make_tmsv(r)
+    stack, _, det_v = channels._evolve_stack(state0.cm, state0._det_v, (channel,), ts)
+    assert det_v.tobytes() == np.linalg.det(stack).tobytes()
+    assert _report_bits(stack, det_v) == _report_bits(stack, np.linalg.det(stack))
 
 
 @pytest.mark.parametrize("r", [0.5, 3.0])
 @pytest.mark.parametrize("side", [ChannelSide.A, ChannelSide.B])
 def test_report_of_an_uncertified_stack_takes_det_v_itself(side, r):
     # Entries past _MAX_SCALE / 8 fail the certificate but pass the eigvalsh
-    # rule: validation returns no det V, and the report computes it, equal
-    # to each state's own report.
+    # rule: validation takes det V from the rule, the det of the stack, and
+    # the report equals each state's own report.
     channel, state0 = ChannelSpec("gain", side, g=1.0), make_tmsv(r)
     ts = np.linspace(0.0, 0.5 * math.log(_MAX_SCALE / (2.0 * math.cosh(2.0 * r))), 5)
-    stack, _, det_v = channels._evolve_stack(state0.cm, (channel,), ts)
-    assert det_v is None and np.abs(stack).max() > _MAX_SCALE / 8.0
-    assert _report_bits(stack, det_v) == _report_bits(stack)
+    stack, _, det_v = channels._evolve_stack(state0.cm, state0._det_v, (channel,), ts)
+    assert det_v.tobytes() == np.linalg.det(stack).tobytes() and np.abs(stack).max() > _MAX_SCALE / 8.0
+    assert _report_bits(stack, det_v) == _report_bits(stack, np.linalg.det(stack))
     _assert_stacked_report_matches([channel.evolve(state0, t) for t in ts.tolist()])
+
+
+def _williamson_matrix(rng, h_scale):
+    """S diag(nu1, nu1, nu2, nu2) S^T with S = expm(Omega H): physical."""
+    from scipy.linalg import expm
+
+    h = rng.normal(scale=h_scale, size=(4, 4))
+    s = expm(states.SYMPLECTIC_FORM @ (h + h.T))
+    nu1, nu2 = rng.uniform(1.0, 3.0, size=2)
+    return s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
+
+
+_WAYS = ("certified", "uncertified", "past-certified-scale", "make_tmsv", "evolve", "swapped", "random_physical_state")
+
+
+@given(
+    way=st.sampled_from(_WAYS),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.0, 3.0),
+    kind=st.sampled_from(["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"]),
+    side=st.sampled_from(list(ChannelSide)),
+    t=st.floats(0.0, 3.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_state_keeps_the_det_v_of_its_matrix(way, seed, r, kind, side, t):
+    # However a state is made, the det V it keeps is np.linalg.det of its
+    # matrix bit for bit, so every quantity that reads it equals the same
+    # quantity given a det V computed afresh.
+    rng = np.random.default_rng(seed)
+    if way in ("certified", "uncertified"):
+        cm = _williamson_matrix(rng, 0.05 if way == "certified" else 1.0)
+        assume((states._certified(states._entries(cm), ()) is None) == (way == "uncertified"))
+        state = TwoModeGaussianState(rng.normal(size=4), cm)
+    elif way == "past-certified-scale":  # fails the certificate's scale bound, passes the eigvalsh rule
+        scale = rng.uniform(1.01, 2.0) * states._CERTIFIED_SCALE / math.cosh(2.0 * r)
+        state = TwoModeGaussianState(np.zeros(4), scale * make_tmsv(r).cm)
+    elif way == "make_tmsv":
+        state = make_tmsv(r)
+    elif way == "evolve":
+        nbar = rng.uniform(0.0, 1.5)
+        m = rng.uniform(-1.0, 1.0) * math.sqrt(nbar * (nbar + 1.0))
+        channel = ChannelSpec(kind=kind, side=side, g=rng.uniform(0.1, 3.0), kappa=rng.uniform(0.1, 3.0), nbar=nbar, m=m)
+        state = channel.evolve(make_tmsv(r), t)
+    elif way == "swapped":
+        state = ChannelSpec(kind, side, nbar=0.4, m=0.3).evolve(random_physical_state(rng), t).swapped()
+    else:
+        state = random_physical_state(rng, with_mean=True)
+    det_v = np.linalg.det(state.cm)
+    assert type(state._det_v) is float and state._det_v.hex() == float(det_v).hex()
+    fresh = _steering_reports(state.cm, float(det_v))
+    assert {name: value.hex() if isinstance(value, float) else value for name, value in fresh.items()} == {
+        name: value.hex() if isinstance(value, float) else value for name, value in vars(steering_report(state)).items()
+    }
+    for quantity in measures._QUANTITIES:
+        kept = _signed_quantity(state.cm, quantity, state._det_v)
+        assert kept.hex() == _signed_quantity(state.cm, quantity, float(det_v)).hex()
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -1068,7 +1169,7 @@ def test_a_report_computes_each_inferred_variance_once(monkeypatch, stacked):
     monkeypatch.setattr(measures, "_inferred_variances", counting)
     state = ChannelSpec("laser", g=0.5, kappa=1.3).evolve(make_tmsv(0.7), 0.2)
     if stacked:
-        _steering_reports(np.stack([state.cm] * 3))
+        _steering_reports(np.stack([state.cm] * 3), np.array([state._det_v] * 3))
     else:
         steering_report(state)
     assert len(calls) == len(set(calls)) == 4
@@ -1094,7 +1195,7 @@ _NON_POSITIVE_CONDITIONING = np.diag([1.0, 1.0, -1.0, -1.0])
 )
 def test_report_raises_in_the_order_of_the_public_functions(cms, message):
     with pytest.raises(DegenerateInputError, match=f"^{message}$"):
-        _steering_reports(cms)
+        _steering_reports(cms, np.linalg.det(cms))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

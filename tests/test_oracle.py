@@ -288,7 +288,7 @@ def test_kernel_symmetries_hold_bit_for_bit_on_this_platform():
 
 def _random_symmetric_stack(seed=13, n=40):
     rng = np.random.default_rng(seed)
-    _, cms = _random_physical_cms(rng, n)
+    _, cms, _ = _random_physical_cms(rng, n)
     return np.concatenate([cms, _partial_transpose_cms(cms, ModeLabel.B)])
 
 
@@ -342,12 +342,13 @@ def _reference_random_state(rng, with_mean=False):
 
 @pytest.mark.parametrize("with_mean", [False, True])
 def test_batched_drawer_matches_random_physical_state_bit_for_bit(with_mean):
-    means, cms = _random_physical_cms(np.random.default_rng(17), 60, with_mean=with_mean)
+    means, cms, det_v = _random_physical_cms(np.random.default_rng(17), 60, with_mean=with_mean)
     one, reference = np.random.default_rng(17), np.random.default_rng(17)
-    for mean, cm in zip(means, cms):
+    for mean, cm, d in zip(means, cms, det_v.tolist()):
         state, expected = random_physical_state(one, with_mean=with_mean), _reference_random_state(reference, with_mean)
         assert state == expected
         assert np.array_equal(mean, expected.mean) and np.array_equal(cm, expected.cm)
+        assert state._det_v.hex() == d.hex() == expected._det_v.hex()
 
 
 def test_batched_symplectic_suite_equals_per_sample_loop():

@@ -23,6 +23,8 @@ from cvsteer.states import (
     _CERTIFIED_SCALE,
     _check_scale,
     _certified,
+    _entries,
+    _matrix,
     _partial_transpose_cms,
     _symplectic_spectra,
     _tmsv_cms,
@@ -207,9 +209,10 @@ def test_tmsv_stack_matches_make_tmsv_bit_for_bit():
 
 def test_validate_cms_keeps_a_valid_stack_bit_for_bit():
     stack = _valid_stack()
-    out = _validate_cms(stack)
-    assert np.array_equal(out, stack)
-    assert np.array_equal(_validate_cms(stack[1]), make_tmsv(0.5).cm)
+    out, det_v = _validate_cms(stack)
+    assert np.array_equal(out, stack) and det_v.tobytes() == np.linalg.det(stack).tobytes()
+    cm, det_v = _validate_cms(stack[1])
+    assert np.array_equal(cm, make_tmsv(0.5).cm) and det_v == make_tmsv(0.5)._det_v
 
 
 @pytest.mark.parametrize(
@@ -256,7 +259,8 @@ def test_indefinite_matrix_with_a_unit_symplectic_spectrum_is_refused(bad):
 
 def _eigvalsh_rule(cms):
     """``_validate_cms`` without its certificate: every decision of a stack
-    read off ``eigvalsh``, as the rule is stated."""
+    read off ``eigvalsh``, as the rule is stated, and the det V of what it
+    accepts."""
     if not np.isfinite(cms).all():
         raise InvalidArgumentError("covariance matrix must be finite")
     transposed = cms.mT
@@ -276,18 +280,31 @@ def _eigvalsh_rule(cms):
         raise UnphysicalStateError(
             f"uncertainty relation violated: smallest symplectic eigenvalue {nu2[violated].min():.12g} < 1"
         )
-    return cms
+    return cms, np.linalg.det(cms)
 
 
 def _outcome(validate, cms):
-    """The bytes of the stack ``validate`` returns, or its error's type and message."""
+    """The bytes of the stack and det V ``validate`` returns, or its error's
+    type and message."""
     try:
-        return validate(cms.copy()).tobytes()
+        out, det_v = validate(cms.copy())
+        return out.tobytes(), np.asarray(det_v).tobytes()
     except Exception as exc:
         return type(exc), str(exc)
 
 
 _KINDS = ("loss", "gain", "thermal", "laser", "phase-sensitive")
+
+
+def _unvalidated(v, shape):
+    """``states._validated_stack`` without its checks: the assembled
+    entries, and no det V."""
+    return _matrix(v, shape), None
+
+
+def _certified_stack(cms):
+    """``_certified`` of one matrix or a stack."""
+    return _certified(_entries(cms), cms.shape[:-2])
 
 
 @st.composite
@@ -306,7 +323,7 @@ def _channel_scans(draw, kinds=_KINDS, sides=tuple(ChannelSide)):
         m=m,
     )
     ts = _scan_grid(50.0 / (g + kappa))[::16]
-    with mock.patch.object(channels, "_validated_stack", lambda cms: (cms, None)):
+    with mock.patch.object(channels, "_validated_stack", _unvalidated):
         return channel.evolve_cms(make_tmsv(draw(st.floats(0.0, 3.0))), ts)
 
 
@@ -429,10 +446,10 @@ def test_threshold_scans_are_certified(kind, side):
     # certificate cannot prove (a pure TMSV at r = 90, tanh 2r = 1) sends
     # its whole stack to it.
     channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
-    with mock.patch.object(channels, "_validated_stack", lambda cms: (cms, None)):
+    with mock.patch.object(channels, "_validated_stack", _unvalidated):
         stack = channel.evolve_cms(make_tmsv(0.8), _scan_grid(25.0))
-    assert _certified(0.5 * (stack + stack.mT)) is not None
-    assert _certified(np.concatenate([stack, _tmsv_cms([90.0])])) is None
+    assert _certified_stack(0.5 * (stack + stack.mT)) is not None
+    assert _certified_stack(np.concatenate([stack, _tmsv_cms([90.0])])) is None
 
 
 def test_pure_tmsvs_are_certified():
@@ -441,11 +458,11 @@ def test_pure_tmsvs_are_certified():
     # with the largest diagonal entry as the rule's does with the largest
     # eigenvalue, and proves these without the eigensolver, keeping det V.
     stack = _tmsv_cms(np.linspace(0.5, 5.5, 101))
-    proved, det_v = _certified(stack)
+    proved, det_v = _certified_stack(stack)
     assert proved.tobytes() == stack.tobytes()
     assert det_v.tobytes() == np.linalg.det(stack).tobytes()
     for cm in stack:
-        assert _certified(cm) is not None
+        assert _certified_stack(cm) is not None
 
 
 def test_overflowing_scale_is_degenerate_without_warnings():
