@@ -20,9 +20,8 @@ import numpy as np
 
 from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
 from .errors import CvSteerError
-from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _report_columns, _steering_reports
-from .measures import _two_way_thermal_time
-from .measures import steering_report, threshold_table
+from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _report_columns, _two_way_thermal_time
+from .measures import SteeringReport, steering_report, threshold_table
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
 
 __all__ = ["main", "state_to_dict", "state_from_dict"]
@@ -299,9 +298,9 @@ _PRESET_QUANTITIES = {
 
 def _preset_rows(name: str):
     """(columns, rows) of a figure preset.  Figures 2a-5 evolve the points
-    of each side that prints a field as one stack, and compute only the
-    report fields they print, each once (``measures._report_columns``), E_N
-    with the det V of the stack's validation."""
+    of each side that prints a field as one stack and ask
+    ``measures._report_columns`` for its printed fields only; the rows zip
+    x tiled, each swept value repeated and the report columns as given."""
     preset = FIGURE_PRESETS[name]
     if name == "1":
         # The grid is checked once, as the threshold functions check each
@@ -327,29 +326,19 @@ def _preset_rows(name: str):
     for column, (side, field) in _PRESET_QUANTITIES.items():
         if column in preset["columns"]:
             fields.setdefault(preset.get("side", side), {})[column] = field
-    # One stack per side: row p * n + i is point p at duration ts[i].
+    # Every column over every row: row p * n + i is point p at duration ts[i].
     n = len(ts)
+    values = {preset["x"]: np.tile(xs, len(points)).tolist()}
+    values.update((key, [point[key] for point in points for _ in range(n)]) for key in swept)
     tmsvs = [make_tmsv(point["r"]) for point in points]
     cms, det_v = np.repeat([s.cm for s in tmsvs], n, axis=0), np.repeat([s._det_v for s in tmsvs], n)
     rates = [{"nbar": preset.get("nbar", 0.0), **{_PRESET_RATES[k]: x for k, x in p.items() if k != "r"}} for p in points]
-    values = {}
     for side, columns in fields.items():
         specs = [ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **r) for r in rates]
         stack, _, stack_det_v = _evolve_stack(cms, det_v, [spec for spec in specs for _ in ts], np.tile(ts, len(points)))
         report = _report_columns(stack, columns.values(), stack_det_v)
-        values.update((column, report[field].tolist()) for column, field in columns.items())
-    rows = []
-    for p, point in enumerate(points):
-        columns = []
-        for column in preset["columns"]:
-            if column == preset["x"]:
-                columns.append(xs.tolist())
-            elif column in point:
-                columns.append([point[column]] * n)
-            else:
-                columns.append(values[column][p * n : (p + 1) * n])
-        rows.extend(zip(*columns))
-    return preset["columns"], rows
+        values.update((column, report[field]) for column, field in columns.items())
+    return preset["columns"], list(zip(*(values[column] for column in preset["columns"])))
 
 
 # Swept variable -> its default (start, stop); one-minus-T excludes 1.
@@ -388,8 +377,8 @@ def _generic_sweep_rows(args):
         ts = _durations(args, channel, values)
     _check_rates_read(args)
     stack, _, det_v = _evolve_stack(cms, det_v, channels, ts)
-    report = _steering_reports(stack, det_v)
-    del report["entangled"]  # the sweep prints its complement, separable
+    fields = [field for field in SteeringReport.__dataclass_fields__ if field != "entangled"]  # it prints separable
+    report = _report_columns(stack, fields, det_v)
     return [args.var, *report], list(zip(values.tolist(), *report.values()))
 
 

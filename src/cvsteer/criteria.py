@@ -4,6 +4,10 @@ Both criteria are evaluated in Gaussian closed form directly from covariance
 matrix elements, which stays numerically stable arbitrarily close to the
 steerable boundary.  The bounds (1/4 for the Reid product, ln(e*pi) for the
 entropic sum) presume the [Q, P] = 2i convention fixed in ``states``.
+
+Both read one direction's Q and P inferred variances (``_inferred_variances``,
+for one matrix or a stack); ``measures._report_columns`` shares them between
+the two and is the only code that computes them over a stack.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ def reid_inferred_variance(
 
 def reid_product(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Product of minimized Q and P inferred variances; steerable iff < 1/4."""
-    return float(_reid_products(state.cm, direction))
+    q_var, p_var = (_inferred_variances(state.cm, direction, quad) for quad in Quadrature)
+    return float(q_var * p_var)
 
 
 def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
@@ -104,7 +109,7 @@ def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> f
     differential entropy of the Gaussian conditional distribution in
     eigenvalue units.
     """
-    return float(_entropic_sums(state.cm, direction))
+    return float(_entropic_sum([_inferred_variances(state.cm, direction, quad) for quad in Quadrature]))
 
 
 def _inferred_variances(cms: np.ndarray, direction: SteeringDirection, quadrature: Quadrature):
@@ -120,20 +125,8 @@ def _inferred_variances(cms: np.ndarray, direction: SteeringDirection, quadratur
     return _clamp(0.5 * (v[j][j] - cross * cross / v_in))
 
 
-def _reid_products(cms: np.ndarray, direction: SteeringDirection):
-    """``reid_product`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
-    return _inferred_variances(cms, direction, Quadrature.Q) * _inferred_variances(cms, direction, Quadrature.P)
-
-
-def _entropic_sums(cms: np.ndarray, direction: SteeringDirection):
-    """``entropic_sum`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
-    return _entropic_sum(_inferred_variances(cms, direction, quad) for quad in (Quadrature.Q, Quadrature.P))
-
-
 def _entropic_sum(variances):
-    """The entropic sum of one direction's Q and P inferred variances, given
-    in that order; each is checked when it is reached, so a lazy iterable
-    raises as ``_entropic_sums`` does."""
+    """The entropic sum of one direction's (Q, P) inferred variances."""
     total = 0.0
     for var in variances:
         if _any(var <= 0.0):

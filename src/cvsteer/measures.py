@@ -73,8 +73,13 @@ _QUANTITIES = {
     "G_twoway": (0.5, (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A), 1e-13),
     "E_N": (1.0, (), 1e-7),
 }
-# The quantity that is the steerability in one direction.
-_STEERABILITY = {SteeringDirection.A_TO_B: "G_AtoB", SteeringDirection.B_TO_A: "G_BtoA"}
+# Each steering direction: the signed quantity that is its steerability,
+# then its ``SteeringReport`` fields: the clamped G, the verdict G > 0, the
+# Reid product and the entropic sum.
+_DIRECTIONS = {
+    SteeringDirection.A_TO_B: ("G_AtoB", "g_a_to_b", "steerable_a_to_b", "reid_a_to_b", "entropic_a_to_b"),
+    SteeringDirection.B_TO_A: ("G_BtoA", "g_b_to_a", "steerable_b_to_a", "reid_b_to_a", "entropic_b_to_a"),
+}
 
 # The squeezing r a threshold accepts: below _R_MIN the TMSV's steerability at
 # t = 0, ln cosh 2r, lies inside the scan's noise floor (and the two-way
@@ -137,12 +142,12 @@ def steerability_exponent(state: TwoModeGaussianState, direction: SteeringDirect
     2x2 conditional block, using closed-form 2x2 determinants for precision
     near the boundary.
     """
-    return float(_signed_quantity(state.cm, _STEERABILITY[direction], state._det_v))
+    return float(_signed_quantity(state.cm, _DIRECTIONS[direction][0], state._det_v))
 
 
 def gaussian_steerability(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Gaussian steerability quantifier, >= 0; zero iff not steerable."""
-    return float(_clamp(_signed_quantity(state.cm, _STEERABILITY[direction], state._det_v)))
+    return float(_clamp(_signed_quantity(state.cm, _DIRECTIONS[direction][0], state._det_v)))
 
 
 def log_negativity_exponent(state: TwoModeGaussianState) -> float:
@@ -187,70 +192,56 @@ class SteeringReport:
 
 
 def steering_report(state: TwoModeGaussianState) -> SteeringReport:
-    """Evaluate every criterion and quantifier on one state.
+    """Evaluate every criterion and quantifier on one state: all twelve
+    fields of ``_report_columns``, each quantity computed once.
 
     Verdicts derive from the steerability quantifier; for the channel-family
     states treated here (diagonal-block covariances) its boundary coincides
     with the Reid product crossing 1/4 and the entropic sum crossing
     ln(e*pi).  Steerability in either direction implies entanglement.
     """
-    return SteeringReport(**_steering_reports(state.cm, state._det_v))
-
-
-# The clamped quantifier fields of a ``SteeringReport``: field -> the signed
-# quantity it clamps at 0.  g_twoway is the smaller of the two clamped G.
-_REPORT_QUANTITIES = {"g_a_to_b": "G_AtoB", "g_b_to_a": "G_BtoA", "e_n": "E_N"}
+    return SteeringReport(**_report_columns(state.cm, SteeringReport.__dataclass_fields__, state._det_v))
 
 
 def _report_columns(cms: np.ndarray, fields, det_v) -> dict:
-    """The quantifier fields of ``SteeringReport`` named in ``fields`` (of
-    g_a_to_b, g_b_to_a, g_twoway and e_n) over a (..., 4, 4) stack, as
-    arrays, or floats for one matrix; E_N reads ``det_v``, the det V of each
-    matrix.  Each is computed once, in the order of ``_REPORT_QUANTITIES``,
-    and only if asked for (g_twoway asks for both G)."""
-    fields, v = list(fields), _entries(cms)
-    wanted = set(fields) | ({"g_a_to_b", "g_b_to_a"} if "g_twoway" in fields else set())
-    columns = {
-        field: _clamp(_from_log_arguments(_log_arguments(cms, v, quantity, det_v), quantity))
-        for field, quantity in _REPORT_QUANTITIES.items()
-        if field in wanted
-    }
-    if "g_twoway" in fields:
-        columns["g_twoway"] = np.minimum(columns["g_a_to_b"], columns["g_b_to_a"])
-    return {field: columns[field] for field in fields}
+    """The ``SteeringReport`` fields named in ``fields``, in that order, over
+    a (..., 4, 4) stack of physical covariance matrices with det V ``det_v``
+    (which E_N reads), as lists of Python floats and bools, or one value per
+    field for one (4, 4) matrix; entry k equals ``steering_report`` of
+    matrix k bit for bit.
 
-
-def _steering_reports(cms: np.ndarray, det_v) -> dict[str, list]:
-    """Every ``SteeringReport`` field over an (N, 4, 4) stack of physical
-    covariance matrices with det V ``det_v``, as lists of Python floats and
-    bools; entry k equals ``steering_report`` of matrix k bit for bit.  One
-    (4, 4) matrix gives one float or bool per field.
-
-    Each quantity is computed once: the G and E_N fields by
-    ``_report_columns``, E_N with the det V that the stack's validation
-    kept, and each direction's Q and P
-    inferred variances serve both its Reid product and its entropic sum.
-    The checks raise in the order of the public functions: G a->b, G b->a,
-    E_N, conditioning variances, then the entropic sums'.
+    Each quantity is computed once, and only if a field in ``fields`` reads
+    it: g_twoway reads both clamped G, the verdicts G or E_N, and a
+    direction's Reid product and entropic sum its Q and P inferred
+    variances.  The checks raise in the order of the public functions: G
+    a->b, G b->a, E_N, conditioning variances, then the entropic sums'.
     """
-    quantifiers = _report_columns(cms, ("g_a_to_b", "g_b_to_a", "g_twoway", "e_n"), det_v)
-    g_ab, g_ba, e_n = quantifiers["g_a_to_b"], quantifiers["g_b_to_a"], quantifiers["e_n"]
-    (q_ab, p_ab), (q_ba, p_ba) = (
-        [_inferred_variances(cms, direction, quad) for quad in (Quadrature.Q, Quadrature.P)]
-        for direction in (SteeringDirection.A_TO_B, SteeringDirection.B_TO_A)
-    )
-    columns = {
-        "reid_a_to_b": q_ab * p_ab,
-        "reid_b_to_a": q_ba * p_ba,
-        "entropic_a_to_b": _entropic_sum((q_ab, p_ab)),
-        "entropic_b_to_a": _entropic_sum((q_ba, p_ba)),
-        **quantifiers,
-        "steerable_a_to_b": g_ab > 0.0,
-        "steerable_b_to_a": g_ba > 0.0,
-        "entangled": e_n > 0.0,
-        "separable": e_n <= 0.0,  # e_n is clamped: never NaN
-    }
-    return {name: np.asarray(values).tolist() for name, values in columns.items()}
+    fields, v = tuple(fields), _entries(cms)
+    wanted, columns, pairs = set(fields), {}, {}
+    clamped = lambda quantity: _clamp(_from_log_arguments(_log_arguments(cms, v, quantity, det_v), quantity))
+    for quantity, g, steerable, _, _ in _DIRECTIONS.values():
+        if g in wanted or steerable in wanted or "g_twoway" in wanted:
+            columns[g] = clamped(quantity)
+            if steerable in wanted:
+                columns[steerable] = columns[g] > 0.0
+    if "g_twoway" in wanted:
+        columns["g_twoway"] = np.minimum(columns["g_a_to_b"], columns["g_b_to_a"])
+    if "e_n" in wanted or "entangled" in wanted or "separable" in wanted:
+        e_n = columns["e_n"] = clamped("E_N")
+        if "entangled" in wanted:
+            columns["entangled"] = e_n > 0.0
+        if "separable" in wanted:
+            columns["separable"] = e_n <= 0.0  # e_n is clamped: never NaN
+    for direction, (_, _, _, reid, entropic) in _DIRECTIONS.items():
+        if reid in wanted or entropic in wanted:
+            pair = [_inferred_variances(cms, direction, Quadrature.Q), _inferred_variances(cms, direction, Quadrature.P)]
+            if reid in wanted:
+                columns[reid] = pair[0] * pair[1]
+            if entropic in wanted:
+                pairs[entropic] = pair
+    for entropic, pair in pairs.items():  # after every conditioning check
+        columns[entropic] = _entropic_sum(pair)
+    return {field: np.asarray(columns[field]).tolist() for field in fields}
 
 
 @dataclass(frozen=True)

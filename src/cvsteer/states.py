@@ -240,10 +240,12 @@ def _validate_cms(cms: np.ndarray):
     relative to its scale, small enough that det V cannot overflow, and obey
     the uncertainty bound nu2 >= 1 - PHYSICALITY_TOL * max(1, max_eig)^2.
     Raises if any member fails; returns (V, det_v): the symmetrized stack
-    (bit-identical to the input when that is symmetric), always a new array,
-    and its det V (``_validated_stack``).
+    (bit-identical to the input when that is symmetric), always a new
+    C-ordered array, and its det V (``_validated_stack``).  What the
+    certificate cannot prove takes the eigvalsh rule on ``cms`` itself, so
+    no stack is assembled from its entries.
     """
-    return _validated_stack(_entries(cms), cms.shape[:-2])
+    return _certified(_entries(cms), cms.shape[:-2]) or _eigvalsh_rule(np.ascontiguousarray(cms))
 
 
 def _validated_stack(v, shape: tuple):

@@ -23,9 +23,8 @@ from cvsteer.channels import _KIND_RATES, ChannelSide, ChannelSpec, thermal_pres
 from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _PRESET_RATES, _X_TO_T, _command_parser, _fmt, _preset_rows
 from cvsteer.cli import _write_table, main
 from cvsteer.cli import state_from_dict, state_to_dict
-from cvsteer.criteria import SteeringDirection, _entropic_sums
 from cvsteer.errors import DegenerateInputError
-from cvsteer.measures import ThresholdResult, _closed_form, _steering_reports
+from cvsteer.measures import SteeringReport, ThresholdResult, _closed_form, _report_columns
 from cvsteer.states import make_tmsv
 
 
@@ -774,7 +773,7 @@ def test_preset_columns_equal_the_full_report_of_each_point_bit_for_bit(name):
             side, field = _PRESET_FIELDS[column]
             channel = ChannelSpec(preset["channel"], ChannelSide(preset.get("side", side)), **rates)
             stack = channel.evolve_cms(make_tmsv(point["r"]), ts)
-            report = _steering_reports(stack, np.linalg.det(stack))
+            report = _report_columns(stack, SteeringReport.__dataclass_fields__, np.linalg.det(stack))
             values = [row[columns.index(column)] for row in rows[p * n : (p + 1) * n]]
             assert [v.hex() for v in values] == [v.hex() for v in report[field]], (column, point)
 
@@ -868,7 +867,7 @@ def test_entropic_sum_refuses_a_zero_inferred_variance():
     # The guard that keeps the entropic columns finite: ln 0 would be -inf.
     cm = np.array([[2.0, 0, 2.0, 0], [0, 2.0, 0, -2.0], [2.0, 0, 2.0, 0], [0, -2.0, 0, 2.0]])
     with pytest.raises(DegenerateInputError):
-        _entropic_sums(cm[None], SteeringDirection.A_TO_B)
+        _report_columns(cm[None], ("entropic_a_to_b",), np.linalg.det(cm[None]))
 
 
 @pytest.mark.parametrize("command", [("eval", "--t", "1"), ("threshold",)], ids=["eval", "threshold"])

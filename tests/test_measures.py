@@ -20,7 +20,7 @@ from cvsteer.measures import (
     _brackets,
     _default_t_max,
     _scan_grid,
-    _steering_reports,
+    _report_columns,
     _signed_quantity,
     gaussian_steerability,
     inseparability_threshold,
@@ -36,6 +36,9 @@ from cvsteer.measures import (
 )
 from cvsteer.states import _MAX_SCALE, TwoModeGaussianState, make_tmsv, vacuum
 from cvsteer.verify import random_physical_state
+
+# Every field of a SteeringReport, in its order.
+_FIELDS = tuple(SteeringReport.__dataclass_fields__)
 
 
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 2.0])
@@ -1034,7 +1037,7 @@ def _assert_stacked_report_matches(states):
     # Each stacked column entry equals the one-state report field and the
     # scalar API value exactly, with the same Python type.
     stack = np.stack([s.cm for s in states])
-    columns = _steering_reports(stack, np.linalg.det(stack))
+    columns = _report_columns(stack, _FIELDS, np.linalg.det(stack))
     assert list(columns) == [f for f in SteeringReport.__dataclass_fields__]
     for k, state in enumerate(states):
         report = steering_report(state)
@@ -1054,10 +1057,10 @@ def _assert_stacked_report_matches(states):
 
 
 def _report_bits(cms, det_v):
-    """``_steering_reports``' columns with every float as its hex string,
-    or its error's type and message."""
+    """``_report_columns``' columns of every field with every float as its
+    hex string, or its error's type and message."""
     try:
-        report = _steering_reports(cms, det_v)
+        report = _report_columns(cms, _FIELDS, det_v)
     except Exception as exc:
         return type(exc), str(exc)
     return {name: [v.hex() if isinstance(v, float) else v for v in values] for name, values in report.items()}
@@ -1147,7 +1150,7 @@ def test_every_state_keeps_the_det_v_of_its_matrix(way, seed, r, kind, side, t):
         state = random_physical_state(rng, with_mean=True)
     det_v = np.linalg.det(state.cm)
     assert type(state._det_v) is float and state._det_v.hex() == float(det_v).hex()
-    fresh = _steering_reports(state.cm, float(det_v))
+    fresh = _report_columns(state.cm, _FIELDS, float(det_v))
     assert {name: value.hex() if isinstance(value, float) else value for name, value in fresh.items()} == {
         name: value.hex() if isinstance(value, float) else value for name, value in vars(steering_report(state)).items()
     }
@@ -1169,7 +1172,7 @@ def test_a_report_computes_each_inferred_variance_once(monkeypatch, stacked):
     monkeypatch.setattr(measures, "_inferred_variances", counting)
     state = ChannelSpec("laser", g=0.5, kappa=1.3).evolve(make_tmsv(0.7), 0.2)
     if stacked:
-        _steering_reports(np.stack([state.cm] * 3), np.array([state._det_v] * 3))
+        _report_columns(np.stack([state.cm] * 3), _FIELDS, np.array([state._det_v] * 3))
     else:
         steering_report(state)
     assert len(calls) == len(set(calls)) == 4
@@ -1195,7 +1198,121 @@ _NON_POSITIVE_CONDITIONING = np.diag([1.0, 1.0, -1.0, -1.0])
 )
 def test_report_raises_in_the_order_of_the_public_functions(cms, message):
     with pytest.raises(DegenerateInputError, match=f"^{message}$"):
-        _steering_reports(cms, np.linalg.det(cms))
+        _report_columns(cms, _FIELDS, np.linalg.det(cms))
+
+
+# The checks of a report, in the order they raise: name -> the check on
+# (cms, det_v).  A field asks for the groups it reads (``_FIELD_GROUPS``).
+_AB, _BA = SteeringDirection.A_TO_B, SteeringDirection.B_TO_A
+_CHECK_GROUPS = {
+    "G_AtoB": lambda cms, det_v: _signed_quantity(cms, "G_AtoB", det_v),
+    "G_BtoA": lambda cms, det_v: _signed_quantity(cms, "G_BtoA", det_v),
+    "E_N": lambda cms, det_v: _signed_quantity(cms, "E_N", det_v),
+    "conditioning_a_to_b": lambda cms, det_v: _variances(cms, _AB),
+    "conditioning_b_to_a": lambda cms, det_v: _variances(cms, _BA),
+    "entropic_a_to_b": lambda cms, det_v: criteria._entropic_sum(_variances(cms, _AB)),
+    "entropic_b_to_a": lambda cms, det_v: criteria._entropic_sum(_variances(cms, _BA)),
+}
+_FIELD_GROUPS = {
+    "reid_a_to_b": ("conditioning_a_to_b",),
+    "reid_b_to_a": ("conditioning_b_to_a",),
+    "entropic_a_to_b": ("conditioning_a_to_b", "entropic_a_to_b"),
+    "entropic_b_to_a": ("conditioning_b_to_a", "entropic_b_to_a"),
+    "g_a_to_b": ("G_AtoB",),
+    "g_b_to_a": ("G_BtoA",),
+    "g_twoway": ("G_AtoB", "G_BtoA"),
+    "e_n": ("E_N",),
+    "steerable_a_to_b": ("G_AtoB",),
+    "steerable_b_to_a": ("G_BtoA",),
+    "entangled": ("E_N",),
+    "separable": ("E_N",),
+}
+
+
+def _variances(cms, direction):
+    return [criteria._inferred_variances(cms, direction, quad) for quad in criteria.Quadrature]
+
+
+def _first_error(cms, det_v, fields):
+    """The type and message of the first check that raises among the
+    groups ``fields`` read, in the order of ``_CHECK_GROUPS``, or None."""
+    groups = {group for field in fields for group in _FIELD_GROUPS[field]}
+    for group, check in _CHECK_GROUPS.items():
+        if group in groups:
+            try:
+                check(cms, det_v)
+            except Exception as exc:
+                return type(exc), str(exc)
+    return None
+
+
+def _typed_bits(value):
+    """A report entry or column with each float as its hex string, and each
+    entry's Python type."""
+    if isinstance(value, list):
+        return [_typed_bits(v) for v in value]
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def _report_inputs(draw):
+    """(cms, det_v): a random physical stack, one random physical matrix, or
+    the raw matrices of ``test_report_raises_in_the_order_of_the_public_functions``."""
+    way = draw(st.sampled_from(["stack", "one", "raw"]))
+    if way == "raw":
+        cms = draw(st.sampled_from([_DEGENERATE_CONDITIONAL, _NON_POSITIVE_CONDITIONING]))
+        if draw(st.booleans()):
+            cms = np.stack([cms, _DEGENERATE_CONDITIONAL, _NON_POSITIVE_CONDITIONING][: draw(st.integers(1, 3))])
+        return cms, np.linalg.det(cms)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _, cms, det_v = verify._random_physical_cms(rng, draw(st.integers(1, 5)))
+    if way == "one":
+        return cms[0], float(det_v[0])
+    return cms, det_v
+
+
+@given(inputs=_report_inputs(), fields=st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=len(_FIELDS), unique=True))
+@settings(max_examples=150, deadline=None)
+def test_any_fields_in_any_order_are_the_full_reports_entries(inputs, fields):
+    # Asked for any fields, a report gives the full report's entries bit for
+    # bit, with the same Python types, in the order asked; or it raises what
+    # the full report raises first among the checks those fields read.
+    cms, det_v = inputs
+    error = _first_error(cms, det_v, fields)
+    try:
+        columns = _report_columns(cms, fields, det_v)
+    except Exception as exc:
+        assert (type(exc), str(exc)) == error
+        return
+    assert error is None and list(columns) == fields
+    try:
+        full = _report_columns(cms, _FIELDS, det_v)
+    except DegenerateInputError:  # some field not asked for fails its check: each field alone instead
+        full = {field: _report_columns(cms, (field,), det_v)[field] for field in fields}
+    assert {field: _typed_bits(columns[field]) for field in fields} == {field: _typed_bits(full[field]) for field in fields}
+    if cms.ndim == 3:
+        assert all(type(column) is list and len(column) == len(cms) for column in columns.values())
+
+
+def test_report_fields_compute_only_the_quantities_they_read(monkeypatch):
+    calls = []
+
+    def counting(name):
+        f = getattr(measures, name)
+        return lambda *args: calls.append(name) or f(*args)
+
+    for name in ("_inferred_variances", "_conditional_dets", "_transposed_nus"):
+        monkeypatch.setattr(measures, name, counting(name))
+    _, cms, det_v = verify._random_physical_cms(np.random.default_rng(7), 3)
+    for fields, work in [
+        (("entropic_b_to_a",), ["_inferred_variances"] * 2),
+        (("separable",), ["_transposed_nus"]),
+        (("g_twoway", "steerable_a_to_b"), ["_conditional_dets"] * 2),
+        (_FIELDS, ["_conditional_dets"] * 2 + ["_transposed_nus"] + ["_inferred_variances"] * 4),
+    ]:
+        calls.clear()
+        _report_columns(cms, fields, det_v)
+        assert calls == work, fields
 
 
 @given(seed=st.integers(0, 2**32 - 1))

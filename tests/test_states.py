@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvsteer import channels
+from cvsteer import channels, states
 from cvsteer.channels import ChannelSide, ChannelSpec
 from cvsteer.errors import DegenerateInputError, InvalidArgumentError, UnphysicalStateError
 from cvsteer.measures import _scan_grid
@@ -29,6 +29,7 @@ from cvsteer.states import (
     _symplectic_spectra,
     _tmsv_cms,
     _validate_cms,
+    _validated_stack,
     cf_eval,
     make_tmsv,
     partial_transpose,
@@ -291,6 +292,72 @@ def _outcome(validate, cms):
         return out.tobytes(), np.asarray(det_v).tobytes()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _assembled_validation(cms):
+    """``_validated_stack`` of the entries of ``cms``, as the channel map
+    validates: the eigvalsh rule, when it is needed, takes the stack
+    assembled from the entries."""
+    return _validated_stack(_entries(cms), cms.shape[:-2])
+
+
+def _array_outcome(validate, cms):
+    """``_outcome`` of ``validate`` on ``cms`` itself, not on a copy, with
+    the returned array's layout and whether it is a new array."""
+    try:
+        out, det_v = validate(cms)
+    except Exception as exc:
+        return type(exc), str(exc)
+    new = not np.shares_memory(out, cms)
+    return out.tobytes(), np.asarray(det_v).tobytes(), out.flags.c_contiguous, new
+
+
+def _uncertified_stack():
+    # Members past the certified scale and pure TMSVs past r = 5.5: the
+    # eigvalsh rule decides the whole stack.
+    return np.concatenate([_valid_stack(), 2.0 * _CERTIFIED_SCALE * np.eye(4)[None], _tmsv_cms([7.0, 7.5])])
+
+
+def _asymmetric(stack, size):
+    out = stack.copy()
+    out[..., 0, 1] += size
+    return out
+
+
+_VALIDATION_INPUTS = {
+    "certified": _valid_stack(),
+    "uncertified": _uncertified_stack(),
+    "uncertified-with-a-bad-member": np.concatenate([_uncertified_stack(), np.diag([0.5, 0.5, 1.0, 1.0])[None]]),
+    "asymmetric-within-tolerance": _asymmetric(_uncertified_stack(), 4e-10),
+    "asymmetric-beyond-tolerance": _asymmetric(_uncertified_stack(), 4e-9),
+    "fortran-ordered": np.asfortranarray(_uncertified_stack()),
+    "transposed-view": _asymmetric(_uncertified_stack(), 4e-10).transpose(0, 2, 1),
+    "strided-view": np.repeat(np.repeat(_uncertified_stack(), 2, axis=1), 2, axis=2)[::-1, ::2, ::2],
+    "strided-one-matrix": np.repeat(np.repeat(_tmsv_cms(7.0), 2, axis=0), 2, axis=1)[::2, ::2],
+    "fortran-one-matrix": np.asfortranarray(_asymmetric(_tmsv_cms(0.5), 4e-10)),
+    "not-finite": np.concatenate([_uncertified_stack(), np.diag([1.0, 1.0, 1.0, np.nan])[None]]),
+}
+
+
+@pytest.mark.parametrize("cms", _VALIDATION_INPUTS.values(), ids=_VALIDATION_INPUTS.keys())
+def test_validating_an_array_equals_validating_its_entries(cms):
+    # The same bytes, det V and C-ordered new array, or the same error and
+    # message, whatever the input's layout.
+    assert _array_outcome(_validate_cms, cms) == _array_outcome(_assembled_validation, cms)
+    for cm in cms.reshape(-1, 4, 4):
+        assert _array_outcome(_validate_cms, cm) == _array_outcome(_assembled_validation, cm)
+
+
+def test_verify_symplectic_assembles_no_stack(monkeypatch, capsys):
+    # Its stack fails the certificate: the eigvalsh rule reads the stack
+    # that was given, and no stack is assembled from its entries.
+    from cvsteer.cli import main
+
+    assembled, ruled, matrix, rule = [], [], states._matrix, states._eigvalsh_rule
+    monkeypatch.setattr(states, "_matrix", lambda rows, shape: assembled.append(shape) or matrix(rows, shape))
+    monkeypatch.setattr(states, "_eigvalsh_rule", lambda cms: ruled.append(cms.shape) or rule(cms))
+    assert main(["verify", "symplectic"]) == 0
+    assert [shape for shape in assembled if shape] == [] and [shape for shape in ruled if len(shape) > 2]
 
 
 _KINDS = ("loss", "gain", "thermal", "laser", "phase-sensitive")
