@@ -87,8 +87,8 @@ def _check_nonnegative(**rates: float) -> None:
 
 def _laser_factors(g, kappa, t):
     """Survival R and added noise A of the laser channel, elementwise (floats for floats)."""
-    x = 2.0 * (kappa - g) * t
-    rate_t = 2.0 * (kappa + g) * t
+    x = 2.0 * ((kappa - g) * t)  # rate * t first: 2 * rate alone may overflow
+    rate_t = 2.0 * ((kappa + g) * t)
     # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
     # where x = 0 it keeps its limit 2 (kappa + g) t.
     return _value(np.exp(-x)), _quotient(rate_t * -_value(np.expm1(-x)), x, rate_t)
@@ -147,9 +147,10 @@ def _channel_map(v, sq, keep, added, side: ChannelSide) -> list:
 class PhaseSensitiveParams:
     """Squeezed thermal bath: loss rate kappa, occupation nbar, complex squeezing m.
 
-    Derived: N = 2 nbar + 1, mixing R = 1 - exp(-2 kappa t) and transmission
-    T = exp(-2 kappa t) with R + T = 1.  A qualified bath density operator
-    requires |m|^2 <= nbar (nbar + 1).
+    The channel reads transmission T = exp(-2 kappa t) and mixing R = 1 - T
+    from ``_bath_factors``, and the bath's covariance (N = 2 nbar + 1) from
+    ``v_infinity``.  A qualified bath density operator requires
+    |m|^2 <= nbar (nbar + 1).
     """
 
     kappa: float
@@ -172,28 +173,16 @@ class PhaseSensitiveParams:
                 raise InvalidArgumentError(f"|m| = {m_abs:.12g} exceeds sqrt(nbar(nbar+1)) = {root:.12g}") from None
         object.__setattr__(self, "m", m)
 
-    @property
-    def n_factor(self) -> float:
-        return 2.0 * self.nbar + 1.0
-
-    @property
-    def mixing(self) -> float:
-        return float(_bath_factors(self.kappa, self.t)[1])
-
-    @property
-    def transmission(self) -> float:
-        return float(_bath_factors(self.kappa, self.t)[0])
-
 
 def _bath_factors(kappa, t):
     """Transmission T = exp(-2 kappa t) and mixing R = 1 - T, elementwise (floats for floats)."""
-    x = -2.0 * kappa * t
+    x = -2.0 * (kappa * t)
     return _value(np.exp(x)), -_value(np.expm1(x))
 
 
 def v_infinity(params: PhaseSensitiveParams) -> np.ndarray:
     """Single-mode covariance matrix of the bath's stationary state (t -> infinity)."""
-    n = params.n_factor
+    n = 2.0 * params.nbar + 1.0
     re_m, im_m = 2.0 * params.m.real, 2.0 * params.m.imag
     return np.array([[n + re_m, im_m], [im_m, n - re_m]])
 
@@ -285,16 +274,6 @@ class ChannelSpec:
         if not np.isfinite(mean).all():
             raise InvalidArgumentError("mean must be finite")
         return TwoModeGaussianState._validated(mean, cm, det_v)
-
-    def evolve_cms(self, state: TwoModeGaussianState, t) -> np.ndarray:
-        """Covariance matrices after each duration in t, as one stack.
-
-        The stacked form of ``evolve``: for an array of N durations it returns
-        the (N, 4, 4) covariance matrices, built by one channel map and
-        validated once with the constructor's checks.  Entries equal those of
-        ``evolve(state, t).cm`` bit for bit.
-        """
-        return _evolve_stack(state.cm, state._det_v, (self,), t)[0]
 
     def describe(self) -> dict:
         """JSON-ready summary of the channel (used in threshold reports)."""

@@ -6,8 +6,9 @@ steerable boundary.  The bounds (1/4 for the Reid product, ln(e*pi) for the
 entropic sum) presume the [Q, P] = 2i convention fixed in ``states``.
 
 Both read one direction's Q and P inferred variances (``_inferred_variances``,
-for one matrix or a stack); ``measures._report_columns`` shares them between
-the two and is the only code that computes them over a stack.
+on the entries of one matrix or a stack, which each caller reads once);
+``measures._report_columns`` shares them between the two and is the only
+code that computes them over a stack.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateInputError, InvalidArgumentError
 from .states import TwoModeGaussianState, _any, _clamp, _entries, _log
@@ -93,12 +92,13 @@ def reid_inferred_variance(
     quadrature: Quadrature,
 ) -> float:
     """Minimized inferred variance (1/2)[V(X_out) - E^2 / V(X_in)] >= 0."""
-    return float(_inferred_variances(state.cm, direction, quadrature))
+    return float(_inferred_variances(_entries(state.cm), direction, quadrature))
 
 
 def reid_product(state: TwoModeGaussianState, direction: SteeringDirection) -> float:
     """Product of minimized Q and P inferred variances; steerable iff < 1/4."""
-    q_var, p_var = (_inferred_variances(state.cm, direction, quad) for quad in Quadrature)
+    v = _entries(state.cm)
+    q_var, p_var = (_inferred_variances(v, direction, quad) for quad in Quadrature)
     return float(q_var * p_var)
 
 
@@ -109,13 +109,14 @@ def entropic_sum(state: TwoModeGaussianState, direction: SteeringDirection) -> f
     differential entropy of the Gaussian conditional distribution in
     eigenvalue units.
     """
-    return float(_entropic_sum([_inferred_variances(state.cm, direction, quad) for quad in Quadrature]))
+    v = _entries(state.cm)
+    return float(_entropic_sum([_inferred_variances(v, direction, quad) for quad in Quadrature]))
 
 
-def _inferred_variances(cms: np.ndarray, direction: SteeringDirection, quadrature: Quadrature):
-    """``reid_inferred_variance`` of a (..., 4, 4) stack, or of one (4, 4) matrix."""
+def _inferred_variances(v, direction: SteeringDirection, quadrature: Quadrature):
+    """``reid_inferred_variance`` of the matrix or stack with entries v
+    (``_entries``): Python floats for one matrix, arrays for a stack."""
     i, j = _moment_indices(direction, quadrature)
-    v = _entries(cms)
     v_in = v[i][i]
     if _any(v_in <= 0.0):
         raise DegenerateInputError("conditioning variance is not positive")

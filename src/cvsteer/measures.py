@@ -30,6 +30,7 @@ from .states import (
     _log,
     _matrix,
     _spectra,
+    _value,
     make_tmsv,
 )
 
@@ -225,7 +226,7 @@ def _report_columns(cms: np.ndarray, fields, det_v) -> dict:
             if steerable in wanted:
                 columns[steerable] = columns[g] > 0.0
     if "g_twoway" in wanted:
-        columns["g_twoway"] = np.minimum(columns["g_a_to_b"], columns["g_b_to_a"])
+        columns["g_twoway"] = _value(np.minimum(columns["g_a_to_b"], columns["g_b_to_a"]))
     if "e_n" in wanted or "entangled" in wanted or "separable" in wanted:
         e_n = columns["e_n"] = clamped("E_N")
         if "entangled" in wanted:
@@ -234,14 +235,16 @@ def _report_columns(cms: np.ndarray, fields, det_v) -> dict:
             columns["separable"] = e_n <= 0.0  # e_n is clamped: never NaN
     for direction, (_, _, _, reid, entropic) in _DIRECTIONS.items():
         if reid in wanted or entropic in wanted:
-            pair = [_inferred_variances(cms, direction, Quadrature.Q), _inferred_variances(cms, direction, Quadrature.P)]
+            pair = [_inferred_variances(v, direction, Quadrature.Q), _inferred_variances(v, direction, Quadrature.P)]
             if reid in wanted:
                 columns[reid] = pair[0] * pair[1]
             if entropic in wanted:
                 pairs[entropic] = pair
     for entropic, pair in pairs.items():  # after every conditioning check
         columns[entropic] = _entropic_sum(pair)
-    return {field: np.asarray(columns[field]).tolist() for field in fields}
+    if cms.ndim == 2:  # one matrix's fields are Python floats and bools already
+        return {field: columns[field] for field in fields}
+    return {field: columns[field].tolist() for field in fields}
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ class ModeLabel(enum.Enum):
         """Index slice of this mode's 2x2 block in the 4x4 covariance matrix."""
         return slice(0, 2) if self is ModeLabel.A else slice(2, 4)
 
-    @property
-    def other(self) -> "ModeLabel":
-        return ModeLabel.B if self is ModeLabel.A else ModeLabel.A
-
 
 @dataclass(frozen=True)
 class CfPoint:

@@ -13,6 +13,7 @@ from cvsteer.channels import (
     ChannelSpec,
     LaserChannelParams,
     PhaseSensitiveParams,
+    _bath_factors,
     _evolve_stack,
     apply_laser,
     apply_phase_sensitive,
@@ -141,7 +142,7 @@ def test_mean_scales_with_square_root_of_survival(kind, side):
     views = []
     if kind == "phase-sensitive":
         params = PhaseSensitiveParams(kappa=spec.kappa, nbar=spec.nbar, m=spec.m, t=t)
-        factor = np.sqrt(params.transmission)
+        factor = np.sqrt(_bath_factors(spec.kappa, t)[0])
         views.append(apply_phase_sensitive(s, params, side))
     elif kind != "identity":
         params = spec.laser_params(t)
@@ -317,15 +318,15 @@ def test_channel_spec_identity_kind():
 
 @pytest.mark.parametrize("kind", ["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"])
 @pytest.mark.parametrize("side", list(ChannelSide))
-def test_evolve_cms_matches_evolve_bit_for_bit(kind, side):
+def test_evolve_stack_of_one_channel_matches_evolve_bit_for_bit(kind, side):
     spec = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.8, m=0.3 - 0.5j)
     s = make_tmsv(0.6)
     ts = np.array([0.0, 1e-7, 0.05, 0.4, 2.0])
-    stack = spec.evolve_cms(s, ts)
+    stack = _evolve_stack(s.cm, s._det_v, (spec,), ts)[0]
     assert stack.shape == (5, 4, 4)
     for t, cm in zip(ts, stack):
         assert np.array_equal(cm, spec.evolve(s, t).cm)
-        assert np.array_equal(spec.evolve_cms(s, [t])[0], cm)
+        assert np.array_equal(_evolve_stack(s.cm, s._det_v, (spec,), [t])[0][0], cm)
 
 
 @pytest.mark.parametrize("kind", ["identity", "loss", "gain", "thermal", "laser", "phase-sensitive"])
@@ -392,25 +393,25 @@ def test_evolve_stack_at_zero_duration_returns_the_input():
     assert ChannelSpec(kind="thermal", nbar=0.5).evolve(s, 0.0) is s
 
 
-def test_evolve_cms_at_balanced_rates_uses_the_analytic_limit():
+def test_evolve_stack_at_balanced_rates_uses_the_analytic_limit():
     spec = ChannelSpec(kind="laser", side=ChannelSide.BOTH, g=1.0, kappa=1.0)
     s = make_tmsv(0.5)
     ts = np.array([0.1, 0.3])
-    for t, cm in zip(ts, spec.evolve_cms(s, ts)):
+    for t, cm in zip(ts, _evolve_stack(s.cm, s._det_v, (spec,), ts)[0]):
         assert np.array_equal(cm, spec.evolve(s, t).cm)
         assert cm[0, 0] == pytest.approx(math.cosh(1.0) + 4.0 * t, rel=1e-14)
 
 
-def test_evolve_cms_validates_durations_and_rates():
+def test_evolve_stack_validates_durations_and_rates():
     s = make_tmsv(0.5)
     with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="loss").evolve_cms(s, np.array([0.1, -0.2]))
+        _evolve_stack(s.cm, s._det_v, (ChannelSpec(kind="loss"),), np.array([0.1, -0.2]))
     with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="loss").evolve_cms(s, np.array([0.1, np.nan]))
+        _evolve_stack(s.cm, s._det_v, (ChannelSpec(kind="loss"),), np.array([0.1, np.nan]))
     with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="gain", g=-1.0).evolve_cms(s, np.array([0.1]))
+        _evolve_stack(s.cm, s._det_v, (ChannelSpec(kind="gain", g=-1.0),), np.array([0.1]))
     with pytest.raises(InvalidArgumentError):
-        ChannelSpec(kind="phase-sensitive", nbar=1.0, m=1.5).evolve_cms(s, np.array([0.1]))
+        _evolve_stack(s.cm, s._det_v, (ChannelSpec(kind="phase-sensitive", nbar=1.0, m=1.5),), np.array([0.1]))
 
 
 def test_evolve_rejects_a_mean_that_overflows():

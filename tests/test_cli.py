@@ -346,6 +346,30 @@ def test_exp_overflow_exits_2_without_warnings(capsys, argv):
     assert err.startswith("error: ") and "overflow" in err
 
 
+@pytest.mark.parametrize("side", ["a", "b", "two"])
+@pytest.mark.parametrize(
+    ("kind", "rate", "duration", "bath"),
+    [
+        ("loss", "--kappa", "--kt", ()),
+        ("gain", "--g", "--gt", ()),
+        ("thermal", "--kappa", "--kt", ("--nbar", "0.2")),
+        ("phase-sensitive", "--kappa", "--kt", ("--nbar", "0.2", "--M", "0.1")),
+    ],
+    ids=["loss", "gain", "thermal", "phase-sensitive"],
+)
+def test_a_rate_near_the_float_limit_evolves_as_rate_one(capsys, kind, rate, duration, bath, side):
+    # 2 * rate overflows from rate ~ 9e307 on while rate * t stays 0.3, so
+    # the channel factors take rate * t first and then scale by 2.
+    def report(value):
+        argv = ("eval", "--r", "0.8", "--channel", kind, "--side", side, rate, value, duration, "0.3", *bath)
+        return run_cli(capsys, *argv)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near_limit = report("1e308")
+    assert near_limit == report("1") and near_limit[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -772,7 +796,8 @@ def test_preset_columns_equal_the_full_report_of_each_point_bit_for_bit(name):
         for column in printed:
             side, field = _PRESET_FIELDS[column]
             channel = ChannelSpec(preset["channel"], ChannelSide(preset.get("side", side)), **rates)
-            stack = channel.evolve_cms(make_tmsv(point["r"]), ts)
+            tmsv = make_tmsv(point["r"])
+            stack = channels._evolve_stack(tmsv.cm, tmsv._det_v, (channel,), ts)[0]
             report = _report_columns(stack, SteeringReport.__dataclass_fields__, np.linalg.det(stack))
             values = [row[columns.index(column)] for row in rows[p * n : (p + 1) * n]]
             assert [v.hex() for v in values] == [v.hex() for v in report[field]], (column, point)

@@ -652,13 +652,13 @@ _EVOLVED = _LASER.evolve(_TMSV, 0.3)
 @pytest.mark.parametrize(
     ("call", "expected"),
     [
-        (lambda: _LASER.evolve_cms(_TMSV, 0.3), {("det", "one"): 1}),
+        (lambda: channels._evolve_stack(_TMSV.cm, _TMSV._det_v, (_LASER,), 0.3)[0], {("det", "one"): 1}),
         (lambda: _signed_quantity(_EVOLVED.cm, "G_twoway", _EVOLVED._det_v), {}),
         (lambda: _signed_quantity(_EVOLVED.cm, "E_N", _EVOLVED._det_v), {}),
         (lambda: steering_report(_LASER.evolve(_TMSV, 0.3)), {("det", "one"): 1}),
         (lambda: numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0), {("det", "one"): 9, ("det", "stack"): 1}),
     ],
-    ids=["evolve_cms", "G_twoway", "E_N", "steering_report", "numeric_threshold"],
+    ids=["evolve_stack", "G_twoway", "E_N", "steering_report", "numeric_threshold"],
 )
 def test_lapack_work_of_one_matrix_and_a_scan(monkeypatch, call, expected):
     # Timing on a shared host swings by more than these calls cost, so the
@@ -1178,6 +1178,28 @@ def test_a_report_computes_each_inferred_variance_once(monkeypatch, stacked):
     assert len(calls) == len(set(calls)) == 4
 
 
+def test_a_one_state_report_reads_its_matrix_once(monkeypatch):
+    # Every stage takes the 4x4 entries the report read, and every field is
+    # already a Python float or bool, so no field goes through np.asarray.
+    reads, converted = [], []
+    entries, asarray = states._entries, np.asarray
+
+    def counting_entries(cms):
+        reads.append(cms.shape)
+        return entries(cms)
+
+    def counting_asarray(*args, **kwargs):
+        converted.append(args)
+        return asarray(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_entries", counting_entries)
+    monkeypatch.setattr(criteria, "_entries", counting_entries)
+    monkeypatch.setattr(np, "asarray", counting_asarray)
+    report = steering_report(_EVOLVED)
+    assert reads.count((4, 4)) == 1 and converted == []
+    assert all(type(value) in (float, bool) for value in vars(report).values())
+
+
 # Blocks I, I and 2 diag(1, -1): G and E_N pass their checks, and the Q
 # inferred variance of A -> B, 1/2 (1 - 4), is clamped to 0.
 _DEGENERATE_CONDITIONAL = np.array([[1.0, 0, 2, 0], [0, 1, 0, -2], [2, 0, 1, 0], [0, -2, 0, 1]])
@@ -1230,7 +1252,8 @@ _FIELD_GROUPS = {
 
 
 def _variances(cms, direction):
-    return [criteria._inferred_variances(cms, direction, quad) for quad in criteria.Quadrature]
+    v = states._entries(cms)
+    return [criteria._inferred_variances(v, direction, quad) for quad in criteria.Quadrature]
 
 
 def _first_error(cms, det_v, fields):

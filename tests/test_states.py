@@ -391,7 +391,8 @@ def _channel_scans(draw, kinds=_KINDS, sides=tuple(ChannelSide)):
     )
     ts = _scan_grid(50.0 / (g + kappa))[::16]
     with mock.patch.object(channels, "_validated_stack", _unvalidated):
-        return channel.evolve_cms(make_tmsv(draw(st.floats(0.0, 3.0))), ts)
+        state = make_tmsv(draw(st.floats(0.0, 3.0)))
+        return channels._evolve_stack(state.cm, state._det_v, (channel,), ts)[0]
 
 
 @st.composite
@@ -514,7 +515,8 @@ def test_threshold_scans_are_certified(kind, side):
     # its whole stack to it.
     channel = ChannelSpec(kind=kind, side=side, g=0.7, kappa=1.3, nbar=0.4, m=0.3)
     with mock.patch.object(channels, "_validated_stack", _unvalidated):
-        stack = channel.evolve_cms(make_tmsv(0.8), _scan_grid(25.0))
+        state = make_tmsv(0.8)
+        stack = channels._evolve_stack(state.cm, state._det_v, (channel,), _scan_grid(25.0))[0]
     assert _certified_stack(0.5 * (stack + stack.mT)) is not None
     assert _certified_stack(np.concatenate([stack, _tmsv_cms([90.0])])) is None
 
