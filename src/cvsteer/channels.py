@@ -252,10 +252,15 @@ class ChannelSpec:
 
     def laser_params(self, t: float) -> LaserChannelParams:
         """The laser rates of this loss, gain, thermal or laser channel at duration t."""
-        params = self._params
-        if not isinstance(params, LaserChannelParams):
-            raise InvalidArgumentError(f"channel kind {self.kind!r} has no laser parameterization")
+        params = self._laser_rates()
         return LaserChannelParams(params.g, params.kappa, t)
+
+    def _laser_rates(self) -> LaserChannelParams:
+        """``_params`` of a loss, gain, thermal or laser channel: its laser
+        rates at t = 0, checked when the spec was made."""
+        if not isinstance(self._params, LaserChannelParams):
+            raise InvalidArgumentError(f"channel kind {self.kind!r} has no laser parameterization")
+        return self._params
 
     def evolve(self, state: TwoModeGaussianState, t: float) -> TwoModeGaussianState:
         """The state after duration t in this channel.
@@ -297,7 +302,8 @@ def _evolve_stack(cms: np.ndarray, det_v, channels, t):
     as Python floats; ``keep`` and ``added`` still come from numpy's exp and
     expm1.  A map that overflows raises DegenerateInputError.  ``sq`` =
     sqrt(keep) is the factor of each decohered mode.  Zero duration and the
-    identity kind return ``cms`` and ``det_v`` broadcast, with sq = None.
+    identity kind return ``cms`` and ``det_v``, broadcast to the durations'
+    shape unless t is 0-d, with sq = None.
     """
     if type(t) is not float:
         t = np.asarray(t, dtype=float)
@@ -307,7 +313,9 @@ def _evolve_stack(cms: np.ndarray, det_v, channels, t):
         raise InvalidArgumentError("durations must be finite and >= 0")
     first, shape = channels[0], np.shape(t)
     if first.kind == "identity" or not _any(t != 0.0):
-        return np.broadcast_to(cms, shape + (4, 4)), None, _value(np.broadcast_to(det_v, shape))
+        if shape:
+            cms, det_v = np.broadcast_to(cms, shape + (4, 4)), np.broadcast_to(det_v, shape)
+        return cms, None, det_v
     with np.errstate(**_OVERFLOW_QUIET):
         keep, added = _stack_terms(channels, t)
         sq = _sqrt(keep)

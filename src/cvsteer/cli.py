@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -59,20 +60,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
+def _json_text(value) -> str:
+    """``value`` as indented JSON text, the bytes of
+    ``json.dumps(value, indent=2)`` after two rules: a float prints at 12
+    significant digits (through ``float.__repr__`` of its %.12g), except
+    that +-inf prints as the string "inf" and NaN as null.  Tuples print as
+    lists; a dict's keys must be strings; any other type json would refuse
+    raises TypeError."""
+    out = []
+    _json_chunks(value, "\n", out)
+    return "".join(out)
+
+
+def _json_chunks(value, newline: str, out: list) -> None:
+    """Append the JSON text of ``value`` to ``out`` in json's order of type
+    tests (bools before ints); ``newline`` starts a line at its depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
         if math.isinf(value):
-            return "inf"
-        if math.isnan(value):
-            return None
-        return float(f"{value:.12g}")
-    return value
+            out.append('"inf"')
+        elif math.isnan(value):
+            out.append("null")
+        else:
+            out.append(repr(float(f"{value:.12g}")))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append("," + inner)
+            _json_chunks(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{" + inner)
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," + inner if i else "") + encode_basestring_ascii(key) + ": ")
+            _json_chunks(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _open_out(path: str | None):
@@ -88,9 +132,7 @@ def _write_table(columns, rows, fmt, out, provenance=None):
     stream, close = _open_out(out)
     try:
         if fmt == "json":
-            payload = [dict(zip(columns, (_json_ready(v) for v in row))) for row in rows]
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+            stream.write(_json_text([dict(zip(columns, row)) for row in rows]) + "\n")
         else:
             if provenance:
                 stream.write(f"# {provenance}\n")
@@ -197,7 +239,7 @@ def _cmd_eval(args) -> int:
     report = steering_report(state).as_dict()
     if args.include_state:
         report["state"] = state_to_dict(state)
-    print(json.dumps(_json_ready(report), indent=2))
+    print(_json_text(report))
     return 0
 
 
@@ -389,10 +431,7 @@ def _cmd_sweep(args) -> int:
         if unread:
             raise CvSteerError(f"{', '.join(unread)} not read by {'--explain' if args.explain else '--figure'}")
     if args.explain:
-        if args.figure:
-            print(json.dumps(_json_ready(FIGURE_PRESETS[args.figure]), indent=2))
-        else:
-            print(json.dumps(_json_ready(FIGURE_PRESETS), indent=2))
+        print(_json_text(FIGURE_PRESETS[args.figure] if args.figure else FIGURE_PRESETS))
         return 0
     if args.figure:
         columns, rows = _preset_rows(args.figure)
@@ -413,7 +452,7 @@ def _cmd_threshold(args) -> int:
     _check_rates_read(args)
     results = threshold_table(_channel_from_args(args), args.r, args.quantity)
     if args.format == "json":
-        print(json.dumps(_json_ready([res.as_dict() for res in results]), indent=2))
+        print(_json_text([res.as_dict() for res in results]))
         return 0
     header = f"{'direction':<16} {'t_closed':>18} {'t_numeric':>18} {'agreement':>12} status"
     print(header)

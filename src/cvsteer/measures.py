@@ -109,7 +109,9 @@ def _conditional_dets(cms: np.ndarray, v, direction: SteeringDirection):
         cross = cms[..., 0:2, 2:4]
     else:
         (t00, t01, _, _), (t10, t11, _, _), (_, _, s00, s01), (_, _, s10, s11) = v
-        cross = cms[..., 0:2, 2:4].mT
+        # A copy, not the transposed view: a stack's matmuls run faster on it
+        # and give the same bits.
+        cross = np.ascontiguousarray(cms[..., 0:2, 2:4].mT)
     det_s = s00 * s11 - s01 * s10
     if not _all(det_s > 0.0):
         raise DegenerateInputError("steering party block is singular")
@@ -341,15 +343,12 @@ def _scan_signs(cms: np.ndarray, quantity: str, det_v):
 
 def _scan_grid(t_max: float) -> np.ndarray:
     """The bracketing scan's durations in (0, t_max]: a geometric head
-    resolves thresholds far below t_max, a linear tail covers the rest."""
-    return np.unique(
-        np.concatenate(
-            [
-                np.geomspace(t_max * 1e-9, t_max, 400),
-                np.linspace(t_max / 400, t_max, 400),
-            ]
-        )
-    )
+    resolves thresholds far below t_max, a linear tail covers the rest.
+    Sorted, each duration once: np.unique's values, without its import of
+    numpy.ma."""
+    ts = np.concatenate([np.geomspace(t_max * 1e-9, t_max, 400), np.linspace(t_max / 400, t_max, 400)])
+    ts.sort()
+    return ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
 
 
 def numeric_threshold(channel: ChannelSpec, r: float, quantity: str | tuple[str, ...], t_max: float):
@@ -667,7 +666,8 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
     """The result of each threshold row (channel, direction), in row order.
 
     Each row's laser rates g and kappa (not both zero), read once from the
-    channel's checked params, then r, are checked and its closed form
+    channel's checked params (``ChannelSpec._laser_rates``: a kind without
+    them raises InvalidArgumentError), then r, are checked and its closed form
     taken, row by row; a thermal two-way row in the window
     nbar >= (e^{2r} - 1)/2 is "never-steerable" and has no root.  Then one
     ``numeric_threshold`` call, so one scan, roots every row of a distinct
@@ -680,7 +680,7 @@ def _threshold_rows(rows: list[tuple[ChannelSpec, str]], r: float) -> list[Thres
     known."""
     results, groups = [], {}
     for channel, direction in rows:
-        rates = channel._params  # g and kappa, checked when the channel was made
+        rates = channel._laser_rates()
         if rates.g == 0.0 and rates.kappa == 0.0:  # the scan horizon 50 / (g + kappa) needs a rate
             raise InvalidArgumentError("g and kappa cannot both be zero")
         _check_r(r)

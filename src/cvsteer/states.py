@@ -191,12 +191,7 @@ def _tmsv_cms(r) -> np.ndarray:
             raise InvalidArgumentError(f"squeezing parameter must be {rule}, got {r[bad][0]}")
     with np.errstate(over="ignore"):  # an overflow is an inf entry, which validation rejects
         ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    cms = np.zeros(r.shape + (4, 4))
-    for i in range(4):
-        cms[..., i, i] = ch
-    cms[..., 0, 2] = cms[..., 2, 0] = sh
-    cms[..., 1, 3] = cms[..., 3, 1] = -sh
-    return cms
+    return _matrix(((ch, 0.0, sh, 0.0), (0.0, ch, 0.0, -sh), (sh, 0.0, ch, 0.0), (0.0, -sh, 0.0, ch)), r.shape)
 
 
 def cf_eval(state: TwoModeGaussianState, pt: CfPoint) -> complex:

@@ -21,7 +21,7 @@ import cvsteer
 from cvsteer import channels, criteria, measures
 from cvsteer.channels import _KIND_RATES, ChannelSide, ChannelSpec, thermal_preset
 from cvsteer.cli import FIGURE_PRESETS, _MAX_STEPS, _PRESET_RATES, _X_TO_T, _command_parser, _fmt, _preset_rows
-from cvsteer.cli import _write_table, main
+from cvsteer.cli import _json_text, _write_table, main
 from cvsteer.cli import state_from_dict, state_to_dict
 from cvsteer.errors import DegenerateInputError
 from cvsteer.measures import SteeringReport, ThresholdResult, _closed_form, _report_columns
@@ -146,6 +146,55 @@ def test_sweep_json_format(capsys):
     rows = json.loads(out)
     assert len(rows) == 2
     assert rows[0]["steerable_a_to_b"] is True
+
+
+def _json_ready(value):
+    """The writer's rounding as an input to json.dumps: a copy of the
+    converter that every JSON output went through before ``_json_text``."""
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf"
+        if math.isnan(value):
+            return None
+        return float(f"{value:.12g}")
+    return value
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # +-inf, NaN, -0.0 and subnormals included
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300, 1e308, 0.1 + 0.2]),
+    st.text(),  # non-ASCII, quotes, backslashes and control characters included
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "\u2028", "𝔼_N"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(st.text(), inner)),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+@example({"a\"b\n": ["é", (), {}], "": {"x": [[]], "y": (1.5, True, None, -0.0, math.inf, -math.inf, math.nan)}})
+def test_json_text_is_json_dumps_of_the_rounded_value(value):
+    assert _json_text(value) == json.dumps(_json_ready(value), indent=2)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, [np.int64(3)], {"a": (0.5, {0.5})}, b"x", 1j])
+def test_json_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(_json_ready(value), indent=2)
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 _GENERIC_SWEEP_FLAGS = {
@@ -298,14 +347,15 @@ def test_threshold_and_random_states_load_their_scipy_module():
 
 def test_only_verify_loads_the_oracle_suites():
     # The oracle suites and their scipy are for ``verify`` alone; every other
-    # command's process skips their import (ROADMAP item 13).
+    # command's process skips their import (ROADMAP item 13).  No command
+    # needs numpy.ma, which np.unique imports on its first call.
     calls = (
         ("eval", "--r", "0.5", "--channel", "loss", "--t", "0.2"),
         ("sweep", "--figure", "1"),
         ("threshold", "--channel", "laser", "--g", "0.1", "--kappa", "1", "--r", "0.5"),
         ("verify", "thresholds"),
     )
-    after = modules_after(*calls, names=("cvsteer.verify", "cvsteer.oracle", "scipy"))
+    after = modules_after(*calls, names=("cvsteer.verify", "cvsteer.oracle", "scipy", "numpy.ma"))
     assert after == [[], [], [], ["cvsteer.verify", "cvsteer.oracle"]]
 
 

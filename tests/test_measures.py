@@ -689,8 +689,9 @@ def test_each_root_step_assembles_one_4x4_matrix(monkeypatch):
     monkeypatch.setattr(channels, "_evolve_stack", counting_evolve)
     numeric_threshold(_LASER, 0.7, ("G_twoway", "E_N"), 25.0)
     assert steps.count(True) == 8 and steps.count(False) == 1
-    # The TMSV's validation, then one per root step; the scan's stack.
-    assert assembled.count((4, False)) == 1 + 8 and assembled.count((4, True)) == 1
+    # The TMSV's entries (``_tmsv_cms``) and its validation, then one per
+    # root step; the scan's stack.
+    assert assembled.count((4, False)) == 2 + 8 and assembled.count((4, True)) == 1
 
 
 def _scan_stacks(monkeypatch):
@@ -782,6 +783,15 @@ def test_threshold_table_refuses_the_phase_sensitive_channel(quantity):
     message = "^channel kind 'phase-sensitive' has no laser parameterization$"
     with pytest.raises(InvalidArgumentError, match=message):
         threshold_table(ChannelSpec("phase-sensitive", nbar=0.4, m=0.3), 0.5, quantity)
+
+
+@pytest.mark.parametrize("channel", [ChannelSpec("phase-sensitive", nbar=0.4, m=0.3), ChannelSpec("identity")])
+def test_threshold_rows_refuse_a_kind_without_laser_rates(channel):
+    # The rows' own entry point names the kind, as threshold_table does; it
+    # must not fail on reading a rate the kind has not.
+    message = f"^channel kind '{channel.kind}' has no laser parameterization$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        measures._threshold_rows([(channel, "two-way")], 0.5)
 
 
 @pytest.mark.parametrize("kind, rates", [("loss", {"kappa": 0.7}), ("gain", {"g": 0.6})])

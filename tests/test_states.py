@@ -208,6 +208,48 @@ def test_tmsv_stack_matches_make_tmsv_bit_for_bit():
         _tmsv_cms(np.array([0.1, np.inf]))
 
 
+def _zero_filled_tmsv_cms(r):
+    """``_tmsv_cms`` as it was written before it assembled its 16 entries:
+    the reference for that change."""
+    r = np.asarray(r, dtype=float)
+    for bad, rule in ((~np.isfinite(r), "finite"), (r < 0, ">= 0")):
+        if bad.any():
+            raise InvalidArgumentError(f"squeezing parameter must be {rule}, got {r[bad][0]}")
+    with np.errstate(over="ignore"):
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    cms = np.zeros(r.shape + (4, 4))
+    for i in range(4):
+        cms[..., i, i] = ch
+    cms[..., 0, 2] = cms[..., 2, 0] = sh
+    cms[..., 1, 3] = cms[..., 3, 1] = -sh
+    return cms
+
+
+def _result_or_error(call):
+    """(the value of call(), None), or (None, (type, message)) of its error."""
+    try:
+        return call(), None
+    except (InvalidArgumentError, DegenerateInputError, UnphysicalStateError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 0.3, 1.7, 7.0, 354.0, 1e308, math.inf, -math.inf, math.nan, -1.0, -0.0])
+def test_tmsv_equals_the_zero_filled_construction_bit_for_bit(r):
+    stack = [0.5, r, 0.1, r]
+    for rs in (r, stack, np.array(stack).reshape(2, 2)):
+        cms, error = _result_or_error(lambda: _tmsv_cms(rs))
+        reference, reference_error = _result_or_error(lambda: _zero_filled_tmsv_cms(rs))
+        assert error == reference_error
+        if error is None:
+            assert cms.flags.c_contiguous and cms.shape == reference.shape and cms.tobytes() == reference.tobytes()
+    state, error = _result_or_error(lambda: make_tmsv(r))
+    reference, reference_error = _result_or_error(lambda: TwoModeGaussianState(np.zeros(4), _zero_filled_tmsv_cms(r)))
+    assert error == reference_error
+    if error is None:
+        assert state.cm.tobytes() == reference.cm.tobytes() and state.mean.tobytes() == reference.mean.tobytes()
+        assert state._det_v == reference._det_v
+
+
 def test_validate_cms_keeps_a_valid_stack_bit_for_bit():
     stack = _valid_stack()
     out, det_v = _validate_cms(stack)
