@@ -89,6 +89,9 @@ def _laser_factors(g, kappa, t):
     """Survival R and added noise A of the laser channel, elementwise (floats for floats)."""
     x = 2.0 * ((kappa - g) * t)  # rate * t first: 2 * rate alone may overflow
     rate_t = 2.0 * ((kappa + g) * t)
+    finite = kappa + g < math.inf
+    if not _all(finite):  # where kappa + g overflows, kappa t + g t may not
+        rate_t = _value(np.where(finite, rate_t, 2.0 * (kappa * t + g * t)))
     # Omega (1 - R) = 2 (kappa + g) t * (1 - e^{-x}) / x, stable at kappa ~ g;
     # where x = 0 it keeps its limit 2 (kappa + g) t.
     return _value(np.exp(-x)), _quotient(rate_t * -_value(np.expm1(-x)), x, rate_t)
@@ -291,13 +294,13 @@ class ChannelSpec:
 
 def _evolve_stack(cms: np.ndarray, det_v, channels, t):
     """(stack, sq, det_v): row i of the (N, 4, 4) stack is the covariance
-    matrix after duration t[i] in channels[i], from one channel map on the
+    matrix after duration t[i] in its channel, from one channel map on the
     entries of ``cms`` and one validation, which gives det_v, each row's det V.
 
     ``cms`` is one validated 4x4 matrix shared by every row or an (N, 4, 4)
-    stack with one per row, and ``det_v`` its det V; ``channels`` is one
-    ChannelSpec shared by every row or N of them with the same kind and
-    side, which may differ in their rates.  A 0-d t, with one channel and one
+    stack with one per row, and ``det_v`` its det V; ``channels`` is k
+    ChannelSpecs of one kind and side, whose rates may differ, each the
+    channel of N / k consecutive rows.  A 0-d t, with one channel and one
     matrix, gives one 4x4 matrix, whose map and validation run on its entries
     as Python floats; ``keep`` and ``added`` still come from numpy's exp and
     expm1.  A map that overflows raises DegenerateInputError.  ``sq`` =
@@ -329,15 +332,16 @@ def _evolve_stack(cms: np.ndarray, det_v, channels, t):
 
 def _stack_terms(channels, t):
     """The (keep, added) arguments of the channel map for durations t, from
-    the channels' checked ``_params`` and ``_block``, all of one kind: the
-    terms of every row are computed once, elementwise, ``added`` as the
-    entries of a 2x2 block; Python floats for one channel and one duration.
-    exp and expm1 are numpy's, whose last bit differs from math's."""
-    one = len(channels) == 1  # else one rate and block per row, along a new leading axis
-    rate = lambda name: getattr(channels[0]._params, name) if one else np.array([getattr(c._params, name) for c in channels])
-    if isinstance(channels[0]._params, PhaseSensitiveParams):
+    the checked ``_params`` and ``_block`` of k channels of one kind, each
+    read once and repeated over its len(t) / k consecutive rows; the terms
+    elementwise, ``added`` as the entries of a 2x2 block, Python floats for
+    one channel and one duration.  exp and expm1 are numpy's, not math's."""
+    one, first = len(channels) == 1, channels[0]
+    per_row = lambda values: np.repeat(values, len(t) // len(channels), axis=0)  # called only when k > 1
+    rate = lambda name: getattr(first._params, name) if one else per_row([getattr(c._params, name) for c in channels])
+    if isinstance(first._params, PhaseSensitiveParams):
         keep, scale = _bath_factors(rate("kappa"), t)
     else:
         keep, scale = _laser_factors(rate("g"), rate("kappa"), t)
-    (b00, b01), (b10, b11) = channels[0]._block if one else _entries(np.array([c._block for c in channels]))
+    (b00, b01), (b10, b11) = first._block if one else _entries(per_row([c._block for c in channels]))
     return keep, ((scale * b00, scale * b01), (scale * b10, scale * b11))

@@ -339,8 +339,8 @@ _PRESET_QUANTITIES = {
 
 
 def _preset_rows(name: str):
-    """(columns, rows) of a figure preset.  Figures 2a-5 evolve the points
-    of each side that prints a field as one stack and ask
+    """(columns, rows) of a figure preset.  Figures 2a-5 evolve each side
+    that prints a field as one stack, one channel per point, and ask
     ``measures._report_columns`` for its printed fields only; the rows zip
     x tiled, each swept value repeated and the report columns as given."""
     preset = FIGURE_PRESETS[name]
@@ -377,7 +377,7 @@ def _preset_rows(name: str):
     rates = [{"nbar": preset.get("nbar", 0.0), **{_PRESET_RATES[k]: x for k, x in p.items() if k != "r"}} for p in points]
     for side, columns in fields.items():
         specs = [ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **r) for r in rates]
-        stack, _, stack_det_v = _evolve_stack(cms, det_v, [spec for spec in specs for _ in ts], np.tile(ts, len(points)))
+        stack, _, stack_det_v = _evolve_stack(cms, det_v, specs, np.tile(ts, len(points)))
         report = _report_columns(stack, columns.values(), stack_det_v)
         values.update((column, report[field]) for column, field in columns.items())
     return preset["columns"], list(zip(*(values[column] for column in preset["columns"])))

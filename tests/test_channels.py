@@ -346,6 +346,26 @@ def test_evolve_stack_rows_match_evolve_bit_for_bit(kind, side):
         assert np.array_equal(b, channel.evolve(make_tmsv(0.6), t).cm)
 
 
+@pytest.mark.parametrize(("k", "n"), [(1, 5), (4, 1), (3, 4)], ids=["one-shared", "one-per-row", "grouped"])
+@pytest.mark.parametrize("kind", _KINDS)
+@given(side=st.sampled_from(list(ChannelSide)), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_evolve_stack_of_k_channels_equals_their_per_row_expansion(kind, k, n, side, data):
+    # k channels over k * n rows, each covering n consecutive rows, give the
+    # stack, sq and det V of the per-row list, bit for bit, from one state
+    # shared by every row or one state per row.
+    channels = [replace(data.draw(_channels()), kind=kind, side=side) for _ in range(k)]
+    ts = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=k * n, max_size=k * n)))
+    states = data.draw(st.lists(_states(), min_size=1, max_size=1) | st.lists(_states(), min_size=k * n, max_size=k * n))
+    cms, det_v = np.array([s.cm for s in states]), np.array([s._det_v for s in states])
+    if len(states) == 1:
+        cms, det_v = cms[0], det_v[0]
+    grouped = _evolve_stack(cms, det_v, channels, ts)
+    per_row = _evolve_stack(cms, det_v, [channel for channel in channels for _ in range(n)], ts)
+    for a, b in zip(grouped, per_row):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
 @pytest.mark.parametrize(
     ("rates", "message"),
     [

@@ -398,26 +398,29 @@ def test_exp_overflow_exits_2_without_warnings(capsys, argv):
 
 @pytest.mark.parametrize("side", ["a", "b", "two"])
 @pytest.mark.parametrize(
-    ("kind", "rate", "duration", "bath"),
+    ("kind", "rates", "duration", "bath", "near_limit"),
     [
-        ("loss", "--kappa", "--kt", ()),
-        ("gain", "--g", "--gt", ()),
-        ("thermal", "--kappa", "--kt", ("--nbar", "0.2")),
-        ("phase-sensitive", "--kappa", "--kt", ("--nbar", "0.2", "--M", "0.1")),
+        ("loss", ("--kappa",), ("--kt", "0.3"), (), "1e308"),
+        ("gain", ("--g",), ("--gt", "0.3"), (), "1e308"),
+        ("thermal", ("--kappa",), ("--kt", "0.3"), ("--nbar", "0.2"), "1e308"),
+        ("phase-sensitive", ("--kappa",), ("--kt", "0.3"), ("--nbar", "0.2", "--M", "0.1"), "1e308"),
+        ("laser", ("--g", "--kappa"), ("--kt", "1"), (), repr(2.0**1023)),
     ],
-    ids=["loss", "gain", "thermal", "phase-sensitive"],
+    ids=["loss", "gain", "thermal", "phase-sensitive", "laser"],
 )
-def test_a_rate_near_the_float_limit_evolves_as_rate_one(capsys, kind, rate, duration, bath, side):
+def test_a_rate_near_the_float_limit_evolves_as_rate_one(capsys, kind, rates, duration, bath, near_limit, side):
     # 2 * rate overflows from rate ~ 9e307 on while rate * t stays 0.3, so
-    # the channel factors take rate * t first and then scale by 2.
+    # the channel factors take rate * t first and then scale by 2.  The laser
+    # channel's kappa + g = 2^1024 overflows too, so it adds kappa t and g t,
+    # here 2^1023 * 2^-1023 = 1 each, exactly.
     def report(value):
-        argv = ("eval", "--r", "0.8", "--channel", kind, "--side", side, rate, value, duration, "0.3", *bath)
-        return run_cli(capsys, *argv)
+        flags = [arg for rate in rates for arg in (rate, value)]
+        return run_cli(capsys, "eval", "--r", "0.8", "--channel", kind, "--side", side, *flags, *duration, *bath)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        near_limit = report("1e308")
-    assert near_limit == report("1") and near_limit[0] == 0
+        near = report(near_limit)
+    assert near == report("1") and near[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -866,6 +869,23 @@ def test_presets_compute_no_inferred_variance(monkeypatch, name):
     monkeypatch.setattr(measures, "_inferred_variances", counting)
     assert main(["sweep", "--figure", name, "--out", os.devnull]) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    ("name", "specs"), [("2a", [4, 4]), ("2b", [2, 2]), ("3", [3, 3]), ("4", [6]), ("5", [6])]
+)
+def test_presets_evolve_one_channel_per_point(monkeypatch, name, specs):
+    # One evolve per printed side, given one ChannelSpec per point (a
+    # combination of the preset's swept values), not one per row.
+    calls, evolve = [], cvsteer.cli._evolve_stack
+
+    def counting(cms, det_v, channels, t):
+        calls.append(len(channels))
+        return evolve(cms, det_v, channels, t)
+
+    monkeypatch.setattr(cvsteer.cli, "_evolve_stack", counting)
+    _preset_rows(name)
+    assert calls == specs
 
 
 @pytest.mark.parametrize("name", _SWEEP_FIGURES)
