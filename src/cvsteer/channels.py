@@ -71,11 +71,15 @@ class LaserChannelParams:
 
     @property
     def survival(self) -> float:
-        return float(_laser_factors(self.g, self.kappa, self.t)[0])
+        return self._factors()[0]
 
     @property
     def noise(self) -> float:
-        return float(_laser_factors(self.g, self.kappa, self.t)[1])
+        return self._factors()[1]
+
+    def _factors(self) -> tuple[float, float]:
+        with np.errstate(**_OVERFLOW_QUIET):  # numpy-scalar rates warn where kappa + g overflows
+            return tuple(map(float, _laser_factors(self.g, self.kappa, self.t)))
 
 
 def _check_nonnegative(**rates: float) -> None:

@@ -11,7 +11,7 @@ Gaussian closed forms being checked.
 suite checks all its samples in one call; every other function works on one
 state or one table.  ``pdf_from_cf`` builds its CF grid by broadcasting the
 two grid axes, without an (n^2, 4) array of CF arguments, and its inversion
-kernel from the top half of the q kernel, cached for the last pair of grids.
+kernel from the top-left quarter of the q kernel, cached for the last pair of grids.
 
 Scaling note: quadrature eigenvalues carry a sqrt(2) (Q|qbar> = sqrt(2) qbar
 |qbar>), which is why the inversion kernel is exp(-i sqrt(2) (qbar1 p1 +
@@ -93,33 +93,44 @@ def _integration_grid(state: TwoModeGaussianState, variables: str, n: int) -> Gr
 
 
 def _cf_grid(state: TwoModeGaussianState, variables: str, u: np.ndarray) -> np.ndarray:
-    """cf_eval batched over a square grid of one conjugate-variable pair."""
+    """cf_eval batched over a square grid of one conjugate-variable pair; a zero-mean
+    pair computes the top n/2 rows, and the bottom ones are those rotated 180 degrees."""
     # eta = Omega xi has two nonzero components, one per grid axis: the grid
     # of (p1, p2) gives eta_Q = (p1, p2), that of (q1, q2) eta_P = -(q1, q2).
     # Mode 1's is the column u[:, None] (table axis 0), mode 2's the row
     # u[None, :] (axis 1).
     cols, axis = ((0, 2), u) if variables == "q" else ((1, 3), -u)
-    eta = dict(zip(cols, (axis[:, None], axis[None, :])))
+    zero_mean = not state.mean[list(cols)].any()
+    rows = len(u) // 2 if zero_mean else len(u)
+    eta = dict(zip(cols, (axis[:rows, None], axis[None, :])))
     # eta^T V eta per point, accumulated i major, j minor like the unoptimized
     # np.einsum("ni,ij,nj->n"), so the values equal it bit for bit at a
     # fraction of its cost; the terms of the zero components are skipped.
-    quad = np.zeros((len(u), len(u)))
+    quad = np.zeros((rows, len(u)))
     for i in cols:
         for j in cols:
             quad += eta[i] * state.cm[i, j] * eta[j]
-    if not state.mean[list(cols)].any():
-        # Mean components of +-0 make exp(1j * phase) exactly 1+0j, so the
-        # product below is the real factor with a +0 imaginary part.
-        return np.exp(-0.5 * quad).astype(complex)
+    if zero_mean:
+        # Mean components of +-0 make exp(1j * phase) exactly 1+0j: chi is the real
+        # factor with a +0 imaginary part, filled in place (np.concatenate costs RSS).
+        chi = np.empty((len(u), len(u)), dtype=complex)
+        chi[:rows] = np.exp(-0.5 * quad)
+        chi[rows:] = chi[rows - 1 :: -1, ::-1]
+        return chi
     phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
     return np.exp(-0.5 * quad) * np.exp(1j * phase)
 
 
 @functools.lru_cache(maxsize=1)
 def _half_kernel(grid: Grid2D, inner: Grid2D) -> np.ndarray:
-    """Rows 0 .. n/2 - 1 of the q kernel exp(-i sqrt(2) x u^T), read-only."""
-    half = -1j * math.sqrt(2.0) * np.outer(grid.axis[: grid.n // 2], inner.axis)
-    np.exp(half, out=half)  # in place: one complex temporary fewer
+    """Rows 0 .. n/2 - 1 of the q kernel exp(-i sqrt(2) x u^T), read-only; only
+    the left n/2 columns go through exp, as column n-1-j is column j's conjugate."""
+    m = grid.n // 2  # inner has as many points as grid
+    half = np.empty((m, 2 * m), dtype=complex)
+    left = half[:, :m]  # built in place: a concatenated half raised verify's peak RSS by 1.4 MB
+    np.multiply(-1j * math.sqrt(2.0), np.outer(grid.axis[:m], inner.axis[:m]), out=left)
+    np.exp(left, out=left)
+    np.conjugate(left[:, ::-1], out=half[:, m:])
     half.flags.writeable = False
     return half
 
@@ -131,6 +142,7 @@ def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray
         exp(-i sqrt(2) (qbar1 p1 + qbar2 p2)) chi(0, p1; 0, p2),
     and the momentum PDF uses the conjugate kernel on chi(q1, 0; q2, 0).
     Returns (table, default_grid(state)); table[i, j] is the density at (axis[i], axis[j]).
+    Scaled in place, with max |imag| from the extremes: no full-grid temporary.
     """
     if variables not in ("q", "p"):
         raise InvalidArgumentError(f"variables must be 'q' or 'p', got {variables!r}")
@@ -146,8 +158,9 @@ def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray
     chi = _cf_grid(state, variables, inner.axis)
     halves = (half, half[::-1, ::-1]) if variables == "q" else (half[:, ::-1], half[::-1])
     phase = np.concatenate(halves)
-    table = (inner.spacing**2 / (2.0 * math.pi**2)) * (phase @ chi @ phase.T)
-    worst_imag = float(np.max(np.abs(table.imag)))
+    table = phase @ chi @ phase.T
+    table *= inner.spacing**2 / (2.0 * math.pi**2)
+    worst_imag = abs(max(float(table.imag.max()), -float(table.imag.min())))  # abs: NaN stays, -0 is +0
     table = table.real
     if worst_imag > RINGING_TOL or float(table.min()) < -RINGING_TOL:
         raise GridResolutionError(
@@ -170,8 +183,9 @@ def numeric_inferred_variance(table: np.ndarray, grid: Grid2D, direction: str = 
     x = grid.axis
     w = table * grid.spacing**2
     m_in, m_out = (0, 1) if direction == "a_to_b" else (1, 0)
-    mean = [float((w.sum(axis=1 - k) * x).sum()) for k in (0, 1)]
-    xx = [float((w.sum(axis=1 - k) * x * x).sum()) for k in (0, 1)]
+    marginals = [w.sum(axis=1 - k) for k in (0, 1)]
+    mean = [float((m * x).sum()) for m in marginals]
+    xx = [float((m * x * x).sum()) for m in marginals]
     cross = float(x @ w @ x)
     var_in = xx[m_in] - mean[m_in] ** 2
     if var_in <= 0.0:

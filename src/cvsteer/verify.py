@@ -120,12 +120,13 @@ def _decohered_family():
 
 
 def _closed_form_joint_pdf(x: np.ndarray, b: float, c: float, variables: str) -> np.ndarray:
-    # P(x1, x2) = exp(-[B(x1^2+x2^2) -+ 2C x1 x2]/(B^2-C^2)) / (pi sqrt(B^2-C^2));
-    # the momentum pair flips the sign of the correlation term.
+    # P(x1, x2) = exp(-[B(x1^2+x2^2) -+ 2C x1 x2]/(B^2-C^2)) / (pi sqrt(B^2-C^2)), the
+    # momentum pair flipping the correlation term; x is odd, so the top rows are mirrored.
     sign = 1.0 if variables == "q" else -1.0
-    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    x1, x2 = np.meshgrid(x[: len(x) // 2], x, indexing="ij")
     det = b * b - c * c
-    return np.exp(-(b * (x1**2 + x2**2) - sign * 2.0 * c * x1 * x2) / det) / (math.pi * math.sqrt(det))
+    top = np.exp(-(b * (x1**2 + x2**2) - sign * 2.0 * c * x1 * x2) / det) / (math.pi * math.sqrt(det))
+    return np.concatenate((top, top[::-1, ::-1]))
 
 
 def _pdf_deviations(label, state, b, c, tables):

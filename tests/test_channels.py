@@ -69,6 +69,13 @@ def test_balanced_rates_use_stable_limit():
     assert near.noise == pytest.approx(params.noise, rel=1e-9)
 
 
+def test_numpy_scalar_rates_whose_sum_overflows_give_the_factors_without_a_warning():
+    # kappa + g overflows, kappa t + g t is 2: R = 1 and A = 2 (kappa t + g t) = 4.
+    params = LaserChannelParams(np.float64(2.0**1023), 2.0**1023, 2.0**-1023)
+    assert (params.survival, params.noise) == (1.0, 4.0)
+    assert type(params.noise) is float
+
+
 def test_rejects_negative_parameters():
     with pytest.raises(InvalidArgumentError):
         LaserChannelParams(-0.1, 1.0, 0.1)

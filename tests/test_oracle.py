@@ -196,12 +196,8 @@ def _full_kernel(grid, inner, variables):
     return np.exp(kernel_sign * 1j * math.sqrt(2.0) * np.outer(grid.axis, inner.axis))
 
 
-def _reference_pdf_from_cf(state, variables):
-    """``pdf_from_cf`` with the full kernel and the unit phase of every state
-    computed, its checks included: (table, grid), or the error it raises."""
-    grid = default_grid(state)
-    inner = _integration_grid(state, variables, grid.n)
-    u = inner.axis
+def _full_chi(state, variables, u):
+    """The CF grid with every row and the unit phase of every state computed."""
     cols, axis = ((0, 2), u) if variables == "q" else ((1, 3), -u)
     eta = dict(zip(cols, (axis[:, None], axis[None, :])))
     quad = np.zeros((len(u), len(u)))
@@ -209,7 +205,15 @@ def _reference_pdf_from_cf(state, variables):
         for j in cols:
             quad += eta[i] * state.cm[i, j] * eta[j]
     phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
-    chi = np.exp(-0.5 * quad) * np.exp(1j * phase)
+    return np.exp(-0.5 * quad) * np.exp(1j * phase)
+
+
+def _reference_pdf_from_cf(state, variables):
+    """``pdf_from_cf`` with the full kernel and the unit phase of every state
+    computed, its checks included: (table, grid), or the error it raises."""
+    grid = default_grid(state)
+    inner = _integration_grid(state, variables, grid.n)
+    chi = _full_chi(state, variables, inner.axis)
     kernel = _full_kernel(grid, inner, variables)
     table = (inner.spacing**2 / (2.0 * math.pi**2)) * (kernel @ chi @ kernel.T)
     worst_imag = float(np.max(np.abs(table.imag)))
@@ -271,11 +275,16 @@ def test_half_kernel_is_read_only_and_shared_by_a_family_states_q_and_p():
 
 
 def test_kernel_symmetries_hold_bit_for_bit_on_this_platform():
-    # The half kernel rests on exact equalities: the midpoint lattices are
-    # odd, so the q kernel's exp arguments repeat under a 180 degree rotation
-    # and the p kernel's are the q kernel's with the rows reversed.  A failure
-    # here names the cause before any table or digest test moves.
+    # The half kernel and the half chi rest on exact equalities: the midpoint
+    # lattices are odd, so the q kernel's exp arguments repeat under a 180
+    # degree rotation and the p kernel's are the q kernel's with the rows
+    # reversed; each kernel's column n-1-j is the conjugate of column j, as
+    # numpy's complex exp of (+-0, -theta) is the conjugate of its exp of
+    # (+-0, theta); and a zero-mean chi's terms at (-u1, -u2) are products of
+    # negated factors.  A failure here names the cause before any table or
+    # digest test moves.
     for label, state, _, _ in _decohered_family():
+        assert not state.mean.any(), label
         grid = default_grid(state)
         for variables in ("q", "p"):
             inner = _integration_grid(state, variables, grid.n)
@@ -284,6 +293,57 @@ def test_kernel_symmetries_hold_bit_for_bit_on_this_platform():
             q_kernel = _full_kernel(grid, inner, "q")
             assert q_kernel.tobytes() == q_kernel[::-1, ::-1].tobytes(), label
             assert _full_kernel(grid, inner, "p").tobytes() == q_kernel[::-1].tobytes(), label
+            for kernel in (q_kernel, _full_kernel(grid, inner, "p")):
+                assert kernel[:, ::-1].tobytes() == kernel.conj().tobytes(), label
+            chi = _full_chi(state, variables, inner.axis)
+            assert chi.tobytes() == chi[::-1, ::-1].tobytes(), f"{label} [{variables}]"
+
+
+def test_a_zero_mean_pair_sends_half_the_kernel_and_half_of_chi_through_exp(monkeypatch):
+    # One q-then-p pair of a family state: the q kernel's 128 x 128 left half
+    # once, then the top 128 x 256 rows of each chi, against 163 840 elements
+    # with the full kernel rows and full chis.
+    state = _decohered_family()[4][1]
+    exp = np.exp
+    sizes = []
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: sizes.append(np.size(x)) or exp(x, *args, **kwargs))
+    oracle._half_kernel.cache_clear()
+    pdf_from_cf(state, "q")
+    pdf_from_cf(state, "p")
+    assert sum(sizes) == 128 * 128 + 2 * 128 * 256 == 81_920
+
+
+def _reference_closed_form_joint_pdf(x, b, c, variables):
+    """``verify._closed_form_joint_pdf`` with every row of the grid evaluated."""
+    sign = 1.0 if variables == "q" else -1.0
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    det = b * b - c * c
+    return np.exp(-(b * (x1**2 + x2**2) - sign * 2.0 * c * x1 * x2) / det) / (math.pi * math.sqrt(det))
+
+
+def _reference_inferred_variance(table, grid, direction):
+    """``numeric_inferred_variance`` with each marginal summed where it is read."""
+    x = grid.axis
+    w = table * grid.spacing**2
+    m_in, m_out = (0, 1) if direction == "a_to_b" else (1, 0)
+    mean = [float((w.sum(axis=1 - k) * x).sum()) for k in (0, 1)]
+    xx = [float((w.sum(axis=1 - k) * x * x).sum()) for k in (0, 1)]
+    cross = float(x @ w @ x)
+    var_in = xx[m_in] - mean[m_in] ** 2
+    cov = cross - mean[0] * mean[1]
+    return float(xx[m_out] - mean[m_out] ** 2 - cov * cov / var_in)
+
+
+def test_closed_form_pdfs_and_inferred_variances_equal_their_full_evaluations_bit_for_bit():
+    for label, state, b, c in _decohered_family():
+        for variables in ("q", "p"):
+            table, grid = pdf_from_cf(state, variables)
+            closed = verify._closed_form_joint_pdf(grid.axis, b, c, variables)
+            expected = _reference_closed_form_joint_pdf(grid.axis, b, c, variables)
+            assert closed.tobytes() == expected.tobytes(), f"{label} [{variables}]"
+            for direction in ("a_to_b", "b_to_a"):
+                numeric = numeric_inferred_variance(table, grid, direction)
+                assert numeric.hex() == _reference_inferred_variance(table, grid, direction).hex(), label
 
 
 def _random_symmetric_stack(seed=13, n=40):
