@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import _KIND_RATES, ChannelSide, ChannelSpec, _evolve_stack, thermal_preset
-from .errors import CvSteerError
+from .errors import CvSteerError, InvalidArgumentError
 from .measures import _TABLE_QUANTITIES, _check_r, _one_side_times, _report_columns, _two_way_thermal_time
 from .measures import SteeringReport, steering_report, threshold_table
 from .states import TwoModeGaussianState, _tmsv_cms, _validate_cms, make_tmsv
@@ -42,9 +42,26 @@ def state_from_dict(data: dict) -> TwoModeGaussianState:
     if not isinstance(data, dict):
         raise CvSteerError(f"state JSON must be an object with 'mean' and 'cm' keys, got {type(data).__name__}")
     try:
-        return TwoModeGaussianState(data["mean"], data["cm"])
+        state = TwoModeGaussianState(data["mean"], data["cm"])
     except KeyError as exc:
         raise CvSteerError(f"state JSON needs 'mean' and 'cm' keys, missing {exc}") from exc
+    # numpy reads the JSON string "1" and true as numbers; the schema holds numbers only.
+    for name in ("mean", "cm"):
+        leaf = _string_or_boolean([data[name]])
+        if leaf is not None:
+            kind = "boolean" if isinstance(leaf, bool) else "string"
+            raise InvalidArgumentError(f"{name} must be an array of real numbers: got the {kind} {_json_text(leaf)}")
+    return state
+
+
+def _string_or_boolean(values: list):
+    """The first string or boolean among the leaves of nested JSON arrays, or None."""
+    for item in values:
+        if isinstance(item, (str, bool)):
+            return item
+        if isinstance(item, list) and (found := _string_or_boolean(item)) is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

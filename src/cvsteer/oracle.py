@@ -11,7 +11,8 @@ Gaussian closed forms being checked.
 suite checks all its samples in one call; every other function works on one
 state or one table.  ``pdf_from_cf`` builds its CF grid by broadcasting the
 two grid axes, without an (n^2, 4) array of CF arguments, and its inversion
-kernel from the top-left quarter of the q kernel, cached for the last pair of grids.
+kernel from the top-left quarter of the q kernel, cached for the last pair of grids;
+a mirrored state's second pair reuses the first one's kernel-chi product.
 
 Scaling note: quadrature eigenvalues carry a sqrt(2) (Q|qbar> = sqrt(2) qbar
 |qbar>), which is why the inversion kernel is exp(-i sqrt(2) (qbar1 p1 +
@@ -135,6 +136,11 @@ def _half_kernel(grid: Grid2D, inner: Grid2D) -> np.ndarray:
     return half
 
 
+# The last call's first product phase @ chi, kept only for a zero-mean pair and
+# only until the next call: [((variables, grid, inner, V_xx, V_xy, V_yx, V_yy), product)].
+_mirror_slot: list[tuple[tuple, np.ndarray]] = []
+
+
 def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray, Grid2D]:
     """Tabulated joint PDF of (qbar1, qbar2) or (pbar1, pbar2) by CF inversion.
 
@@ -143,11 +149,26 @@ def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray
     and the momentum PDF uses the conjugate kernel on chi(q1, 0; q2, 0).
     Returns (table, default_grid(state)); table[i, j] is the density at (axis[i], axis[j]).
     Scaled in place, with max |imag| from the extremes: no full-grid temporary.
+
+    Each call empties the slot.  A zero-mean pair leaves its product phase @ chi
+    there; the other pair of a mirrored state (zero mean, equal grids, equal
+    diagonal and exactly negated cross entries, as in phase-insensitive standard
+    form) takes it rotated 180 degrees and skips its chi and one GEMM.  Its chi is
+    the first one's with the columns reversed and its kernel the first one's with
+    the rows reversed, so each entry is the same terms summed in the same order.
     """
+    previous = _mirror_slot.pop() if _mirror_slot else (None, None)
     if variables not in ("q", "p"):
         raise InvalidArgumentError(f"variables must be 'q' or 'p', got {variables!r}")
     grid = default_grid(state)
     inner = _integration_grid(state, variables, grid.n)
+    cols = [0, 2] if variables == "q" else [1, 3]
+    (vxx, vxy), (vyx, vyy) = state.cm[np.ix_(cols, cols)].tolist()
+    zero_mean = not state.mean[cols].any()
+    mirror = ("p" if variables == "q" else "q", grid, inner, vxx, -vxy, -vyx, vyy)
+    reused = zero_mean and previous[0] == mirror
+    product = previous[1] if reused else None
+    del previous  # a product not taken is freed before chi is made
     # Midpoint lattices are odd, x[n-1-i] == -x[i] and u[n-1-j] == -u[j]
     # exactly, so the exp arguments repeat: the q kernel K is its own 180
     # degree rotation and the p kernel exp(+i sqrt(2) x u^T) is K[::-1].
@@ -155,10 +176,19 @@ def pdf_from_cf(state: TwoModeGaussianState, variables: str) -> tuple[np.ndarray
     # chi's freed temporaries: made after them, peak RSS of a verify run rose
     # by about 2 MB.
     half = _half_kernel(grid, inner)
-    chi = _cf_grid(state, variables, inner.axis)
+    chi = None if reused else _cf_grid(state, variables, inner.axis)
     halves = (half, half[::-1, ::-1]) if variables == "q" else (half[:, ::-1], half[::-1])
     phase = np.concatenate(halves)
-    table = phase @ chi @ phase.T
+    if reused:  # rotated in place, C-contiguous, so the second GEMM is the usual call
+        rows = grid.n // 2
+        bottom = product[rows - 1 :: -1, ::-1].copy()
+        product[:rows] = product[rows:][::-1, ::-1]
+        product[rows:] = bottom
+    else:
+        product = phase @ chi
+    table = product @ phase.T
+    if zero_mean and not reused:  # only after its last use: another thread may take it
+        _mirror_slot.append(((variables, grid, inner, vxx, vxy, vyx, vyy), product))
     table *= inner.spacing**2 / (2.0 * math.pi**2)
     worst_imag = abs(max(float(table.imag.max()), -float(table.imag.min())))  # abs: NaN stays, -0 is +0
     table = table.real
@@ -205,13 +235,10 @@ def numeric_entropy(table: np.ndarray, grid: Grid2D, kind: str = "joint") -> flo
     if float(np.min(table)) < -RINGING_TOL:
         raise GridResolutionError("PDF table has negative cells beyond ringing tolerance")
     h = grid.spacing
-    if kind == "marginal":
-        p = np.clip(table.sum(axis=1) * h, 0.0, None)
-        mask = p > 0.0
-        return float(-(p[mask] * np.log(p[mask])).sum() * h)
-    p = np.clip(table, 0.0, None)
-    mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum() * h * h)
+    p = table.sum(axis=1) * h if kind == "marginal" else table
+    p = p[p > 0.0]  # the cells that clipping the ringing to 0 would leave nonzero, gathered once
+    value = -(p * np.log(p)).sum() * h
+    return float(value if kind == "marginal" else value * h)
 
 
 def numeric_conditional_entropy_sum(state: TwoModeGaussianState, direction: str = "a_to_b") -> float:

@@ -465,8 +465,13 @@ _IDENTITY_ROWS = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]"
          "mean must be an array of real numbers: float() argument must be"),
         (f'{{"mean": [0, 0, 0, 0], "cm": [[1{"0" * 400}, 0, 0, 0], {_IDENTITY_ROWS}]}}',
          "cm must be an array of real numbers: int too large to convert to float"),
+        # numpy would read these two as 1.0; a state file holds JSON numbers only.
+        (f'{{"mean": [0, 0, 0, 0], "cm": [["1", 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         'cm must be an array of real numbers: got the string "1"'),
+        (f'{{"mean": [true, 0, 0, 0], "cm": [[1, 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         "mean must be an array of real numbers: got the boolean true"),
     ],
-    ids=["string-entry", "ragged-cm", "object-in-mean", "401-digit-integer"],
+    ids=["string-entry", "ragged-cm", "object-in-mean", "401-digit-integer", "numeric-string-entry", "boolean-in-mean"],
 )
 def test_eval_state_file_with_malformed_values_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "state.json"

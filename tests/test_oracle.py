@@ -299,18 +299,94 @@ def test_kernel_symmetries_hold_bit_for_bit_on_this_platform():
             assert chi.tobytes() == chi[::-1, ::-1].tobytes(), f"{label} [{variables}]"
 
 
+def test_a_mirrored_pairs_kernel_chi_products_are_rotations_bit_for_bit_on_this_platform():
+    # pdf_from_cf hands a mirrored state's second pair the first pair's
+    # K @ chi rotated 180 degrees.  K_p is K_q with the rows reversed and chi_p
+    # is chi_q with the columns reversed, so each entry of K_p @ chi_p is the
+    # same products as its twin; this checks that the BLAS also sums them in
+    # the same order, whatever the position of the entry.
+    for label, state, _, _ in _decohered_family():
+        grid = default_grid(state)
+        inner = _integration_grid(state, "q", grid.n)
+        assert _integration_grid(state, "p", grid.n) == inner, label
+        chi_q, chi_p = (_full_chi(state, variables, inner.axis) for variables in ("q", "p"))
+        assert chi_p.tobytes() == chi_q[:, ::-1].tobytes(), label
+        product_q = _full_kernel(grid, inner, "q") @ chi_q
+        product_p = _full_kernel(grid, inner, "p") @ chi_p
+        assert product_p.tobytes() == product_q[::-1, ::-1].tobytes(), label
+
+
 def test_a_zero_mean_pair_sends_half_the_kernel_and_half_of_chi_through_exp(monkeypatch):
     # One q-then-p pair of a family state: the q kernel's 128 x 128 left half
-    # once, then the top 128 x 256 rows of each chi, against 163 840 elements
-    # with the full kernel rows and full chis.
+    # once, then the top 128 x 256 rows of the q chi; the mirrored p pair
+    # reuses the q pair's kernel-chi product and computes no chi.  That is
+    # 49 152 elements, against 81 920 with a p chi and 163 840 with the full
+    # kernel rows and full chis.
     state = _decohered_family()[4][1]
     exp = np.exp
     sizes = []
     monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: sizes.append(np.size(x)) or exp(x, *args, **kwargs))
     oracle._half_kernel.cache_clear()
+    oracle._mirror_slot.clear()
     pdf_from_cf(state, "q")
     pdf_from_cf(state, "p")
-    assert sum(sizes) == 128 * 128 + 2 * 128 * 256 == 81_920
+    assert sum(sizes) == 128 * 128 + 128 * 256 == 49_152
+
+
+def _nudged(state, i, j, direction):
+    """``state`` with cm[i, j] and cm[j, i] moved by one ulp."""
+    cm = state.cm.copy()
+    cm[i, j] = cm[j, i] = np.nextafter(cm[i, j], direction)
+    return TwoModeGaussianState(state.mean, cm)
+
+
+def test_only_the_other_pair_of_a_mirrored_zero_mean_state_reuses_the_product(monkeypatch):
+    calls = []
+    original = oracle._cf_grid
+    monkeypatch.setattr(oracle, "_cf_grid", lambda *args: calls.append(args[1]) or original(*args))
+
+    def chis(*runs):
+        oracle._mirror_slot.clear()
+        calls.clear()
+        tables = [pdf_from_cf(state, variables)[0] for state, variables in runs]
+        return len(calls), tables
+
+    family = [state for _, state, _, _ in _decohered_family()]
+    for state in family:
+        fresh = {variables: chis((state, variables))[1][0] for variables in ("q", "p")}
+        for order in ("qp", "pq"):
+            count, tables = chis(*((state, variables) for variables in order))
+            assert count == 1, order
+            assert [t.tobytes() for t in tables] == [fresh[v].tobytes() for v in order], order
+    others = dict(_inverted_states())
+    assert others["mode-2 displaced"].mean.any()
+    # Displaced in p only: the q pair leaves its product, which the p pair may not take.
+    others["p displaced"] = TwoModeGaussianState([0.0, 0.3, 0.0, 0.0], family[1].cm)
+    for label in ["mode-2 displaced", "p displaced", "phase-sensitive"] + [f"random {k}" for k in range(6)]:
+        assert chis((others[label], "q"), (others[label], "p"))[0] == 2, label
+    # A slot left by a different state.
+    assert chis((family[0], "q"), (family[1], "p"))[0] == 2
+    # One ulp off in one entry of the block, on the same grids.
+    state = family[9]
+    grid = default_grid(state)
+    nudged = [
+        _nudged(state, i, j, direction)
+        for i, j in ((1, 1), (1, 3), (3, 3))
+        for direction in (-np.inf, np.inf)
+    ]
+    nudged = [
+        other for other in nudged
+        if default_grid(other) == grid
+        and _integration_grid(other, "p", grid.n) == _integration_grid(state, "q", grid.n)
+    ]
+    assert nudged
+    for other in nudged:
+        assert chis((state, "q"), (other, "p"))[0] == 2
+
+
+def test_no_product_is_left_in_the_slot_after_a_cf_suite():
+    run_suites("pdf")
+    assert oracle._mirror_slot == []
 
 
 def _reference_closed_form_joint_pdf(x, b, c, variables):
