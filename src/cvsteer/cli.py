@@ -356,10 +356,10 @@ _PRESET_QUANTITIES = {
 
 
 def _preset_rows(name: str):
-    """(columns, rows) of a figure preset.  Figures 2a-5 evolve each side
-    that prints a field as one stack, one channel per point, and ask
-    ``measures._report_columns`` for its printed fields only; the rows zip
-    x tiled, each swept value repeated and the report columns as given."""
+    """(columns, rows) of a figure preset.  Figures 2a-5 validate their TMSVs as
+    one stack, evolve each side that prints a field as one stack, one channel per
+    point, and ask ``measures._report_columns`` for its printed fields only; the
+    rows zip x tiled, each swept value repeated and the report columns as given."""
     preset = FIGURE_PRESETS[name]
     if name == "1":
         # The grid is checked once, as the threshold functions check each
@@ -389,8 +389,8 @@ def _preset_rows(name: str):
     n = len(ts)
     values = {preset["x"]: np.tile(xs, len(points)).tolist()}
     values.update((key, [point[key] for point in points for _ in range(n)]) for key in swept)
-    tmsvs = [make_tmsv(point["r"]) for point in points]
-    cms, det_v = np.repeat([s.cm for s in tmsvs], n, axis=0), np.repeat([s._det_v for s in tmsvs], n)
+    cms, det_v = _validate_cms(_tmsv_cms([point["r"] for point in points]))  # make_tmsv's checks, on each TMSV
+    cms, det_v = np.repeat(cms, n, axis=0), np.repeat(det_v, n)
     rates = [{"nbar": preset.get("nbar", 0.0), **{_PRESET_RATES[k]: x for k, x in p.items() if k != "r"}} for p in points]
     for side, columns in fields.items():
         specs = [ChannelSpec(kind=preset["channel"], side=ChannelSide(side), **r) for r in rates]

@@ -602,7 +602,7 @@ def threshold_table(channel: ChannelSpec, r: float, quantity: str = "all") -> li
     every other row the laser channel of its rates."""
     if quantity not in _TABLE_QUANTITIES:
         raise InvalidArgumentError(f"unknown quantity {quantity!r}; expected one of {_TABLE_QUANTITIES}")
-    rates = channel.laser_params(0.0)
+    rates = channel._laser_rates()
     laser = lambda side: ChannelSpec("laser", side, g=rates.g, kappa=rates.kappa)
     rows = []
     if quantity in ("two-way", "all"):

@@ -94,15 +94,15 @@ def _integration_grid(state: TwoModeGaussianState, variables: str, n: int) -> Gr
 
 
 def _cf_grid(state: TwoModeGaussianState, variables: str, u: np.ndarray) -> np.ndarray:
-    """cf_eval batched over a square grid of one conjugate-variable pair; a zero-mean
-    pair computes the top n/2 rows, and the bottom ones are those rotated 180 degrees."""
+    """cf_eval batched over a square grid of one conjugate-variable pair.  The bottom
+    n/2 rows are the top ones conjugated and rotated 180 degrees, chi(-xi) = chi(xi)*,
+    bit for bit: numpy's exp of (+-0, -theta) is the conjugate of its exp of (+-0, theta)."""
     # eta = Omega xi has two nonzero components, one per grid axis: the grid
     # of (p1, p2) gives eta_Q = (p1, p2), that of (q1, q2) eta_P = -(q1, q2).
     # Mode 1's is the column u[:, None] (table axis 0), mode 2's the row
     # u[None, :] (axis 1).
     cols, axis = ((0, 2), u) if variables == "q" else ((1, 3), -u)
-    zero_mean = not state.mean[list(cols)].any()
-    rows = len(u) // 2 if zero_mean else len(u)
+    rows = len(u) // 2
     eta = dict(zip(cols, (axis[:rows, None], axis[None, :])))
     # eta^T V eta per point, accumulated i major, j minor like the unoptimized
     # np.einsum("ni,ij,nj->n"), so the values equal it bit for bit at a
@@ -111,15 +111,13 @@ def _cf_grid(state: TwoModeGaussianState, variables: str, u: np.ndarray) -> np.n
     for i in cols:
         for j in cols:
             quad += eta[i] * state.cm[i, j] * eta[j]
-    if zero_mean:
-        # Mean components of +-0 make exp(1j * phase) exactly 1+0j: chi is the real
-        # factor with a +0 imaginary part, filled in place (np.concatenate costs RSS).
-        chi = np.empty((len(u), len(u)), dtype=complex)
-        chi[:rows] = np.exp(-0.5 * quad)
-        chi[rows:] = chi[rows - 1 :: -1, ::-1]
-        return chi
-    phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
-    return np.exp(-0.5 * quad) * np.exp(1j * phase)
+    chi = np.empty((len(u), len(u)), dtype=complex)  # filled in place: np.concatenate costs RSS
+    chi[:rows] = np.exp(-0.5 * quad)
+    if state.mean[list(cols)].any():  # mean components of +-0 make the unit phase exactly 1+0j
+        phase = eta[cols[0]] * state.mean[cols[0]] + eta[cols[1]] * state.mean[cols[1]]
+        chi[:rows] *= np.exp(1j * phase)
+    np.conjugate(chi[rows - 1 :: -1, ::-1], out=chi[rows:])
+    return chi
 
 
 @functools.lru_cache(maxsize=1)

@@ -104,7 +104,7 @@ class TwoModeGaussianState:
     __slots__ = ("_mean", "_cm", "_det_v")
 
     def __init__(self, mean, cm):
-        mean, cm = _float_array(mean, "mean").reshape(-1), _float_array(cm, "cm")
+        mean, cm = _float_array(mean, "mean").view(), _float_array(cm, "cm")  # the caller's array stays writable
         if mean.shape != (4,):
             raise InvalidArgumentError(f"mean must have 4 entries, got shape {mean.shape}")
         if cm.shape != (4, 4):

@@ -221,11 +221,11 @@ def _threshold_results():
             rows.append((laser(g, kappa, side), "inseparability"))
         yield from _threshold_rows(rows, r)
     for nbar, r in ((0.0, 0.5), (0.2, 0.8), (0.5, 1.0)):
-        rows = [(ChannelSpec("thermal", kappa=1.0, nbar=nbar), "two-way")]
-        preset = thermal_preset(1.0, nbar, 0.0)
+        thermal = ChannelSpec("thermal", kappa=1.0, nbar=nbar)
+        rows = [(thermal, "two-way")]
         if nbar > 0:
             for side in (ChannelSide.BOTH, ChannelSide.B):
-                rows.append((laser(preset.g, preset.kappa, side), "inseparability"))
+                rows.append((laser(thermal._params.g, thermal._params.kappa, side), "inseparability"))
         yield from _threshold_rows(rows, r)
 
 

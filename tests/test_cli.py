@@ -470,8 +470,13 @@ _IDENTITY_ROWS = "[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]"
          'cm must be an array of real numbers: got the string "1"'),
         (f'{{"mean": [true, 0, 0, 0], "cm": [[1, 0, 0, 0], {_IDENTITY_ROWS}]}}',
          "mean must be an array of real numbers: got the boolean true"),
+        (f'{{"mean": [[0, 0], [0, 0]], "cm": [[1, 0, 0, 0], {_IDENTITY_ROWS}]}}',
+         "mean must have 4 entries, got shape (2, 2)"),
     ],
-    ids=["string-entry", "ragged-cm", "object-in-mean", "401-digit-integer", "numeric-string-entry", "boolean-in-mean"],
+    ids=[
+        "string-entry", "ragged-cm", "object-in-mean", "401-digit-integer", "numeric-string-entry", "boolean-in-mean",
+        "nested-mean",
+    ],
 )
 def test_eval_state_file_with_malformed_values_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "state.json"
@@ -894,26 +899,41 @@ def test_presets_evolve_one_channel_per_point(monkeypatch, name, specs):
 
 
 @pytest.mark.parametrize("name", _SWEEP_FIGURES)
+def test_presets_validate_their_tmsvs_as_one_stack(monkeypatch, name):
+    # As a --var r sweep does: one validation of every point's TMSV, no state per point.
+    stacks, validate = [], cvsteer.cli._validate_cms
+    monkeypatch.setattr(cvsteer.cli, "make_tmsv", lambda r: pytest.fail(f"make_tmsv({r})"))
+    monkeypatch.setattr(cvsteer.cli, "_validate_cms", lambda cms: stacks.append(cms.shape) or validate(cms))
+    _preset_rows(name)
+    points = [len(values) for key, values in FIGURE_PRESETS[name].items() if key.endswith("_values")]
+    assert stacks == [(math.prod(points), 4, 4)]
+
+
+@pytest.mark.parametrize("name", _SWEEP_FIGURES)
 def test_presets_take_det_v_from_their_validations(monkeypatch, name):
-    # The only stacked np.linalg.det calls are the validations' own: E_N
-    # takes the det V they computed.
+    # The only stacked np.linalg.det calls are the validations' own, of the
+    # evolved stacks and of the TMSV stack: E_N takes the det V they computed.
     inside, validating_dets, other_dets = [False], [], []
-    det, validated_stack = np.linalg.det, channels._validated_stack
+    det = np.linalg.det
 
     def logging_det(a):
         if np.ndim(a) > 2:
             (validating_dets if inside[0] else other_dets).append(np.shape(a))
         return det(a)
 
-    def validating(v, shape):
-        inside[0] = True
-        try:
-            return validated_stack(v, shape)
-        finally:
-            inside[0] = False
+    def validating(validation):
+        def call(*args):
+            inside[0] = True
+            try:
+                return validation(*args)
+            finally:
+                inside[0] = False
+
+        return call
 
     monkeypatch.setattr(np.linalg, "det", logging_det)
-    monkeypatch.setattr(channels, "_validated_stack", validating)
+    monkeypatch.setattr(channels, "_validated_stack", validating(channels._validated_stack))
+    monkeypatch.setattr(cvsteer.cli, "_validate_cms", validating(cvsteer.cli._validate_cms))
     assert main(["sweep", "--figure", name, "--out", os.devnull]) == 0
     assert validating_dets and other_dets == []
 

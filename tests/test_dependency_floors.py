@@ -2,9 +2,11 @@
 
 The package reads ``ndarray.mT``, which NumPy added in 2.0; scipy supports
 NumPy 2 from 1.13.  A floor below these lets an install pass that fails on
-the first stack the package touches.
+the first stack the package touches.  The declared Python floor must parse
+every source file, and the tier-1 workflow must run it.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,3 +33,13 @@ def test_the_numpy_floor_is_at_least_2_0_which_has_ndarray_mT():
 
 def test_the_scipy_floor_supports_numpy_2():
     assert _floors()["scipy"] >= (1, 13)
+
+
+def test_the_python_floor_parses_every_source_and_runs_in_ci():
+    requires = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    floor = tuple(int(part) for part in re.fullmatch(r">=(\d+)\.(\d+)", requires.replace(" ", "")).groups())
+    for path in sorted((ROOT / "src" / "cvsteer").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    versions = re.search(r"python-version:\s*\[([^\]]*)\]", workflow).group(1)
+    assert "%d.%d" % floor in re.findall(r"[\d.]+", versions)

@@ -164,11 +164,22 @@ def usage_cases() -> dict[str, list[str]]:
     return out
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """``contextlib.chdir``, which Python 3.10, the declared floor, lacks."""
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
 def run(argv) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one in-process CLI call; an argparse
     exit counts with the code of its SystemExit."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(Path(__file__).parent), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with _chdir(Path(__file__).parent), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:

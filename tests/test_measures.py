@@ -785,6 +785,27 @@ def test_threshold_table_refuses_the_phase_sensitive_channel(quantity):
         threshold_table(ChannelSpec("phase-sensitive", nbar=0.4, m=0.3), 0.5, quantity)
 
 
+def _refuse_second_rate_reads(monkeypatch):
+    """Make the rate reads that rebuild a spec's checked params raise."""
+    fail = lambda *args: pytest.fail("rates read past the spec's checked params")
+    monkeypatch.setattr(ChannelSpec, "laser_params", fail)
+    monkeypatch.setattr(verify, "thermal_preset", fail)
+
+
+@pytest.mark.parametrize("kind", ["loss", "gain", "thermal", "laser"])
+def test_threshold_table_reads_rates_from_the_spec(monkeypatch, kind):
+    channel = ChannelSpec(kind, ChannelSide.B, g=0.4, kappa=1.2, nbar=0.3)
+    expected = _bits(threshold_table(channel, 0.6))
+    _refuse_second_rate_reads(monkeypatch)
+    assert _bits(threshold_table(channel, 0.6)) == expected
+
+
+def test_verify_thresholds_reads_rates_from_the_specs(monkeypatch):
+    expected = _bits(verify._threshold_results())
+    _refuse_second_rate_reads(monkeypatch)
+    assert _bits(verify._threshold_results()) == expected
+
+
 @pytest.mark.parametrize("channel", [ChannelSpec("phase-sensitive", nbar=0.4, m=0.3), ChannelSpec("identity")])
 def test_threshold_rows_refuse_a_kind_without_laser_rates(channel):
     # The rows' own entry point names the kind, as threshold_table does; it

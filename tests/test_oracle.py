@@ -333,6 +333,20 @@ def test_a_zero_mean_pair_sends_half_the_kernel_and_half_of_chi_through_exp(monk
     assert sum(sizes) == 128 * 128 + 128 * 256 == 49_152
 
 
+@pytest.mark.parametrize("variables", ["q", "p"])
+def test_a_displaced_pair_sends_half_of_chi_through_each_exp(monkeypatch, variables):
+    # chi(-xi) = chi(xi)* for every state: a displaced pair computes the top
+    # 128 rows of its real factor and of its unit phase, 2 x 32 768 elements
+    # against 2 x 65 536 for every row.
+    state = TwoModeGaussianState([0.3, -0.2, 0.1, 0.4], make_tmsv(0.5).cm)
+    u = _integration_grid(state, variables, 256).axis
+    exp = np.exp
+    sizes = []
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: sizes.append(np.size(x)) or exp(x, *args, **kwargs))
+    _cf_grid(state, variables, u)
+    assert sizes == [128 * 256, 128 * 256]
+
+
 def _nudged(state, i, j, direction):
     """``state`` with cm[i, j] and cm[j, i] moved by one ulp."""
     cm = state.cm.copy()

@@ -210,6 +210,13 @@ def _thermal_points(draw):
 @example(point=(1.4155565876959528, 0.6715777036397604)).xfail(
     reason="the thermal two-way closed form is NaN at its window's edge (ROADMAP item 2)", raises=AssertionError
 )
+# 2.2e-16 below the window's edge the closed form is 0.14384103622589042
+# against the bisected 0.053640670442073414, and the row reads disagree.
+# Random draws can reach such points, so the test stays flaky until item 2.
+@example(point=(0.9422271590701997, 0.5296678687889625)).xfail(
+    reason="the thermal two-way closed form is far off one ulp inside its window's edge (ROADMAP item 2)",
+    raises=AssertionError,
+)
 def test_thermal_two_way_row_meets_the_reference(point):
     # The bisected root always; outside the window the table's row too, its
     # closed form and root, each within 1e-9 relative of the reference.

@@ -106,6 +106,20 @@ def test_state_values_that_are_not_real_numbers_are_named(mean, cm, name):
         TwoModeGaussianState(mean, cm)
 
 
+@pytest.mark.parametrize("mean", [[[0, 0], [0, 0]], [[0], [0], [0], [0]], [[0, 0, 0, 0]]])
+def test_a_mean_that_is_not_a_flat_list_of_four_is_refused(mean):
+    # A 4x1 or 2x2 mean holds four numbers, but not as the vector (Q1, P1, Q2, P2).
+    with pytest.raises(InvalidArgumentError) as raised:
+        TwoModeGaussianState(mean, np.eye(4))
+    assert str(raised.value) == f"mean must have 4 entries, got shape {np.shape(mean)}"
+
+
+def test_the_callers_mean_array_stays_writable():
+    mean = np.zeros(4)
+    state = TwoModeGaussianState(mean, np.eye(4))
+    assert mean.flags.writeable and not state.mean.flags.writeable
+
+
 def test_state_is_immutable():
     s = vacuum()
     with pytest.raises(AttributeError):
